@@ -13,9 +13,19 @@ coalgebra of the suspended radical, so all signs come mechanically from the
 Koszul rule.  The composition convention is fixed so that a gauge with only
 an f_2 component sends m_3 to m_3 + delta(f_2), and the action law
 gauge_act(f, gauge_act(g, m)) = gauge_act(compose(f, g), m) holds exactly.
+
+Only terms that can be nonzero are evaluated.  Block compositions are
+enumerated with block sizes in {1} and the support of the gauge, once per
+(arity, support).  gauge_act factors the conjugate H o (b2 + m) o F through
+its middle layer: the sum of m_q over the F-blocks of a sub-tuple is
+computed once per sub-tuple, in a memo local to the call, and then fed to
+every outer split.  Arities up to the lowest gauge component are copied
+unchanged, which covers every step gauge f_{k-1} of normalize.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .linalg import (ExactMatrix, ONE, canonical_complement, image_basis,
                      rat, solve)
@@ -124,38 +134,50 @@ class GaugeTransform:
 # coalgebra-morphism calculus (componentwise, truncated at tensor length N)
 
 
-def _compositions(r, p):
-    """All (j_1, ..., j_p) of positive integers summing to r."""
-    if p == 1:
-        yield (r,)
-        return
-    for first in range(1, r - p + 2):
-        for rest in _compositions(r - first, p - 1):
-            yield (first,) + rest
+@functools.lru_cache(maxsize=None)
+def _compositions_in(r, sizes):
+    """All compositions of r with parts in `sizes` (ascending, starting at
+    1), in lexicographic order."""
+    out = []
+    acc = []
+
+    def rec(rest):
+        if rest == 0:
+            out.append(tuple(acc))
+            return
+        for j in sizes:
+            if j > rest:
+                break
+            acc.append(j)
+            rec(rest - j)
+            acc.pop()
+
+    rec(r)
+    return tuple(out)
+
+
+def _block_sizes(f):
+    """The block sizes a gauge can feed: 1 (f_1 = id) and its support."""
+    return (1,) + tuple(sorted(f.comps))
 
 
 def _layer_values(f, T, parts):
     """Apply gauge components to consecutive blocks of a basis tuple.
 
-    Returns None if some block evaluates to zero, else the list of E-vectors
-    together with each block's suspended degree."""
-    E = f.E
+    Every part must be 1 or in the support of f.  Returns None if some
+    block evaluates to zero, else the list of E-vectors."""
     ys = []
-    ydegs = []
     pos = 0
     for j in parts:
-        block = T[pos:pos + j]
-        pos += j
         if j == 1:
-            ys.append({block[0]: ONE})
+            ys.append({T[pos]: ONE})
         else:
-            comp = f.comps.get(j)
-            val = comp.values.get(block) if comp else None
+            val = f.comps[j].values.get(T[pos:pos + j])
             if not val:
-                return None, None
+                return None
             ys.append(val)
-        ydegs.append(sum(E.deg[x] - 1 for x in block))
-    return ys, ydegs
+        pos += j
+    return ys
 
 
 def gauge_compose(f, g):
@@ -165,31 +187,28 @@ def gauge_compose(f, g):
         raise ValueError("mismatched gauges")
     E, N = f.E, f.N
     cx = reduced_complex(E)
+    sizes = _block_sizes(f)
     comps = {}
     for r in range(2, N):
         t = 1 - r
         values = {}
         for T in cx.tuple_keys(r, t):
             val = {}
-            for p in range(1, r + 1):
-                for parts in _compositions(r, p):
-                    if p == 1:
-                        comp = f.comps.get(r)
-                        term = comp.values.get(T) if comp else None
-                    elif p == r:
-                        comp = g.comps.get(r)
-                        term = comp.values.get(T) if comp else None
-                    else:
-                        gp = g.comps.get(p)
-                        if gp is None:
-                            continue
-                        ys, _ = _layer_values(f, T, parts)
-                        if ys is None:
-                            continue
-                        term = gp.eval_multilinear(ys)
-                    if term:
-                        for k, c in term.items():
-                            _accum(val, k, c)
+            for parts in _compositions_in(r, sizes):
+                p = len(parts)
+                if p == 1:
+                    term = f.comps[r].values.get(T)
+                else:
+                    gp = g.comps.get(p)
+                    if gp is None:
+                        continue
+                    ys = _layer_values(f, T, parts)
+                    if ys is None:
+                        continue
+                    term = gp.eval_multilinear(ys)
+                if term:
+                    for k, c in term.items():
+                        _accum(val, k, c)
             if val:
                 values[T] = val
         if values:
@@ -201,6 +220,7 @@ def gauge_inverse(f):
     """The inverse gauge: compose(f, inverse(f)) = identity."""
     E, N = f.E, f.N
     cx = reduced_complex(E)
+    sizes = _block_sizes(f)
     inv_comps = {}
     for r in range(2, N):
         t = 1 - r
@@ -213,18 +233,17 @@ def gauge_inverse(f):
                 if term:
                     for k, c in term.items():
                         _accum(val, k, -c)
-            for p in range(2, r):
-                hp = inv_comps.get(p)
+            for parts in _compositions_in(r, sizes):
+                hp = inv_comps.get(len(parts))
                 if hp is None:
                     continue
-                for parts in _compositions(r, p):
-                    ys, _ = _layer_values(f, T, parts)
-                    if ys is None:
-                        continue
-                    term = hp.eval_multilinear(ys)
-                    if term:
-                        for k, c in term.items():
-                            _accum(val, k, -c)
+                ys = _layer_values(f, T, parts)
+                if ys is None:
+                    continue
+                term = hp.eval_multilinear(ys)
+                if term:
+                    for k, c in term.items():
+                        _accum(val, k, -c)
             if val:
                 values[T] = val
         if values:
@@ -234,49 +253,82 @@ def gauge_inverse(f):
 
 def gauge_act(f, m):
     """Conjugate the coderivation of m by the coalgebra morphism of f,
-    truncated at tensor length N.  m_2 is unchanged."""
+    truncated at tensor length N.  m_2 is unchanged.
+
+    The result is H o (b2 + m) o F with H = f^{-1}.  On a tuple T it is the
+    sum over 0 <= i < j <= len(T), j - i >= 2, of
+    (-1)^{|T[:i]|} h(F-blocks of T[:i], P(T[i:j]), F-blocks of T[j:]),
+    where the middle layer P(S) sums m_q (b2 for q = 2) over the splits of
+    S into q >= 2 nonzero F-blocks, and h_1 = id.  P is computed once per
+    sub-tuple S.  Arities up to the lowest gauge component are unchanged:
+    there every block of size > 1 and every h_k with k > 1 is too long to
+    contribute."""
     if f.E is not m.E or f.N != m.N:
         raise ValueError("gauge and structure must share algebra and order")
     E, N = m.E, m.N
+    low = min(f.comps, default=N)
+    comps = {r: c for r, c in m.comps.items() if r <= low}
     cx = reduced_complex(E)
     h = gauge_inverse(f)  # outer layer
-    comps = {}
-    for r in range(3, N + 1):
+    sizes = _block_sizes(f)
+    layers = {}  # prefix or suffix tuple -> its nonzero F-block value lists
+    inner = {}  # tuple S -> P(S)
+
+    def f_layers(U):
+        got = layers.get(U)
+        if got is None:
+            got = []
+            for parts in _compositions_in(len(U), sizes):
+                ys = _layer_values(f, U, parts)
+                if ys is not None:
+                    got.append(ys)
+            layers[U] = got
+        return got
+
+    def middle(S):
+        got = inner.get(S)
+        if got is None:
+            got = {}
+            for parts in _compositions_in(len(S), sizes):
+                q = len(parts)
+                if q == 1 or (q > 2 and q not in m.comps):
+                    continue
+                ys = _layer_values(f, S, parts)
+                if ys is None:
+                    continue
+                if q == 2:
+                    term = eval_b2(E, ys[0], ys[1])
+                else:
+                    term = m.comps[q].eval_multilinear(ys)
+                for k, c in term.items():
+                    _accum(got, k, c)
+            inner[S] = got
+        return got
+
+    for r in range(low + 1, N + 1):
         t = 2 - r
         values = {}
         for T in cx.tuple_keys(r, t):
             val = {}
-            for p in range(1, r + 1):
-                for parts in _compositions(r, p):
-                    ys, ydegs = _layer_values(f, T, parts)
-                    if ys is None:
+            presum = 0
+            for i in range(r - 1):
+                sgn = _sign(presum)
+                presum += E.deg[T[i]] - 1
+                lefts = f_layers(T[:i])
+                for j in range(i + 2, r + 1):
+                    mid = middle(T[i:j])
+                    if not mid:
                         continue
-                    for q in range(2, p + 1):
-                        if q == 2:
-                            mq = None
-                        else:
-                            mq = m.comps.get(q)
-                            if mq is None:
+                    if i == 0 and j == r:
+                        for k, c in mid.items():
+                            _accum(val, k, c)
+                        continue
+                    for left in lefts:
+                        for right in f_layers(T[j:]):
+                            hc = h.comps.get(len(left) + len(right) + 1)
+                            if hc is None:
                                 continue
-                        for a in range(p - q + 1):
-                            if q == 2:
-                                mid = eval_b2(E, ys[a], ys[a + 1])
-                            else:
-                                mid = mq.eval_multilinear(ys[a:a + q])
-                            if not mid:
-                                continue
-                            sgn = _sign(sum(ydegs[:a]))
-                            outer = p - q + 1
-                            if outer == 1:
-                                term = mid
-                            else:
-                                hcomp = h.comps.get(outer)
-                                if hcomp is None:
-                                    continue
-                                term = hcomp.eval_multilinear(
-                                    ys[:a] + [mid] + ys[a + q:])
-                                if not term:
-                                    continue
+                            term = hc.eval_multilinear(left + [mid] + right)
                             for k, c in term.items():
                                 _accum(val, k, sgn * c)
             if val:

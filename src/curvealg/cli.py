@@ -61,12 +61,23 @@ def _curve_data(args, suffix=""):
 
 
 def _structure_from_file(path):
+    """Read a structure file; a malformed one raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
-    w = SubspaceW(obj["algebra"]["n"], [[rat(x) for x in row]
-                                        for row in obj["algebra"]["w"]])
-    E = build_ew(w)
-    m = ainf.AnStructure.from_json(E, obj)
+    try:
+        w = SubspaceW(obj["algebra"]["n"], [[rat(x) for x in row]
+                                            for row in obj["algebra"]["w"]])
+        E = build_ew(w)
+        m = ainf.AnStructure.from_json(E, obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed structure file %s: %s %s"
+                         % (path, type(exc).__name__, exc)) from None
+    cx = reduced_complex(E)
+    for k, c in m.comps.items():
+        index = cx.index(k, 2 - k)
+        if any((key, x) not in index for key, vec in c.values.items() for x in vec):
+            raise ValueError("malformed structure file %s: m_%d has an entry "
+                             "outside its cochain basis" % (path, k))
     return E, m
 
 
@@ -310,6 +321,17 @@ def cmd_poly_closure(args):
 # -- argument wiring -----------------------------------------------------------
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    parse.__name__ = "integer"
+    return parse
+
+
 def _add_common(p):
     p.add_argument("--out", help="write output to this path (manifest beside it)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -376,13 +398,13 @@ def build_parser():
 
     p = asub.add_parser("equations")
     _add_subspace(p)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_int_at_least(3), default=6)
     _add_common(p)
     p.set_defaults(func=cmd_ainf_equations)
 
     p = asub.add_parser("tangent")
     _add_subspace(p)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_int_at_least(3), default=6)
     _add_common(p)
     p.set_defaults(func=cmd_ainf_tangent)
 
@@ -445,14 +467,14 @@ def build_parser():
     p = gsub.add_parser("hilbert")
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--nmax", type=int, default=40)
+    p.add_argument("--nmax", type=_int_at_least(0), default=40)
     _add_common(p)
     p.set_defaults(func=cmd_genus1_hilbert)
 
     p = gsub.add_parser("compare")
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--nmax", type=int, default=40)
+    p.add_argument("--nmax", type=_int_at_least(0), default=40)
     _add_common(p)
     p.set_defaults(func=cmd_genus1_compare)
 

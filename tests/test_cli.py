@@ -126,3 +126,38 @@ def test_ew_dump_and_tangent():
     out2 = run_cli("ainf", "tangent", "--n", "2", "--g", "1", "--w", "1,1",
                    "--order", "6")
     assert json.loads(out2.stdout)["total"] == 4
+
+
+def test_malformed_structure_file_is_usage_error(tmp_path):
+    good = tmp_path / "m.json"
+    run_cli("ainf", "random", "--n", "1", "--g", "1", "--w", "", "--order", "4",
+            "--seed", "3", "--out", str(good))
+    obj = json.loads(good.read_text())
+    unknown_label = json.loads(good.read_text())
+    unknown_label["components"]["3"]["entries"][0]["args"][0] = "zz"
+    off_basis = json.loads(good.read_text())
+    first = obj["components"]["3"]["entries"][0]
+    off_basis["components"]["3"]["entries"].append(
+        {"args": [first["args"][0]] * 3, "value": {"A1": "1"}})
+    for i, bad in enumerate(({"algebra": {"n": 1}}, unknown_label, off_basis, [1, 2])):
+        path = tmp_path / ("bad%d.json" % i)
+        path.write_text(json.dumps(bad))
+        for sub in ("normalize", "extend"):
+            out = run_cli("ainf", sub, "--input", str(path))
+            assert out.returncode == 2, (bad, sub, out.stderr)
+            assert "malformed structure file" in out.stderr
+            assert "Traceback" not in out.stderr
+
+
+def test_out_of_range_flags_rejected():
+    for args in (("ainf", "tangent", "--n", "1", "--g", "1", "--w", "", "--order", "2"),
+                 ("ainf", "equations", "--n", "1", "--g", "1", "--w", "", "--order", "2"),
+                 ("genus1", "hilbert", "--u", "1", "--v", "1", "--nmax", "-1"),
+                 ("genus1", "compare", "--u", "1", "--v", "1", "--nmax", "-1")):
+        out = run_cli(*args)
+        assert out.returncode == 2, args
+        assert "must be at least" in out.stderr
+    assert run_cli("genus1", "hilbert", "--u", "1", "--v", "1",
+                   "--nmax", "0").returncode == 0
+    assert run_cli("ainf", "tangent", "--n", "1", "--g", "1", "--w", "",
+                   "--order", "3").returncode == 0
