@@ -69,15 +69,9 @@ def _structure_from_file(path):
                                             for row in obj["algebra"]["w"]])
         E = build_ew(w)
         m = ainf.AnStructure.from_json(E, obj)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError("malformed structure file %s: %s %s"
                          % (path, type(exc).__name__, exc)) from None
-    cx = reduced_complex(E)
-    for k, c in m.comps.items():
-        index = cx.index(k, 2 - k)
-        if any((key, x) not in index for key, vec in c.values.items() for x in vec):
-            raise ValueError("malformed structure file %s: m_%d has an entry "
-                             "outside its cochain basis" % (path, k))
     return E, m
 
 
@@ -372,7 +366,7 @@ def build_parser():
 
     p = sub.add_parser("hh", help="bidegree scan of Hochschild cohomology")
     _add_subspace(p)
-    p.add_argument("--i-max", type=int, default=2)
+    p.add_argument("--i-max", type=_int_at_least(0), default=2)
     p.add_argument("--t-min", type=int, default=-6)
     _add_common(p)
     p.set_defaults(func=cmd_hh)
@@ -410,7 +404,7 @@ def build_parser():
 
     p = asub.add_parser("random")
     _add_subspace(p)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_int_at_least(3), default=6)
     _add_common(p)
     p.set_defaults(func=cmd_ainf_random)
 
@@ -419,13 +413,13 @@ def build_parser():
 
     p = csub.add_parser("special")
     _add_curve(p)
-    p.add_argument("--deg-bound", type=int, default=12)
+    p.add_argument("--deg-bound", type=_int_at_least(0), default=12)
     _add_common(p)
     p.set_defaults(func=cmd_curve_special)
 
     p = csub.add_parser("basis")
     _add_curve(p)
-    p.add_argument("--deg-bound", type=int, default=12)
+    p.add_argument("--deg-bound", type=_int_at_least(0), default=12)
     _add_common(p)
     p.set_defaults(func=cmd_curve_basis)
 
@@ -436,7 +430,7 @@ def build_parser():
 
     p = csub.add_parser("krichever")
     _add_curve(p)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_int_at_least(0), default=8)
     _add_common(p)
     p.set_defaults(func=cmd_curve_krichever)
 
@@ -445,7 +439,7 @@ def build_parser():
     _add_curve(p, suffix="2")
     p.add_argument("--q", required=True, help="left gluing point 'branch,xvalue'")
     p.add_argument("--q2", required=True, help="right gluing point 'branch,xvalue'")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=_int_at_least(0), default=10)
     _add_common(p)
     p.set_defaults(func=cmd_curve_glue)
 
@@ -454,7 +448,7 @@ def build_parser():
 
     p = gsub.add_parser("relations")
     _add_chart(p)
-    p.add_argument("--deg-bound", type=int, default=12)
+    p.add_argument("--deg-bound", type=_int_at_least(0), default=12)
     _add_common(p)
     p.set_defaults(func=cmd_genus1_relations)
 
@@ -489,7 +483,7 @@ def build_parser():
 
     p = psub.add_parser("closure")
     p.add_argument("--input", required=True, help="relation system JSON file")
-    p.add_argument("--deg-bound", type=int, default=12)
+    p.add_argument("--deg-bound", type=_int_at_least(0), default=12)
     _add_common(p)
     p.set_defaults(func=cmd_poly_closure)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import (ExactMatrix, ONE, ZERO, rank_of_columns, rat, rat_str)
+from .linalg import ExactMatrix, ONE, rank_of_columns, rat, rat_str
 
 
 def _sign(k):
@@ -31,11 +31,18 @@ def _sign(k):
 
 
 def _accum(out, key, c):
-    s = out.get(key, ZERO) + c
-    if s:
-        out[key] = s
+    """out[key] += c, storing c itself for a new key and dropping zeros."""
+    if not c:
+        return
+    s = out.get(key)
+    if s is None:
+        out[key] = c
     else:
-        out.pop(key, None)
+        s += c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
 class Cochain:
@@ -142,16 +149,30 @@ class Cochain:
 
     @classmethod
     def from_json(cls, E, obj):
+        """Inverse of to_json.  Raises ValueError for an unknown label, a
+        wrong argument count or an entry outside the (s, t) cochain basis."""
+        s, t = obj["arity"], obj["t"]
+        index = reduced_complex(E).index(s, t)
         values = {}
         for ent in obj["entries"]:
             args = ent["args"]
-            if obj["arity"] == 0:
-                key = int(args[0][1:])
-            else:
-                key = tuple(E.index[a] for a in args)
-            values[key] = {E.index[lab]: rat(c)
-                           for lab, c in ent["value"].items()}
-        return cls(E, obj["arity"], obj["t"], values)
+            if len(args) != max(s, 1):
+                raise ValueError("entry %s has %d arguments, not %d"
+                                 % (args, len(args), max(s, 1)))
+            try:
+                if s == 0:
+                    key = int(args[0][1:])
+                else:
+                    key = tuple(E.index[a] for a in args)
+                vec = {E.index[lab]: rat(c) for lab, c in ent["value"].items()}
+            except KeyError as exc:
+                raise ValueError("unknown label %s" % exc) from None
+            for k in vec:
+                if (key, k) not in index:
+                    raise ValueError("entry %s -> %s is outside the (%d, %d) "
+                                     "cochain basis" % (args, E.labels[k], s, t))
+            values[key] = vec
+        return cls(E, s, t, values)
 
     def __repr__(self):
         return "Cochain(s=%d, t=%d, %d entries)" % (self.s, self.t, len(self.values))
@@ -381,37 +402,37 @@ class HochschildComplex:
         sus = s + t - 1
         for key, w in self.basis(s, t):
             col = {}
-            wsign = _sign(E.deg[w] - 1)
+            wodd = (E.deg[w] - 1) % 2  # (-1)^{|w|} = -1
             if s == 0:
                 v = key
                 for x in self.elements():
                     if E.src[x] == v:
                         for wp, c in E.table.get((w, x), {}).items():
-                            _accum(col, rindex[((x,), wp)], wsign * c)
+                            _accum(col, rindex[((x,), wp)], -c if wodd else c)
                 for x in self.elements():
                     if E.tgt[x] == v:
-                        sg = _sign((sus + 1) * (E.deg[x] - 1))
+                        neg = (sus + 1) * (E.deg[x] - 1) % 2
                         for wp, c in E.table.get((x, w), {}).items():
-                            _accum(col, rindex[((x,), wp)], sg * c)
+                            _accum(col, rindex[((x,), wp)], -c if neg else c)
             else:
                 T = key
                 for x in self.elements():
                     if E.src[x] == E.tgt[w]:
                         for wp, c in E.table.get((w, x), {}).items():
-                            _accum(col, rindex[(T + (x,), wp)], wsign * c)
+                            _accum(col, rindex[(T + (x,), wp)], -c if wodd else c)
                 for x in self.elements():
                     if E.tgt[x] == E.src[w]:
-                        sg = _sign((sus + 1) * (E.deg[x] - 1))
+                        neg = (sus + 1) * (E.deg[x] - 1) % 2
                         for wp, c in E.table.get((x, w), {}).items():
-                            _accum(col, rindex[((x,) + T, wp)], sg * c)
-                front = -_sign(sus)
-                presum = 0
+                            _accum(col, rindex[((x,) + T, wp)], -c if neg else c)
+                # sign -(-1)^{sus + |T[:a]| + |x|}; parity starts at sus + 1
+                parity = sus + 1
                 for a in range(s):
                     for x, y, cf in fact.get(T[a], ()):
                         Tp = T[:a] + (x, y) + T[a + 1:]
-                        sg = front * _sign(presum) * _sign(E.deg[x] - 1)
-                        _accum(col, rindex[(Tp, w)], sg * cf)
-                    presum += E.deg[T[a]] - 1
+                        neg = (parity + E.deg[x] - 1) % 2
+                        _accum(col, rindex[(Tp, w)], -cf if neg else cf)
+                    parity += E.deg[T[a]] - 1
             cols.append(col)
         return cols
 
@@ -650,9 +671,9 @@ class UnnormalizedComplex:
                 # a_1 . c needs tgt(a_1) = v; c . a_1 needs src(a_1) = v
                 for x in range(E.dim):
                     if E.tgt[x] == v:
-                        sg = _sign(E.deg[x] * t)
+                        neg = E.deg[x] * t % 2
                         for wp, c in E.table.get((x, w), {}).items():
-                            _accum(col, rindex[((x,), wp)], sg * c)
+                            _accum(col, rindex[((x,), wp)], -c if neg else c)
                 for x in range(E.dim):
                     if E.src[x] == v:
                         for wp, c in E.table.get((w, x), {}).items():
@@ -662,21 +683,21 @@ class UnnormalizedComplex:
                 # a_1 . f(a_2 ... a_{s+1})
                 for x in range(E.dim):
                     if E.tgt[x] == E.src[w]:
-                        sg = _sign(E.deg[x] * t)
+                        neg = E.deg[x] * t % 2
                         for wp, c in E.table.get((x, w), {}).items():
-                            _accum(col, rindex[((x,) + T, wp)], sg * c)
+                            _accum(col, rindex[((x,) + T, wp)], -c if neg else c)
                 # contractions
                 for a in range(s):
-                    sg = _sign(a + 1)
+                    neg = a % 2 == 0  # (-1)^{a+1}
                     for x, y, cf in self.fact.get(T[a], ()):
                         Tp = T[:a] + (x, y) + T[a + 1:]
-                        _accum(col, rindex[(Tp, w)], sg * cf)
+                        _accum(col, rindex[(Tp, w)], -cf if neg else cf)
                 # f(a_1 ... a_s) . a_{s+1}
-                sg = _sign(s + 1)
+                neg = s % 2 == 0  # (-1)^{s+1}
                 for x in range(E.dim):
                     if E.src[x] == E.tgt[w]:
                         for wp, c in E.table.get((w, x), {}).items():
-                            _accum(col, rindex[(T + (x,), wp)], sg * c)
+                            _accum(col, rindex[(T + (x,), wp)], -c if neg else c)
             cols.append(col)
         return cols
 

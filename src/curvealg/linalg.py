@@ -4,9 +4,21 @@ Everything is computed over Q with exact arithmetic (gmpy2.mpq when
 available, fractions.Fraction otherwise).  No floating point anywhere.
 Matrices are stored sparsely; vectors are dicts index -> coefficient with
 no stored zeros.
+
+rref is the canonical exact reference.  rank_of_columns, which the
+Hochschild ranks and the curve-basis checks run on, eliminates
+fraction-free on Python ints instead (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
+each column is scaled to coprime integers, and a column is reduced
+against a pivot column by integer combination followed by division by its
+content.  Both steps are rank-preserving column operations, so the rank is
+exact without any rational division.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as _ratimpl
@@ -357,14 +369,21 @@ def canonical_complement(sub):
 
 
 def rank_of_columns(columns):
-    """Rank of the span of sparse column vectors.
+    """Rank of the span of sparse column vectors; the inputs are not changed.
 
-    Splits the incidence graph into connected components first, then runs
-    sparse elimination with a fill-reducing pivot choice per component.
-    Any pivot strategy yields the same rank, so this path is free to be
-    greedy while rref stays canonical.
+    Each column is scaled to coprime integers, which keeps the rank, and
+    the incidence graph is split into connected components.  Each
+    component is then eliminated fraction-free on Python ints: the
+    sparsest live column is the next pivot column (ties to the lower
+    index), its pivot row is the one used by the fewest other columns,
+    and every other column k meeting that row becomes a*k - b*pivot with
+    a/b the reduced ratio of the two pivot-row entries, divided by its
+    content.  Each step is an exact rank-preserving column operation, so
+    no fraction, modulus or certificate is needed.  Any pivot strategy
+    yields the same rank, so this path is free to be greedy while rref
+    stays canonical.
     """
-    cols = [dict(c) for c in columns if c]
+    cols = [_integer_column(c) for c in columns if c]
     if not cols:
         return 0
     # union-find over row indices
@@ -397,40 +416,65 @@ def rank_of_columns(columns):
     return sum(_rank_component(g) for g in groups.values())
 
 
+def _integer_column(col):
+    """The column times the lcm of its denominators, over the gcd of the
+    resulting integers: a new dict of coprime Python ints."""
+    den = lcm(*[c.denominator for c in col.values()])
+    ints = {i: c.numerator * (den // c.denominator) for i, c in col.items()}
+    g = gcd(*ints.values())
+    if g != 1:
+        ints = {i: v // g for i, v in ints.items()}
+    return ints
+
+
 def _rank_component(cols):
+    """Fraction-free elimination of integer columns (modified in place)."""
     rk = 0
     # row -> set of column indices still containing it
     row_use = {}
-    alive = list(range(len(cols)))
-    for ci in alive:
-        for i in cols[ci]:
-            row_use.setdefault(i, set()).add(ci)
-    remaining = set(alive)
-    while remaining:
-        # pick the sparsest live column
-        ci = min(remaining, key=lambda k: (len(cols[k]), k))
+    for k, col in enumerate(cols):
+        for i in col:
+            row_use.setdefault(i, set()).add(k)
+    # lazy heap of (length, index); an entry whose length is out of date
+    # or whose column is done is skipped
+    heap = [(len(col), k) for k, col in enumerate(cols)]
+    heapify(heap)
+    done = [False] * len(cols)
+    while heap:
+        n, ci = heappop(heap)
         col = cols[ci]
-        remaining.discard(ci)
+        if done[ci] or n != len(col):
+            continue
+        done[ci] = True
         if not col:
             continue
         rk += 1
+        for i in col:
+            row_use[i].discard(ci)
         # pick pivot row used by fewest other columns
         pr = min(col, key=lambda i: (len(row_use[i]), i))
         pc = col[pr]
-        users = [k for k in row_use[pr] if k != ci and k in remaining]
-        for k in users:
+        for k in list(row_use[pr]):
             other = cols[k]
-            factor = -other[pr] / pc
+            x = other[pr]
+            g = gcd(pc, x)
+            a, b = pc // g, x // g
+            if a != 1:
+                for i in other:
+                    other[i] *= a
             for i, v in col.items():
-                s = other.get(i, ZERO) + factor * v
+                s = other.get(i, 0) - b * v
                 if s:
                     if i not in other:
-                        row_use.setdefault(i, set()).add(k)
+                        row_use[i].add(k)
                     other[i] = s
                 else:
-                    if i in other:
-                        del other[i]
-                        row_use[i].discard(k)
-        for i in col:
-            row_use[i].discard(ci)
+                    del other[i]
+                    row_use[i].discard(k)
+            if other:
+                g = gcd(*other.values())
+                if g != 1:
+                    for i in other:
+                        other[i] //= g
+            heappush(heap, (len(other), k))
     return rk

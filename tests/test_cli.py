@@ -161,3 +161,29 @@ def test_out_of_range_flags_rejected():
                    "--nmax", "0").returncode == 0
     assert run_cli("ainf", "tangent", "--n", "1", "--g", "1", "--w", "",
                    "--order", "3").returncode == 0
+
+
+def test_negative_bounds_and_short_random_order_rejected():
+    for args in (("hh", "--n", "1", "--g", "1", "--w", "", "--i-max", "-1"),
+                 ("curve", "basis", "--n", "2", "--s", "1", "--a", "2",
+                  "--deg-bound", "-3"),
+                 ("curve", "special", "--n", "2", "--s", "1", "--a", "2",
+                  "--deg-bound", "-1"),
+                 ("curve", "krichever", "--n", "2", "--s", "1", "--a", "2",
+                  "--depth", "-1"),
+                 ("curve", "glue", "--n", "1", "--s", "1", "--n2", "1", "--s2", "",
+                  "--q", "0,1", "--q2", "0,2", "--depth", "-1"),
+                 ("genus1", "relations", "--deg-bound", "-1"),
+                 ("poly", "closure", "--input", "unused.json", "--deg-bound", "-1"),
+                 ("ainf", "random", "--n", "1", "--g", "1", "--w", "", "--order", "2")):
+        out = run_cli(*args)
+        assert out.returncode == 2, args
+        assert "must be at least" in out.stderr
+        assert "Traceback" not in out.stderr
+    out = run_cli("hh", "--n", "1", "--g", "1", "--w", "", "--i-max", "0")
+    assert out.returncode == 0
+    assert [row["i"] for row in json.loads(out.stdout)["cells"]] == [0] * 7
+    assert run_cli("curve", "basis", "--n", "2", "--s", "1", "--a", "2",
+                   "--deg-bound", "0").returncode == 0
+    assert run_cli("ainf", "random", "--n", "1", "--g", "1", "--w", "",
+                   "--order", "3").returncode == 0

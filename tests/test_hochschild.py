@@ -3,11 +3,14 @@ dimensions, and agreement with independently built complexes."""
 
 import random
 
+import pytest
+
 from curvealg.linalg import ExactMatrix, ONE, rank_of_columns, rat
 from curvealg.quiver import SubspaceW, build_ew
-from curvealg.hochschild import (Cochain, cochain_basis, differential_apply,
-                                 gerstenhaber, hh_dim, reduced_complex,
-                                 unnormalized_complex, vanishing_scan)
+from curvealg.hochschild import (Cochain, _accum, cochain_basis,
+                                 differential_apply, gerstenhaber, hh_dim,
+                                 reduced_complex, unnormalized_complex,
+                                 vanishing_scan)
 
 
 def E11():
@@ -335,3 +338,164 @@ def test_reduced_matches_absolute_complex_small():
         for i in range(0, 3):
             for t in range(-2, 1):
                 assert cx.hh_dim(i, t) == absolute_hh(E, i, t), (i, t)
+
+
+# -- delta assembly against the Fraction-accumulating reference ---------------------
+
+
+def _accum_reference(out, key, c):
+    s = out.get(key, rat(0)) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _sign_reference(k):
+    return -1 if k % 2 else 1
+
+
+def reduced_delta_reference(cx, s, t):
+    """HochschildComplex.delta_columns as first written: signs multiplied
+    in as ints, sums started from a rational zero."""
+    E = cx.E
+    cols = []
+    rindex = cx.index(s + 1, t)
+    fact = cx.factorizations()
+    sus = s + t - 1
+    for key, w in cx.basis(s, t):
+        col = {}
+        wsign = _sign_reference(E.deg[w] - 1)
+        if s == 0:
+            v = key
+            for x in cx.elements():
+                if E.src[x] == v:
+                    for wp, c in E.table.get((w, x), {}).items():
+                        _accum_reference(col, rindex[((x,), wp)], wsign * c)
+            for x in cx.elements():
+                if E.tgt[x] == v:
+                    sg = _sign_reference((sus + 1) * (E.deg[x] - 1))
+                    for wp, c in E.table.get((x, w), {}).items():
+                        _accum_reference(col, rindex[((x,), wp)], sg * c)
+        else:
+            T = key
+            for x in cx.elements():
+                if E.src[x] == E.tgt[w]:
+                    for wp, c in E.table.get((w, x), {}).items():
+                        _accum_reference(col, rindex[(T + (x,), wp)], wsign * c)
+            for x in cx.elements():
+                if E.tgt[x] == E.src[w]:
+                    sg = _sign_reference((sus + 1) * (E.deg[x] - 1))
+                    for wp, c in E.table.get((x, w), {}).items():
+                        _accum_reference(col, rindex[((x,) + T, wp)], sg * c)
+            front = -_sign_reference(sus)
+            presum = 0
+            for a in range(s):
+                for x, y, cf in fact.get(T[a], ()):
+                    Tp = T[:a] + (x, y) + T[a + 1:]
+                    sg = front * _sign_reference(presum) * _sign_reference(E.deg[x] - 1)
+                    _accum_reference(col, rindex[(Tp, w)], sg * cf)
+                presum += E.deg[T[a]] - 1
+        cols.append(col)
+    return cols
+
+
+def unnormalized_delta_reference(ucx, s, t):
+    """UnnormalizedComplex.delta_columns as first written."""
+    E = ucx.E
+    ucx.basis(s + 1, t)
+    rindex = ucx._index[(s + 1, t)]
+    cols = []
+    for key, w in ucx.basis(s, t):
+        col = {}
+        if s == 0:
+            v = key
+            for x in range(E.dim):
+                if E.tgt[x] == v:
+                    sg = _sign_reference(E.deg[x] * t)
+                    for wp, c in E.table.get((x, w), {}).items():
+                        _accum_reference(col, rindex[((x,), wp)], sg * c)
+            for x in range(E.dim):
+                if E.src[x] == v:
+                    for wp, c in E.table.get((w, x), {}).items():
+                        _accum_reference(col, rindex[((x,), wp)], -c)
+        else:
+            T = key
+            for x in range(E.dim):
+                if E.tgt[x] == E.src[w]:
+                    sg = _sign_reference(E.deg[x] * t)
+                    for wp, c in E.table.get((x, w), {}).items():
+                        _accum_reference(col, rindex[((x,) + T, wp)], sg * c)
+            for a in range(s):
+                sg = _sign_reference(a + 1)
+                for x, y, cf in ucx.fact.get(T[a], ()):
+                    Tp = T[:a] + (x, y) + T[a + 1:]
+                    _accum_reference(col, rindex[(Tp, w)], sg * cf)
+            sg = _sign_reference(s + 1)
+            for x in range(E.dim):
+                if E.src[x] == E.tgt[w]:
+                    for wp, c in E.table.get((w, x), {}).items():
+                        _accum_reference(col, rindex[(T + (x,), wp)], sg * c)
+        cols.append(col)
+    return cols
+
+
+def test_accum_matches_reference_accumulation():
+    steps = [(3, rat(1, 2)), (1, rat(2)), (3, rat(1, 4)), (2, rat(0)), (1, rat(-2)),
+             (5, rat(-1)), (1, rat(7)), (3, rat(-3, 4)), (5, rat(1, 3))]
+    got, want = {}, {}
+    for key, c in steps:
+        _accum(got, key, c)
+        _accum_reference(want, key, c)
+        assert list(got.items()) == list(want.items())
+    assert list(got.items()) == [(5, rat(-2, 3)), (1, rat(7))]
+
+
+def test_delta_columns_match_reference_exactly():
+    E = build_ew(SubspaceW(2, [["1/2", "-2/3"]]))
+    cases = [(0, 0), (0, 1), (1, -1), (1, 0), (2, -2), (2, -1), (3, -3), (3, -2),
+             (4, -3)]
+    for cx, reference in ((reduced_complex(E), reduced_delta_reference),
+                          (unnormalized_complex(E), unnormalized_delta_reference)):
+        nnz = 0
+        for s, t in cases:
+            got = cx.delta_columns(s, t)
+            want = reference(cx, s, t)
+            # same keys in the same order, same values of the same type
+            assert [list(c.items()) for c in got] == [list(c.items()) for c in want], (s, t)
+            assert all(type(x) is type(y) for c, d in zip(got, want)
+                       for x, y in zip(c.values(), d.values()))
+            nnz += sum(len(c) for c in got)
+            # delta o delta = 0
+            d1 = ExactMatrix.from_columns(got, cx.dim(s + 1, t))
+            d2 = ExactMatrix.from_columns(cx.delta_columns(s + 1, t), cx.dim(s + 2, t))
+            assert d2.matmul(d1).is_zero(), (s, t)
+        assert nnz > 100
+
+
+# -- cochain deserialization ----------------------------------------------------------
+
+
+def test_cochain_from_json_rejects_malformed_entries():
+    E = E21()
+    rng = random.Random(3)
+    for s, t in ((0, 0), (2, -1), (3, -1)):
+        phi = random_cochain(E, s, t, rng, density=1.0)
+        assert Cochain.from_json(E, phi.to_json()) == phi
+    obj = random_cochain(E, 3, -1, rng, density=1.0).to_json()
+    entry = obj["entries"][0]
+    bad_label = dict(obj, entries=[dict(entry, args=["zz"] + entry["args"][1:])])
+    bad_target = dict(obj, entries=[dict(entry, value={"zz": "1"})])
+    short = dict(obj, entries=[dict(entry, args=entry["args"][:2])])
+    # a composable radical triple whose degree does not fit (3, -1)
+    x = next(k for k in E.radical if E.src[k] == E.tgt[k])
+    off_basis = dict(obj, entries=[{"args": [E.labels[x]] * 3,
+                                    "value": {E.labels[x]: "1"}}])
+    zero_arity = Cochain(E, 0, 0, {0: {E.e_idx[0]: ONE}}).to_json()
+    zero_wrong = dict(zero_arity, entries=[dict(zero_arity["entries"][0],
+                                                args=["@0", "@1"])])
+    for bad, why in ((bad_label, "unknown label"), (bad_target, "unknown label"),
+                     (short, "2 arguments, not 3"), (off_basis, "outside the"),
+                     (zero_wrong, "2 arguments, not 1")):
+        with pytest.raises(ValueError, match=why):
+            Cochain.from_json(E, bad)

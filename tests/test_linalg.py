@@ -1,10 +1,14 @@
 """Exact linear algebra: examples and randomized exact properties."""
 
+import copy
 import random
+
+from hypothesis import given, strategies as st
 
 from curvealg.linalg import (ExactMatrix, ONE, Subspace, canonical_complement,
                              image_basis, kernel_basis, rank, rank_of_columns,
-                             rat, rat_str, rref, solve, vec_from_list)
+                             rat, rat_str, rref, solve, vec_addmul,
+                             vec_from_list)
 
 
 def M(rows):
@@ -144,3 +148,100 @@ def test_matmul_and_apply():
     b = M([[1, 0], [3, 1]])
     assert a.matmul(b) == M([[7, 2], [3, 1]])
     assert a.apply(vec_from_list([1, 1])) == {0: rat(3), 1: ONE}
+
+
+# -- fraction-free rank against rref, on inputs built to stress it ----------------
+
+
+def assert_rank_matches_rref(cols, nrows):
+    """rank_of_columns agrees with rref and leaves its input untouched."""
+    before = copy.deepcopy(cols)
+    rk = rank_of_columns(cols)
+    assert [list(c.items()) for c in cols] == [list(c.items()) for c in before]
+    assert rk == len(rref(ExactMatrix.from_columns(cols, nrows))[1])
+    return rk
+
+
+def combination(cols, coeffs):
+    out = {}
+    for c, col in zip(coeffs, cols):
+        vec_addmul(out, c, col)
+    return out
+
+
+NROWS = 7
+# denominators up to 10^6, including the largest primes below it, so the lcm
+# of a column can reach about 10^42
+_denominators = st.one_of(st.integers(1, 10 ** 6),
+                          st.sampled_from([999983, 999979, 999961, 999959]))
+_entries = st.builds(rat, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                     _denominators)
+_columns = st.dictionaries(st.integers(0, NROWS - 1), _entries, min_size=1,
+                           max_size=4)
+_coeffs = st.lists(st.builds(rat, st.integers(-9, 9), st.integers(1, 9)),
+                   min_size=1, max_size=6)
+
+
+@given(st.lists(_columns, min_size=1, max_size=6), st.lists(_coeffs, max_size=4))
+def test_rank_of_sparse_rational_columns_matches_rref(base, mixes):
+    # appended rational combinations of the drawn columns make the rank
+    # drop and make entries cancel during elimination
+    cols = base + [combination(base, c) for c in mixes]
+    cols = [c for c in cols if c]
+    assert_rank_matches_rref(cols, NROWS) <= len(base)
+
+
+def test_rank_of_hilbert_matrix_and_dependent_column():
+    n = 8
+    hilbert = [{i: rat(1, i + j + 1) for i in range(n)} for j in range(n)]
+    assert assert_rank_matches_rref(hilbert, n) == n
+    coeffs = [rat(3, 7), rat(-5, 11), rat(1, 13), rat(2), rat(-17, 19),
+              rat(1, 999983), rat(-4, 3), rat(6, 5)]
+    extra = combination(hilbert, coeffs)
+    assert len(extra) == n
+    assert assert_rank_matches_rref(hilbert + [extra], n) == n
+    # the dependent column first, so it is the one eliminated to nothing
+    assert assert_rank_matches_rref([extra] + hilbert, n) == n
+
+
+def test_rank_with_columns_cancelling_mid_elimination():
+    # c0 pivots first and leaves c1 and c2 proportional; c1 then clears c2
+    cols = [{0: rat(1)}, {0: rat(2), 1: rat(3)}, {0: rat(1, 2), 1: rat(3, 4)}]
+    assert assert_rank_matches_rref(cols, 2) == 2
+    # a whole connected component that is rank deficient, next to a full one
+    u = {0: rat(2, 3), 1: rat(-1), 2: rat(5, 7)}
+    v = {1: rat(4), 2: rat(-1, 2), 3: rat(9)}
+    dependent = [combination([u, v], [rat(a), rat(b, 3)])
+                 for a, b in ((1, 1), (-2, 5), (3, -7), (1, 0))]
+    cols = [u, v] + dependent + [{5: rat(1), 6: rat(-1)}, {6: rat(2)}]
+    assert assert_rank_matches_rref(cols, 7) == 4
+    rng = random.Random(23)
+    for _ in range(40):
+        base = [{i: rat(rng.randint(-5, 5) or 1, rng.randint(1, 6))
+                 for i in rng.sample(range(8), rng.randint(1, 4))}
+                for _ in range(rng.randint(1, 4))]
+        mixes = [combination(base, [rat(rng.randint(-3, 3), rng.randint(1, 4))
+                                    for _ in base])
+                 for _ in range(rng.randint(1, 5))]
+        cols = [c for c in mixes + base if c]
+        assert assert_rank_matches_rref(cols, 8) <= len(base)
+
+
+def test_rank_with_entries_beyond_2_to_the_80():
+    rng = random.Random(31)
+    big = 2 ** 80
+    for _ in range(20):
+        nrows = rng.randint(2, 6)
+        base = [{i: rat(rng.randrange(big, big ** 2) * rng.choice((1, -1)),
+                        rng.choice((1, rng.randrange(big, big ** 2))))
+                 for i in rng.sample(range(nrows), rng.randint(1, nrows))}
+                for _ in range(rng.randint(1, nrows))]
+        mixes = [combination(base, [rat(rng.randrange(1, big), rng.randrange(1, big))
+                                    for _ in base])
+                 for _ in range(rng.randint(1, 3))]
+        cols = [c for c in base + mixes if c]
+        assert assert_rank_matches_rref(cols, nrows) <= len(base)
+    # a Vandermonde matrix on nodes >= 2^80 has full rank
+    nodes = [big + 3 ** k for k in range(5)]
+    vander = [{i: rat(x) ** i for i in range(5)} for x in nodes]
+    assert assert_rank_matches_rref(vander, 5) == 5
