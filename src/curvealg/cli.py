@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import random
 import sys
 import time
 
 from . import __version__
-from .linalg import rat, rat_str
+from .linalg import ONE, rat, rat_str
 from .quiver import SubspaceW, build_ew
 from .hochschild import reduced_complex, vanishing_scan
 from . import ainfinity as ainf
@@ -23,7 +24,7 @@ from .curves import (SpecialCurveData, special_curve_algebra, verify_basis,
 from .genus_one import (U1Chart, u1_relations, transition, transition_symbolic,
                         bundle_glue_check, HilbertSpec, hilbert_A,
                         weighted_proj_compare)
-from .poly import RelationSystem
+from .poly import BoundExceededError, RelationSystem
 
 
 def _parse_rows(text):
@@ -109,6 +110,8 @@ class Run:
                            if k not in ("func",) and v is not None},
             "seed": getattr(args, "seed", None),
             "version": __version__,
+            "python": platform.python_version(),
+            "rational_backend": type(ONE).__name__,
             "wall_time_s": round(time.time() - self.t0, 6),
         }
         mtext = json.dumps(manifest, sort_keys=True) + "\n"
@@ -495,7 +498,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, BoundExceededError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         parser.print_usage(sys.stderr)
         return 2

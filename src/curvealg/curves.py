@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import (ExactMatrix, ONE, ZERO, kernel_basis, rank_of_columns,
-                     rat, rat_str)
+from .linalg import (Echelon, ExactMatrix, ONE, ZERO, kernel_basis,
+                     rank_of_columns, rat, rat_str, vec_addmul)
 from .poly import LaurentVector, PolyRing, RelationSystem, WindowUnderflowError
 from .quiver import SubspaceW
 
@@ -265,34 +265,44 @@ def verify_basis(data, degree_bound, corrupt=None):
     """Check, degree by degree up to the bound, that the claimed monomials
     embed to an independent family, that every monomial's image lies in
     their span, and that reduction by the relations is compatible with the
-    embedding (rho of a monomial equals rho of its normal form)."""
+    embedding (rho of a monomial equals rho of its normal form).
+
+    Images are built once each, in degree order: rho(e) is
+    rho(e - unit_k) times the image of generator k, for the last generator
+    k that e uses.  The claimed monomials of each degree go into one
+    echelon basis, which gives the independence verdict, and each
+    monomial's image is then reduced against it once.
+    """
     pres = special_curve_algebra(data)
     images = rho_generator_images(data, corrupt)
     ring = pres.ring
-    by_deg_basis = {}
+    factors = [images[name] for name in ring.names]
     by_deg_all = {}
     for e in ring.monomials_up_to(degree_bound):
-        d = ring.wdeg(e)
-        by_deg_all.setdefault(d, []).append(e)
-        if pres.system.is_claimed_basis_monomial(e):
-            by_deg_basis.setdefault(d, []).append(e)
-
-    def as_column(bp):
-        return {key: c for key, c in bp.items()}
-
+        by_deg_all.setdefault(ring.wdeg(e), []).append(e)
+    rho = {}
     for d in range(degree_bound + 1):
-        basis_cols = [as_column(rho_monomial(pres, e, images))
-                      for e in by_deg_basis.get(d, [])]
-        r_basis = rank_of_columns(basis_cols)
-        if r_basis != len(basis_cols):
-            return BasisReport(False, "degree %d: claimed monomials dependent" % d)
-        for e in by_deg_all.get(d, []):
-            col = as_column(rho_monomial(pres, e, images))
-            if rank_of_columns(basis_cols + [col]) != r_basis:
+        monomials = by_deg_all.get(d, [])
+        for e in monomials:
+            used = [k for k, x in enumerate(e) if x]
+            if not used:
+                rho[e] = {(b, 0): ONE for b in range(data.n)}
+                continue
+            k = used[-1]
+            rho[e] = bp_mul(rho[e[:k] + (e[k] - 1,) + e[k + 1:]], factors[k])
+        span = Echelon()
+        for e in monomials:
+            if pres.system.is_claimed_basis_monomial(e) and not span.add(rho[e]):
+                return BasisReport(False, "degree %d: claimed monomials dependent" % d)
+        for e in monomials:
+            if not span.contains(rho[e]):
                 return BasisReport(False, "degree %d: image of %s escapes the span"
                                    % (d, e))
             nf = pres.system.normal_form(ring.monomial(e), degree_bound)
-            if rho_embed(pres, nf, images=images) != {k: c for k, c in col.items()}:
+            image = {}
+            for t, c in nf.terms.items():
+                vec_addmul(image, c, rho[t])
+            if image != rho[e]:
                 return BasisReport(False, "degree %d: reduction of %s changes the image"
                                    % (d, e))
     return BasisReport(True)

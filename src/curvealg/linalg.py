@@ -339,16 +339,54 @@ class Subspace:
         return m
 
     def contains(self, v):
-        cols = [dict(b) for b in self.basis]
-        return rank_of_columns(cols) == rank_of_columns(cols + [dict(v)])
+        return Echelon(self.basis).contains(v)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace) or self.ambient_dim != other.ambient_dim:
             return False
         if self.dim != other.dim:
             return False
-        joint = [dict(v) for v in self.basis] + [dict(v) for v in other.basis]
-        return rank_of_columns(joint) == self.dim
+        return len(Echelon(self.basis + other.basis)) == self.dim
+
+
+class Echelon:
+    """Exact echelon basis of the span of the sparse vectors added so far.
+
+    Each stored vector has a pivot entry 1 and is zero at the pivots stored
+    before it, so reducing a vector against the stored ones in order clears
+    every pivot, and the remainder is zero exactly when the vector lies in
+    the span.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors=()):
+        self.rows = []  # (pivot index, vector with that entry 1)
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def _reduce(self, v):
+        v = dict(v)
+        for p, row in self.rows:
+            c = v.get(p)
+            if c:
+                vec_addmul(v, -c, row)
+        return v
+
+    def add(self, v):
+        """Add v to the span; True iff it was independent of the span."""
+        v = self._reduce(v)
+        if not v:
+            return False
+        p = next(iter(v))
+        self.rows.append((p, vec_scale(v, ONE / v[p])))
+        return True
+
+    def contains(self, v):
+        return not self._reduce(v)
 
 
 def canonical_complement(sub):

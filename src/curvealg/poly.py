@@ -11,14 +11,17 @@ degree bounds only see the main generators.
 RelationSystem interprets each relation as the rewrite rule
 lead -> (lead - relation/leadcoeff) under that order, and provides bounded
 normal forms, an S-polynomial closure check, and counting of irreducible
-monomials.
+monomials.  Reduction rewrites a monomial by the first rule whose lead
+divides it, so the normal form is a linear map determined by its values on
+monomials; each system memoizes those values, with the highest degree met
+while computing each one, so that degree bounds are still enforced.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .linalg import ZERO, ONE, rat, rat_str
+from .linalg import ZERO, ONE, rat, rat_str, vec_addmul
 
 
 class BoundExceededError(Exception):
@@ -266,39 +269,64 @@ class RelationSystem:
             lead_e, lead_c = r.lead()
             tail = self.ring.monomial(lead_e, lead_c) - r  # lead_c*x^lead - r
             self.rules.append((lead_e, lead_c, tail))
-
-    def reducible_term(self, p):
-        best = None
-        for e in p.terms:
-            for lead_e, _, _ in self.rules:
-                if _divides(lead_e, e):
-                    if best is None or self.ring.order_key(e) > self.ring.order_key(best):
-                        best = e
-                    break
-        return best
+        # each rule as lead -> [(t, c_t / lead_c)], and the memo of N(e)
+        self._scaled_tails = [(lead_e, [(t, c / lead_c) for t, c in tail.terms.items()])
+                              for lead_e, lead_c, tail in self.rules]
+        self._normal_forms = {}
 
     def normal_form(self, p, degree_bound):
         """Reduce p until no lead monomial divides any term.
 
-        Raises BoundExceededError if any term met along the way has weighted
-        degree above degree_bound.
+        A reducible monomial e is rewritten by the first rule whose lead
+        divides it, so the normal form is the linear map N with N(e) = e for
+        irreducible e and N(e) = sum over tail terms c_t x^t of
+        (c_t / lead_c) N(t + e - lead) otherwise.  That holds for any order
+        of reduction steps and needs no confluence.  N(e) is computed once
+        per monomial and memoized on the system, and the result is
+        sum_e c_e N(e) over the terms of p.
+
+        Raises BoundExceededError if p has a term of weighted degree above
+        degree_bound, or if reducing one of its monomials meets such a term.
+        Each memo entry keeps the highest degree met while it was built, so
+        an entry filled at a loose bound still raises at a tighter one.
+        When no rule's tail has a term of higher degree than its lead (all
+        systems built in this package), that is exactly when a step-by-step
+        reduction would meet a term above the bound.
         """
-        ring = self.ring
-        p = p.copy()
-        while True:
-            if p and p.wdeg() > degree_bound:
+        out = {}
+        for e, c in p.terms.items():
+            terms, top = self._reduce_monomial(e, degree_bound)
+            if top > degree_bound:
                 raise BoundExceededError(
-                    "term of degree %d exceeds bound %d" % (p.wdeg(), degree_bound))
-            e = self.reducible_term(p)
-            if e is None:
-                return p
-            c = p.terms[e]
-            for lead_e, lead_c, tail in self.rules:
-                if _divides(lead_e, e):
-                    shift = tuple(a - b for a, b in zip(e, lead_e))
-                    p = p - ring.monomial(e, c)
-                    p = p + ring.monomial(shift, c / lead_c) * tail
-                    break
+                    "term of degree %d exceeds bound %d" % (top, degree_bound))
+            vec_addmul(out, c, terms)
+        return MultiPoly(self.ring, out)
+
+    def _reduce_monomial(self, e, degree_bound):
+        """(N(e) as {exps: coeff}, highest weighted degree met), memoized.
+        A computation that meets a degree above the bound stops with
+        BoundExceededError and stores nothing for e."""
+        hit = self._normal_forms.get(e)
+        if hit is not None:
+            return hit
+        top = self.ring.wdeg(e)
+        if top > degree_bound:
+            raise BoundExceededError(
+                "term of degree %d exceeds bound %d" % (top, degree_bound))
+        for lead_e, tail in self._scaled_tails:
+            if _divides(lead_e, e):
+                shift = tuple(a - b for a, b in zip(e, lead_e))
+                terms = {}
+                for t, c in tail:
+                    sub, sub_top = self._reduce_monomial(
+                        tuple(a + b for a, b in zip(t, shift)), degree_bound)
+                    top = max(top, sub_top)
+                    vec_addmul(terms, c, sub)
+                break
+        else:
+            terms = {e: ONE}
+        hit = self._normal_forms[e] = (terms, top)
+        return hit
 
     def spoly(self, i, j):
         e1, c1, _ = self.rules[i]

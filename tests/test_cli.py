@@ -1,8 +1,11 @@
 """CLI behaviour: exit codes, determinism, manifests, file formats."""
 
 import json
+import platform
 import subprocess
 import sys
+
+from curvealg.linalg import ONE
 
 
 def run_cli(*args):
@@ -187,3 +190,34 @@ def test_negative_bounds_and_short_random_order_rejected():
                    "--deg-bound", "0").returncode == 0
     assert run_cli("ainf", "random", "--n", "1", "--g", "1", "--w", "",
                    "--order", "3").returncode == 0
+
+
+def test_undersized_degree_bound_is_usage_error(tmp_path):
+    system = {"generators": [{"name": "hS", "degree": 1}, {"name": "f", "degree": 2},
+                             {"name": "h", "degree": 3}],
+              "order_weights": [20, 36, 55],
+              "relations": ["h^2 - f^3", "f*hS - 2*h", "h*hS - 2*f^2"]}
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system))
+    assert run_cli("poly", "closure", "--input", str(path)).returncode == 0
+    for args in (("curve", "special", "--n", "2", "--s", "1", "--a", "2",
+                  "--deg-bound", "0"),
+                 ("genus1", "relations", "--deg-bound", "0"),
+                 ("poly", "closure", "--input", str(path), "--deg-bound", "3")):
+        out = run_cli(*args)
+        assert out.returncode == 2, args
+        assert out.stdout == ""
+        assert "exceeds bound" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_manifest_records_backend_and_python():
+    out = run_cli("curve", "basis", "--n", "2", "--s", "1", "--a", "2",
+                  "--deg-bound", "6")
+    assert out.returncode == 0
+    manifest = json.loads(out.stderr)
+    assert manifest["rational_backend"] == type(ONE).__name__
+    assert manifest["python"] == platform.python_version()
+    assert json.loads(out.stdout) == {
+        "curve": {"n": 2, "S": [1], "a": [["2"]]},
+        "basis": {"verdict": "PASS", "reason": ""}}

@@ -114,6 +114,83 @@ def test_verify_basis_detects_corruption():
     assert not rep.passed
 
 
+def _verify_basis_reference(data, degree_bound, corrupt=None):
+    """verify_basis rebuilding every image from 1 and re-ranking the
+    claimed images plus one column for every monomial."""
+    pres = special_curve_algebra(data)
+    images = rho_generator_images(data, corrupt)
+    ring = pres.ring
+    by_deg_basis = {}
+    by_deg_all = {}
+    for e in ring.monomials_up_to(degree_bound):
+        d = ring.wdeg(e)
+        by_deg_all.setdefault(d, []).append(e)
+        if pres.system.is_claimed_basis_monomial(e):
+            by_deg_basis.setdefault(d, []).append(e)
+    for d in range(degree_bound + 1):
+        basis_cols = [rho_monomial(pres, e, images) for e in by_deg_basis.get(d, [])]
+        r_basis = rank_of_columns(basis_cols)
+        if r_basis != len(basis_cols):
+            return False, "degree %d: claimed monomials dependent" % d
+        for e in by_deg_all.get(d, []):
+            col = rho_monomial(pres, e, images)
+            if rank_of_columns(basis_cols + [col]) != r_basis:
+                return False, "degree %d: image of %s escapes the span" % (d, e)
+            nf = pres.system.normal_form(ring.monomial(e), degree_bound)
+            if rho_embed(pres, nf, images=images) != col:
+                return False, "degree %d: reduction of %s changes the image" % (d, e)
+    return True, ""
+
+
+def assert_verify_basis_matches_reference(data, degree_bound, corrupt=None):
+    rep = verify_basis(data, degree_bound, corrupt)
+    assert (rep.passed, rep.reason) == _verify_basis_reference(data, degree_bound, corrupt)
+    return rep
+
+
+def _corruptions(images):
+    """Each generator image with its sign flipped, and with each of its
+    terms dropped, or raised one degree, in turn."""
+    for name, img in images.items():
+        yield {name: {k: -c for k, c in img.items()}}
+        for k in img:
+            rest = {k2: c for k2, c in img.items() if k2 != k}
+            yield {name: rest}
+            yield {name: {**rest, (k[0], k[1] + 1): img[k]}}
+
+
+def test_verify_basis_matches_reference_on_every_small_curve():
+    rng = random.Random(14)
+    for n in (1, 2, 3):
+        for size in range(0, n + 1):
+            for S in itertools.combinations(range(1, n + 1), size):
+                d = random_data(n, list(S), rng, dens=1.0)
+                assert assert_verify_basis_matches_reference(d, 8).passed, (n, S)
+
+
+def test_verify_basis_matches_reference_on_corrupted_images():
+    rng = random.Random(15)
+    reasons = set()
+    for n, S in ((1, [1]), (2, [1]), (3, [1]), (3, [1, 3]), (3, [2])):
+        d = random_data(n, S, rng, dens=1.0)
+        for corrupt in _corruptions(rho_generator_images(d)):
+            rep = assert_verify_basis_matches_reference(d, 8, corrupt)
+            reasons.add(rep.reason.split(": ")[1].split(" ")[0] if rep.reason else "")
+    # every kind of failure shows up among the corruptions; h_1 -> -x^3 on
+    # the cuspidal curve is an automorphism and passes
+    assert reasons == {"", "claimed", "image", "reduction"}
+
+
+def test_verify_basis_reports_dependent_claimed_monomials():
+    # f_1 sent to the image of hS_2^2 makes the degree-2 claimed monomials
+    # hS_2^2 and f_1 dependent
+    d = SpecialCurveData(2, [1], {(1, 2): 2})
+    corrupt = {"f_1": bp_mul(rho_generator_images(d)["hS_2"],
+                             rho_generator_images(d)["hS_2"])}
+    rep = assert_verify_basis_matches_reference(d, 8, corrupt)
+    assert rep.reason == "degree 2: claimed monomials dependent"
+
+
 # -- components and the Grassmannian point ---------------------------------------------
 
 

@@ -5,7 +5,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from curvealg.linalg import (ExactMatrix, ONE, Subspace, canonical_complement,
+from curvealg.linalg import (Echelon, ExactMatrix, ONE, Subspace, canonical_complement,
                              image_basis, kernel_basis, rank, rank_of_columns,
                              rat, rat_str, rref, solve, vec_addmul,
                              vec_from_list)
@@ -245,3 +245,39 @@ def test_rank_with_entries_beyond_2_to_the_80():
     nodes = [big + 3 ** k for k in range(5)]
     vander = [{i: rat(x) ** i for i in range(5)} for x in nodes]
     assert assert_rank_matches_rref(vander, 5) == 5
+
+
+# -- echelon membership against rank ---------------------------------------------------
+
+
+@given(st.lists(_columns, min_size=1, max_size=6), st.lists(_coeffs, max_size=4),
+       st.lists(_columns, max_size=4))
+def test_echelon_add_and_contains_match_rank(base, mixes, probes):
+    # add(v) is True exactly when v raises the rank of the columns added so
+    # far, and contains(v) exactly when it does not
+    cols = base + [combination(base, c) for c in mixes] + [{}]
+    ech = Echelon()
+    for k, col in enumerate(cols):
+        before = copy.deepcopy(col)
+        grows = rank_of_columns(cols[:k + 1]) > rank_of_columns(cols[:k])
+        assert ech.contains(col) == (not grows)
+        assert ech.add(col) == grows
+        assert col == before
+        assert len(ech) == rank_of_columns(cols[:k + 1])
+    for v in probes + [combination(cols, [rat(k - 2, 3) for k in range(len(cols))])]:
+        assert ech.contains(v) == (rank_of_columns(cols + [v]) == len(ech))
+
+
+def test_subspace_contains_and_equality():
+    a = {0: rat(1), 1: rat(2)}
+    b = {1: rat(1, 3), 2: rat(-1)}
+    u = Subspace(3, [a, b])
+    mixed = Subspace(3, [combination([a, b], [rat(2), rat(5)]),
+                         combination([a, b], [rat(-1, 2), rat(1)])])
+    assert u == mixed and mixed == u
+    assert u.contains(combination([a, b], [rat(7, 5), rat(-3)]))
+    assert u.contains({})
+    assert not u.contains({0: ONE})
+    assert u != Subspace(3, [a, {2: ONE}])
+    assert u != Subspace(3, [a])
+    assert u != Subspace(4, [a, b])

@@ -1,5 +1,6 @@
 """Polynomials, bounded rewriting, closure checks, Laurent windows."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from curvealg.linalg import rat
 from curvealg.poly import (BoundExceededError, LaurentVector, PolyRing,
                            RelationSystem, WindowUnderflowError, parse_poly)
 from curvealg.curves import SpecialCurveData, special_curve_algebra
+from curvealg import genus_one
 
 
 def cusp_system():
@@ -92,6 +94,144 @@ def test_bound_exceeded():
     assert rs.normal_form(x ** 4, 6) == y * y
     with pytest.raises(BoundExceededError):
         rs.normal_form(x ** 4, 5)
+
+
+def test_bound_checked_after_memo_filled_at_a_looser_bound():
+    # x^4 reduces through x^2 y (degree 5) to y^2 (degree 6); the memo
+    # entry must still raise at bound 5 once it was filled at bound 6, and
+    # an aborted computation at bound 5 must leave nothing that spoils bound 6
+    ring = PolyRing(["x", "y"], [1, 3], [10, 1])
+    x, y = ring.var("x"), ring.var("y")
+    loose_first = RelationSystem(ring, [x * x - y])
+    assert loose_first.normal_form(x ** 4, 6) == y * y
+    with pytest.raises(BoundExceededError):
+        loose_first.normal_form(x ** 4, 5)
+    with pytest.raises(BoundExceededError):
+        loose_first.normal_form(x ** 5 - x ** 4, 6)
+    tight_first = RelationSystem(ring, [x * x - y])
+    with pytest.raises(BoundExceededError):
+        tight_first.normal_form(x ** 4, 5)
+    # the reduction stopped at y^2, so neither x^4 nor x^2 y was stored
+    assert (4, 0) not in tight_first._normal_forms
+    assert (2, 1) not in tight_first._normal_forms
+    assert tight_first.normal_form(x ** 4, 6) == y * y
+    with pytest.raises(BoundExceededError):
+        tight_first.normal_form(x ** 4, 5)
+
+
+# -- memoized normal forms against the step-by-step reduction -----------------------
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _normal_form_reference(rs, p, degree_bound):
+    """Step-by-step reduction: rewrite the order-largest reducible term by
+    the first rule whose lead divides it, checking the bound on every
+    intermediate polynomial."""
+    ring = rs.ring
+    p = p.copy()
+    while True:
+        if p and p.wdeg() > degree_bound:
+            raise BoundExceededError(
+                "term of degree %d exceeds bound %d" % (p.wdeg(), degree_bound))
+        e = None
+        for t in p.terms:
+            if any(_divides(lead_e, t) for lead_e, _, _ in rs.rules):
+                if e is None or ring.order_key(t) > ring.order_key(e):
+                    e = t
+        if e is None:
+            return p
+        c = p.terms[e]
+        for lead_e, lead_c, tail in rs.rules:
+            if _divides(lead_e, e):
+                shift = tuple(a - b for a, b in zip(e, lead_e))
+                p = p - ring.monomial(e, c)
+                p = p + ring.monomial(shift, c / lead_c) * tail
+                break
+
+
+def assert_normal_forms_match(rs, polys, bound):
+    for p in polys:
+        assert rs.normal_form(p, bound).terms == _normal_form_reference(rs, p, bound).terms, p
+
+
+def _curve_data(n, S, rng):
+    comp = [j for j in range(1, n + 1) if j not in S]
+    return SpecialCurveData(n, S, {(i, j): rat(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                                   for i in S for j in comp})
+
+
+def test_normal_form_matches_reference_on_curve_monomials():
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        for size in range(n + 1):
+            for S in itertools.combinations(range(1, n + 1), size):
+                rs = special_curve_algebra(_curve_data(n, list(S), rng)).system
+                monos = [rs.ring.monomial(e) for e in rs.ring.monomials_up_to(10)]
+                assert_normal_forms_match(rs, monos, 10)
+
+
+def test_normal_form_matches_reference_on_cancelling_inputs():
+    # relations, their multiples and S-polynomials reduce to zero through
+    # cancelling terms; random mixes cancel part of the way
+    rng = random.Random(13)
+    for n, S in ((2, [1]), (3, [1, 2]), (3, [2])):
+        rs = special_curve_algebra(_curve_data(n, S, rng)).system
+        ring = rs.ring
+        monos = ring.monomials_up_to(4)
+        polys = list(rs.relations)
+        polys += [rs.spoly(i, j)[0] for i in range(len(rs.rules))
+                  for j in range(i + 1, len(rs.rules))]
+        for _ in range(20):
+            p = ring.monomial(rng.choice(monos), rat(rng.randint(1, 3)))
+            p = p * rng.choice(rs.relations)
+            p = p + ring.monomial(rng.choice(monos), rat(rng.randint(-2, 2), 3))
+            polys.append(p)
+        assert_normal_forms_match(rs, polys, 16)
+        assert all(not rs.normal_form(r, 16) for r in rs.relations)
+
+
+def test_normal_form_matches_reference_on_non_confluent_system():
+    # the perturbed system of test_closure_special_curve_and_perturbation:
+    # h1 hS2 -> 3 f1^2 disagrees with the other rules, so the rule chosen
+    # for a monomial divisible by two leads changes the normal form
+    d = SpecialCurveData(2, [1], {(1, 2): 2})
+    pres = special_curve_algebra(d)
+    target = pres.h[1] * pres.hs[2] - (pres.f[1] ** 2).scale(2)
+    bad_rels = [pres.h[1] * pres.hs[2] - (pres.f[1] ** 2).scale(3) if r == target else r
+                for r in pres.system.relations]
+    rs = RelationSystem(pres.ring, bad_rels)
+    monos = [rs.ring.monomial(e) for e in rs.ring.monomials_up_to(10)]
+    assert_normal_forms_match(rs, monos, 10)
+    spolys = [rs.spoly(i, j)[0] for i in range(len(rs.rules))
+              for j in range(i + 1, len(rs.rules))]
+    assert_normal_forms_match(rs, spolys, 12)
+    refs = [_normal_form_reference(rs, s, 12) for s in spolys]
+    assert [str(rem) for _, _, rem in rs.closure_check(12).failures] == \
+        [str(r) for r in refs if r]
+
+
+def test_normal_form_matches_reference_on_genus_one_systems(monkeypatch):
+    charts = [genus_one.U1Chart(2, rat(1, 2), 1, -1),
+              genus_one.U1Chart(rat(-3, 2), 0, rat(2, 5), 3)]
+    for chart in charts:
+        rs = genus_one.u1_relations(chart)
+        monos = [rs.ring.monomial(e) for e in rs.ring.monomials_up_to(10)]
+        assert_normal_forms_match(rs, monos, 10)
+        spolys = [rs.spoly(i, j)[0] for i in range(len(rs.rules))
+                  for j in range(i + 1, len(rs.rules))]
+        assert_normal_forms_match(rs, spolys, 16)
+    memo = [genus_one.transition(c).remainders for c in charts]
+    memo.append(genus_one.transition_symbolic().remainders)
+    monkeypatch.setattr(RelationSystem, "normal_form", _normal_form_reference)
+    ref = [genus_one.transition(c).remainders for c in charts]
+    ref.append(genus_one.transition_symbolic().remainders)
+    for got, want in zip(memo, ref):
+        assert list(got) == list(want)
+        assert [(r.terms, str(r)) for r in got.values()] == \
+            [(r.terms, str(r)) for r in want.values()]
 
 
 def test_basis_count_cuspidal():
