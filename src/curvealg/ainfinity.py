@@ -7,31 +7,47 @@ m_2 = the algebra multiplication are implicit); m_k is a cochain of arity k
 and internal degree 2-k.  A gauge transform stores f_2, ..., f_{N-1} with
 f_k of arity k and internal degree 1-k (f_1 = id implicit).
 
-The gauge action is computed by conjugating the coderivation of the
-structure with the coalgebra morphism of the gauge on the truncated tensor
-coalgebra of the suspended radical, so all signs come mechanically from the
-Koszul rule.  The composition convention is fixed so that a gauge with only
-an f_2 component sends m_3 to m_3 + delta(f_2), and the action law
+The gauge action is read off the A-infinity morphism equation F o D' = D o F
+on the truncated tensor coalgebra of the suspended radical, where F is the
+coalgebra morphism of the gauge and D, D' the coderivations of the old and
+new structure; all signs come mechanically from the Koszul rule.  The
+composition convention is fixed so that a gauge with only an f_2 component
+sends m_3 to m_3 + delta(f_2), and the action law
 gauge_act(f, gauge_act(g, m)) = gauge_act(compose(f, g), m) holds exactly.
 
 Only terms that can be nonzero are evaluated.  Block compositions are
 enumerated with block sizes in {1} and the support of the gauge, once per
-(arity, support).  gauge_act factors the conjugate H o (b2 + m) o F through
-its middle layer: the sum of m_q over the F-blocks of a sub-tuple is
-computed once per sub-tuple, in a memo local to the call, and then fed to
-every outer split.  Arities up to the lowest gauge component are copied
-unchanged, which covers every step gauge f_{k-1} of normalize.
+(arity, support), and one block evaluator applies a cochain to the F-blocks
+of a tuple, multiplying only the gauge-valued slots.  gauge_act solves the
+morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
+minus the F o D' terms whose inner m' has lower arity, so it needs neither
+the inverse gauge nor any product over outer blocks.  Arities below the
+lowest gauge component are copied unchanged, in gauge_act and gauge_compose
+alike, which covers every step gauge f_{k-1} of normalize; normalize makes
+one exact solve per step.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
-from .linalg import (ExactMatrix, ONE, canonical_complement, image_basis,
-                     rat, solve)
-from .hochschild import (Cochain, _accum, _sign, compose as cochain_compose,
+from .linalg import (ExactMatrix, ONE, Subspace, canonical_complement, rat,
+                     rref, solve)
+from .hochschild import (Cochain, _accum, compose as cochain_compose,
                          differential_apply, eval_b2, reduced_complex)
 from .poly import PolyRing
+
+
+def _order_from_json(obj):
+    order = obj["order"]
+    if type(order) is not int:
+        raise ValueError("order must be an integer, not %r" % (order,))
+    return order
+
+
+def _comps_from_json(E, obj):
+    return {int(k): Cochain.from_json(E, v) for k, v in obj["components"].items()}
 
 
 class AnStructure:
@@ -75,9 +91,7 @@ class AnStructure:
 
     @classmethod
     def from_json(cls, E, obj):
-        comps = {int(k): Cochain.from_json(E, v)
-                 for k, v in obj["components"].items()}
-        return cls(E, obj["order"], comps)
+        return cls(E, _order_from_json(obj), _comps_from_json(E, obj))
 
     def __repr__(self):
         return "AnStructure(N=%d, nonzero at %s)" % (self.N, sorted(self.comps))
@@ -122,9 +136,7 @@ class GaugeTransform:
 
     @classmethod
     def from_json(cls, E, obj):
-        comps = {int(k): Cochain.from_json(E, v)
-                 for k, v in obj["components"].items()}
-        return cls(E, obj["order"], comps)
+        return cls(E, _order_from_json(obj), _comps_from_json(E, obj))
 
     def __repr__(self):
         return "GaugeTransform(N=%d, nonzero at %s)" % (self.N, sorted(self.comps))
@@ -165,7 +177,8 @@ def _layer_values(f, T, parts):
     """Apply gauge components to consecutive blocks of a basis tuple.
 
     Every part must be 1 or in the support of f.  Returns None if some
-    block evaluates to zero, else the list of E-vectors."""
+    block evaluates to zero, else the list of E-vectors (the arguments of
+    b2, which keeps idempotent components)."""
     ys = []
     pos = 0
     for j in parts:
@@ -180,16 +193,54 @@ def _layer_values(f, T, parts):
     return ys
 
 
+def _add_on_blocks(out, c, f, T, parts):
+    """out += c(F-blocks of T), for a normalized cochain c.
+
+    Every part must be 1 or in the support of f.  A size-1 slot is T's own
+    basis element and goes straight into the key; the product runs over the
+    gauge-valued slots only, expanded over their radical components (the
+    normalized extension drops idempotent parts)."""
+    radset = c.E.radical_set
+    key = []
+    slots = []  # (slot index, radical components of the gauge value)
+    pos = 0
+    for j in parts:
+        if j == 1:
+            key.append(T[pos])
+        else:
+            val = f.comps[j].values.get(T[pos:pos + j])
+            items = [(z, cz) for z, cz in val.items() if z in radset] if val else ()
+            if not items:
+                return
+            slots.append((len(key), items))
+            key.append(None)
+        pos += j
+    values = c.values
+    for pick in itertools.product(*(items for _, items in slots)):
+        coef = None
+        for (a, _), (z, cz) in zip(slots, pick):
+            key[a] = z
+            coef = cz if coef is None else coef * cz
+        val = values.get(tuple(key))
+        if val:
+            for k, x in val.items():
+                _accum(out, k, x if coef is None else coef * x)
+
+
 def gauge_compose(f, g):
     """Product of gauge transforms: the components of the coalgebra morphism
-    G o F, so that gauge_act(f, gauge_act(g, m)) = gauge_act(compose, m)."""
+    G o F, so that gauge_act(f, gauge_act(g, m)) = gauge_act(compose, m).
+
+    Below the lowest component of f the only block composition is all ones,
+    so those arities are copied from g."""
     if f.E is not g.E or f.N != g.N:
         raise ValueError("mismatched gauges")
     E, N = f.E, f.N
+    low = min(f.comps, default=N)
+    comps = {r: c for r, c in g.comps.items() if r < low}
     cx = reduced_complex(E)
     sizes = _block_sizes(f)
-    comps = {}
-    for r in range(2, N):
+    for r in range(max(low, 2), N):
         t = 1 - r
         values = {}
         for T in cx.tuple_keys(r, t):
@@ -197,18 +248,10 @@ def gauge_compose(f, g):
             for parts in _compositions_in(r, sizes):
                 p = len(parts)
                 if p == 1:
-                    term = f.comps[r].values.get(T)
-                else:
-                    gp = g.comps.get(p)
-                    if gp is None:
-                        continue
-                    ys = _layer_values(f, T, parts)
-                    if ys is None:
-                        continue
-                    term = gp.eval_multilinear(ys)
-                if term:
-                    for k, c in term.items():
+                    for k, c in f.comps[r].values.get(T, {}).items():
                         _accum(val, k, c)
+                elif p in g.comps:
+                    _add_on_blocks(val, g.comps[p], f, T, parts)
             if val:
                 values[T] = val
         if values:
@@ -225,112 +268,91 @@ def gauge_inverse(f):
     for r in range(2, N):
         t = 1 - r
         values = {}
+        fr = f.comps.get(r)
         for T in cx.tuple_keys(r, t):
-            val = {}
-            fr = f.comps.get(r)
-            if fr:
-                term = fr.values.get(T)
-                if term:
-                    for k, c in term.items():
-                        _accum(val, k, -c)
+            val = dict(fr.values.get(T, {})) if fr else {}
             for parts in _compositions_in(r, sizes):
                 hp = inv_comps.get(len(parts))
-                if hp is None:
-                    continue
-                ys = _layer_values(f, T, parts)
-                if ys is None:
-                    continue
-                term = hp.eval_multilinear(ys)
-                if term:
-                    for k, c in term.items():
-                        _accum(val, k, -c)
+                if hp is not None:
+                    _add_on_blocks(val, hp, f, T, parts)
             if val:
-                values[T] = val
+                values[T] = {k: -c for k, c in val.items()}
         if values:
             inv_comps[r] = Cochain(E, r, t, values)
     return GaugeTransform(E, N, inv_comps)
 
 
 def gauge_act(f, m):
-    """Conjugate the coderivation of m by the coalgebra morphism of f,
-    truncated at tensor length N.  m_2 is unchanged.
+    """The structure m' = f . m, with m_2 = b2 unchanged, from the
+    A-infinity morphism equation F o D' = D o F, where D and D' are the
+    coderivations of b2 + m and b2 + m' and F is the coalgebra morphism of
+    f (Lefevre-Hasegawa 2003), truncated at tensor length N.
 
-    The result is H o (b2 + m) o F with H = f^{-1}.  On a tuple T it is the
-    sum over 0 <= i < j <= len(T), j - i >= 2, of
-    (-1)^{|T[:i]|} h(F-blocks of T[:i], P(T[i:j]), F-blocks of T[j:]),
-    where the middle layer P(S) sums m_q (b2 for q = 2) over the splits of
-    S into q >= 2 nonzero F-blocks, and h_1 = id.  P is computed once per
-    sub-tuple S.  Arities up to the lowest gauge component are unchanged:
-    there every block of size > 1 and every h_k with k > 1 is too long to
-    contribute."""
+    Arity by arity, with |x| = deg x - 1,
+        m'_r(T) = P(T) - sum (-1)^{|T[:i]|} f_k(T[:i], m'_{j-i}(T[i:j]), T[j:])
+    over 0 <= i < j <= r, j - i >= 2, k = r - (j - i) + 1 in supp f (so
+    (i, j) = (0, r), where k = 1, is the left side).  P(T) sums m_q
+    (b2 for q = 2) over the splits of T into q >= 2 F-blocks, m'_{j-i} is
+    b2 or an arity already computed, and f_k is fed only the radical
+    components of m'_{j-i}.  No flatness is needed, and neither the inverse
+    gauge nor any product over outer blocks.  Arities up to the lowest
+    gauge component are unchanged: there every F-block has size 1 and no
+    f_k term fits."""
     if f.E is not m.E or f.N != m.N:
         raise ValueError("gauge and structure must share algebra and order")
     E, N = m.E, m.N
     low = min(f.comps, default=N)
     comps = {r: c for r, c in m.comps.items() if r <= low}
     cx = reduced_complex(E)
-    h = gauge_inverse(f)  # outer layer
     sizes = _block_sizes(f)
-    layers = {}  # prefix or suffix tuple -> its nonzero F-block value lists
-    inner = {}  # tuple S -> P(S)
-
-    def f_layers(U):
-        got = layers.get(U)
-        if got is None:
-            got = []
-            for parts in _compositions_in(len(U), sizes):
-                ys = _layer_values(f, U, parts)
-                if ys is not None:
-                    got.append(ys)
-            layers[U] = got
-        return got
-
-    def middle(S):
-        got = inner.get(S)
-        if got is None:
-            got = {}
-            for parts in _compositions_in(len(S), sizes):
-                q = len(parts)
-                if q == 1 or (q > 2 and q not in m.comps):
-                    continue
-                ys = _layer_values(f, S, parts)
-                if ys is None:
-                    continue
-                if q == 2:
-                    term = eval_b2(E, ys[0], ys[1])
-                else:
-                    term = m.comps[q].eval_multilinear(ys)
-                for k, c in term.items():
-                    _accum(got, k, c)
-            inner[S] = got
-        return got
-
+    radset = E.radical_set
+    table, deg = E.table, E.deg
     for r in range(low + 1, N + 1):
         t = 2 - r
+        # (f_k values, inner width s = j - i, m'_s values or None for b2)
+        feeds = []
+        for k, fk in f.comps.items():
+            s = r + 1 - k
+            if s == 2:
+                feeds.append((fk.values, s, None))
+            elif s > 2 and s in comps:
+                feeds.append((fk.values, s, comps[s].values))
         values = {}
         for T in cx.tuple_keys(r, t):
             val = {}
-            presum = 0
-            for i in range(r - 1):
-                sgn = _sign(presum)
-                presum += E.deg[T[i]] - 1
-                lefts = f_layers(T[:i])
-                for j in range(i + 2, r + 1):
-                    mid = middle(T[i:j])
+            for parts in _compositions_in(r, sizes):
+                q = len(parts)
+                if q == 2:
+                    ys = _layer_values(f, T, parts)
+                    if ys is not None:
+                        for k, c in eval_b2(E, ys[0], ys[1]).items():
+                            _accum(val, k, c)
+                elif q > 2 and q in m.comps:
+                    _add_on_blocks(val, m.comps[q], f, T, parts)
+            signs = [-1]  # -(-1)^{|T[:i]|}
+            for x in T[:-2]:
+                signs.append(signs[-1] if deg[x] == 1 else -signs[-1])
+            for fvals, s, inner in feeds:
+                for i in range(r - s + 1):
+                    j = i + s
+                    if inner is None:
+                        # b2(x, y) = (-1)^{|x|} x y
+                        mid = table.get((T[i], T[i + 1]))
+                        sgn = signs[i] if deg[T[i]] == 1 else -signs[i]
+                    else:
+                        mid = inner.get(T[i:j])
+                        sgn = signs[i]
                     if not mid:
                         continue
-                    if i == 0 and j == r:
-                        for k, c in mid.items():
-                            _accum(val, k, c)
-                        continue
-                    for left in lefts:
-                        for right in f_layers(T[j:]):
-                            hc = h.comps.get(len(left) + len(right) + 1)
-                            if hc is None:
-                                continue
-                            term = hc.eval_multilinear(left + [mid] + right)
-                            for k, c in term.items():
-                                _accum(val, k, sgn * c)
+                    head, tail = T[:i], T[j:]
+                    for z, cz in mid.items():
+                        if z not in radset:
+                            continue
+                        fv = fvals.get(head + (z,) + tail)
+                        if fv:
+                            c = sgn * cz
+                            for k, x in fv.items():
+                                _accum(val, k, c * x)
             if val:
                 values[T] = val
         if values:
@@ -375,10 +397,14 @@ def is_flat(m):
 
 
 class ComplementData:
-    __slots__ = ("delta", "im", "K", "mix")
+    """Splitting of the arity-k cochain space as K + im(delta): `pivots` are
+    the rref pivot columns of delta, `im` holds delta's columns there, and
+    `mix` has the K basis followed by the im basis as its columns."""
 
-    def __init__(self, delta, im, K):
-        self.delta = delta
+    __slots__ = ("pivots", "im", "K", "mix")
+
+    def __init__(self, pivots, im, K):
+        self.pivots = pivots
         self.im = im
         self.K = K
         cols = [dict(v) for v in K.basis] + [dict(v) for v in im.basis]
@@ -388,16 +414,12 @@ class ComplementData:
 def complement_data(E, k):
     """Pivot-rule complement K_{2-k} to im(delta^1) inside the arity-k
     cochain space, cached per algebra and k."""
-    cx = reduced_complex(E)
-    if not hasattr(E, "_complements"):
-        E._complements = {}
     got = E._complements.get(k)
     if got is None:
-        t = 2 - k
-        D = cx.delta_matrix(k - 1, t)
-        im = image_basis(D)
-        K = canonical_complement(im)
-        got = ComplementData(D, im, K)
+        D = reduced_complex(E).delta_matrix(k - 1, 2 - k)
+        _, pivots = rref(D)
+        im = Subspace(D.rows, [D.column(j) for j in pivots])
+        got = ComplementData(pivots, im, canonical_complement(im))
         E._complements[k] = got
     return got
 
@@ -418,7 +440,11 @@ def in_complement(m):
 def normalize(m):
     """Canonical normal form: inductively split m_k = kappa + delta(x) with
     kappa in K_{2-k} and gauge by f_{k-1} = -x.  Returns (normal form,
-    gauge witness) with gauge_act(witness, m) equal to the normal form."""
+    gauge witness) with gauge_act(witness, m) equal to the normal form.
+
+    One solve per step: the coordinates of m_k on K + im give kappa, and
+    its im coordinates are x itself at the pivot columns of delta (free
+    variables zero).  Each step checks that the gauged m_k equals kappa."""
     if not is_flat(m):
         raise ValueError("normalize requires a defect-free structure")
     E, N = m.E, m.N
@@ -430,27 +456,22 @@ def normalize(m):
         if mk is None:
             continue
         data = complement_data(E, k)
-        v = cx.cochain_to_vector(mk)
-        coords = solve(data.mix, v)
+        coords = solve(data.mix, cx.cochain_to_vector(mk))
         if coords is None:
             raise AssertionError("component not in cochain space span")
         nk = len(data.K.basis)
         kappa = {}
+        neg_x = {}
         for i, c in coords.items():
             if i < nk:
                 for j, b in data.K.basis[i].items():
                     _accum(kappa, j, c * b)
-        w_im = dict(v)
-        for j, c in kappa.items():
-            _accum(w_im, j, -c)
-        if not w_im:
+            else:
+                neg_x[data.pivots[i - nk]] = -c
+        if not neg_x:
             continue
-        x = solve(data.delta, w_im)
-        if x is None:
-            raise AssertionError("image coordinates not in the image")
         step = GaugeTransform(E, N, {
-            k - 1: cx.vector_to_cochain(k - 1, 2 - k,
-                                        {i: -c for i, c in x.items()})})
+            k - 1: cx.vector_to_cochain(k - 1, 2 - k, neg_x)})
         current = gauge_act(step, current)
         witness = gauge_compose(step, witness)
         got = cx.cochain_to_vector(current.component(k))

@@ -1,7 +1,7 @@
 """Command-line driver: every computation as a subcommand with JSON/CSV
 output, reproducible run manifests, and exit codes that gate on verdicts
-(0 = PASS, 1 = FAIL, 2 = usage error) so the acceptance suite can be run
-as a shell script.
+(0 = PASS, 1 = FAIL, 2 = usage error, 3 = internal invariant violated) so
+the acceptance suite can be run as a shell script.
 """
 
 from __future__ import annotations
@@ -502,6 +502,9 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         parser.print_usage(sys.stderr)
         return 2
+    except AssertionError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return 3
 
 
 if __name__ == "__main__":

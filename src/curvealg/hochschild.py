@@ -152,6 +152,8 @@ class Cochain:
         """Inverse of to_json.  Raises ValueError for an unknown label, a
         wrong argument count or an entry outside the (s, t) cochain basis."""
         s, t = obj["arity"], obj["t"]
+        if type(s) is not int or type(t) is not int:
+            raise ValueError("arity and t must be integers, not %r and %r" % (s, t))
         index = reduced_complex(E).index(s, t)
         values = {}
         for ent in obj["entries"]:
@@ -193,12 +195,6 @@ def eval_b2(E, u, v):
     return out
 
 
-def _radical_set(E):
-    if not hasattr(E, "radical_set"):
-        E.radical_set = frozenset(E.radical)
-    return E.radical_set
-
-
 def compose(f, g):
     """Brace insertion sum f o g with Koszul signs in suspended degrees.
 
@@ -207,7 +203,6 @@ def compose(f, g):
     [b2, .] the differential of the normalized complex).
     """
     E = f.E
-    _radical_set(E)
     p, q = f.s, g.s
     r = p + q - 1
     t = f.t + g.t
@@ -288,7 +283,6 @@ class HochschildComplex:
 
     def __init__(self, E):
         self.E = E
-        _radical_set(E)
         self._tuples = {}
         self._basis = {}
         self._index = {}
@@ -499,7 +493,7 @@ class HochschildComplex:
 
 
 def reduced_complex(E) -> HochschildComplex:
-    if not hasattr(E, "_hochschild_complex"):
+    if E._hochschild_complex is None:
         E._hochschild_complex = HochschildComplex(E)
     return E._hochschild_complex
 
@@ -722,6 +716,6 @@ class UnnormalizedComplex:
 
 
 def unnormalized_complex(E) -> UnnormalizedComplex:
-    if not hasattr(E, "_unnormalized_complex"):
+    if E._unnormalized_complex is None:
         E._unnormalized_complex = UnnormalizedComplex(E)
     return E._unnormalized_complex

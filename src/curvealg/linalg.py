@@ -30,12 +30,16 @@ ONE = _ratimpl(1)
 
 
 def rat(a, b=None):
-    """Exact rational from ints, strings like "p/q", or another rational."""
-    if b is None:
-        if isinstance(a, str):
-            return _ratimpl(a.strip())
-        return _ratimpl(a)
-    return _ratimpl(a) / _ratimpl(b)
+    """Exact rational from ints, strings like "p/q", or another rational.
+    Input naming no rational (a zero denominator, an infinite float)
+    raises ValueError, like a malformed string."""
+    try:
+        if b is None:
+            return _ratimpl(a.strip() if isinstance(a, str) else a)
+        return _ratimpl(a) / _ratimpl(b)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError("%r is not a rational number"
+                         % (a if b is None else "%s/%s" % (a, b))) from None
 
 
 def rat_str(x):

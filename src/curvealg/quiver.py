@@ -26,6 +26,8 @@ class SubspaceW:
     __slots__ = ("n", "g", "matrix")
 
     def __init__(self, n, rows):
+        if n < 0:
+            raise ValueError("n must be at least 0, got %d" % n)
         self.n = n
         if isinstance(rows, ExactMatrix):
             self.matrix = rows
@@ -95,6 +97,7 @@ class EWAlgebra:
         self.l_idx = [3 * n + 1 + i for i in range(n)]      # l_{i+1}
         self.w_idx = [4 * n + 1 + s for s in range(g)]
         self.radical = self.a_idx + self.b_idx + self.l_idx + self.w_idx
+        self.radical_set = frozenset(self.radical)
 
         deg = [0] * (n + 1) + [0] * n + [1] * n + [1] * n + [1] * g
         self.deg = deg
@@ -121,6 +124,12 @@ class EWAlgebra:
         self.coset_coords = coset  # index j-1 shifted: entry per column 0..n-1
 
         self.table = self._build_table()
+
+        # caches filled on first use by hochschild.reduced_complex,
+        # hochschild.unnormalized_complex and ainfinity.complement_data
+        self._hochschild_complex = None
+        self._unnormalized_complex = None
+        self._complements = {}
 
     # -- multiplication -----------------------------------------------------
 

@@ -112,7 +112,7 @@ def test_criterion_03_reduced_vs_unreduced():
                 assert a == b, (key, i, t, a, b)
                 cells += 1
         # the high-arity oracle caches of the big cases are hundreds of MB
-        del E._unnormalized_complex
+        E._unnormalized_complex = None
         if key == "22":
             cx._tuples.clear()
             cx._basis.clear()

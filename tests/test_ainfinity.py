@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from curvealg.linalg import ONE, rank, rat
+from curvealg.linalg import ONE, rank, rat, solve
 from curvealg.quiver import SubspaceW, build_ew
 from curvealg.hochschild import (Cochain, _accum, _sign, differential_apply,
                                  eval_b2, reduced_complex)
@@ -253,6 +253,55 @@ def test_gauge_action_matches_reference_path(E):
                 assert gauge_act(f, m) == _gauge_act_reference(f, m), (N, support)
 
 
+def _with_idempotent_values(E, base, rng):
+    """`base` (a dict k -> Cochain) with every basis entry whose value is a
+    vertex idempotent set, so gauge values and structure values carry
+    idempotent components, plus entries keyed on an idempotent: each key
+    of the result with one slot replaced by an idempotent.  Those keys lie
+    outside the normalized basis, where a normalized cochain is zero, so a
+    path that feeds an idempotent component into a cochain without
+    dropping it reads them and goes wrong."""
+    cx = reduced_complex(E)
+    out = {}
+    for k, c in base.items():
+        values = {key: dict(vec) for key, vec in c.values.items()}
+        for key, w in cx.basis(c.s, c.t):
+            if w in E.e_idx:
+                values.setdefault(key, {})[w] = rat(rng.randint(1, 3), rng.choice([1, 2]))
+        for key, vec in list(values.items()):
+            for a in range(len(key)):
+                for e in E.e_idx:
+                    values[key[:a] + (e,) + key[a + 1:]] = dict(vec)
+        out[k] = Cochain(E, c.s, c.t, values)
+    return out
+
+
+@pytest.mark.parametrize("E", [E11(), build_ew(SubspaceW(2, [[rat(1, 2), rat(-2, 3)]]))],
+                         ids=["E11", "E21-nonintegral"])
+def test_idempotent_components_are_dropped(E):
+    # gauge values of arity 2 and structure values of arity >= 4 have
+    # idempotent components; the block evaluator and the m'(T[i:j]) feed
+    # of the morphism equation must drop them, as the reference does.
+    # Neither structure is flat once the idempotent entries are added.
+    rng = random.Random(16)
+    N = 6
+    f = GaugeTransform(E, N, _with_idempotent_values(
+        E, random_gauge(E, N, rng, density=0.3).comps, rng))
+    g = GaugeTransform(E, N, _with_idempotent_values(
+        E, random_gauge(E, N, rng, density=0.3).comps, rng))
+    bent = AnStructure(E, N, _with_idempotent_values(
+        E, _random_cochains(E, range(3, N + 1), rng, 2), rng))
+    gauged = AnStructure(E, N, _with_idempotent_values(
+        E, random_structure(E, N, rng, density=0.3).comps, rng))
+    assert 2 in f.comps and 4 in bent.comps and 4 in gauged.comps
+    assert any(w in E.e_idx for vec in f.comps[2].values.values() for w in vec)
+    assert gauge_compose(f, g) == _gauge_compose_reference(f, g)
+    assert gauge_inverse(f) == _gauge_inverse_reference(f)
+    for m in (bent, gauged):
+        assert any(w in E.e_idx for vec in m.comps[4].values.values() for w in vec)
+        assert gauge_act(f, m) == _gauge_act_reference(f, m)
+
+
 def test_gauge_mismatch_rejected():
     with pytest.raises(ValueError):
         gauge_act(GaugeTransform.identity(E11(), 6),
@@ -260,6 +309,80 @@ def test_gauge_mismatch_rejected():
 
 
 # -- normalization ------------------------------------------------------------------
+
+
+def _normalize_reference(m):
+    """Two solves per step: coordinates on K + im for kappa, then a
+    preimage of the image part under delta with free variables zero."""
+    E, N = m.E, m.N
+    cx = reduced_complex(E)
+    witness = GaugeTransform.identity(E, N)
+    current = m
+    for k in range(3, N + 1):
+        mk = current.comps.get(k)
+        if mk is None:
+            continue
+        data = complement_data(E, k)
+        v = cx.cochain_to_vector(mk)
+        coords = solve(data.mix, v)
+        nk = len(data.K.basis)
+        kappa = {}
+        for i, c in coords.items():
+            if i < nk:
+                for j, b in data.K.basis[i].items():
+                    _accum(kappa, j, c * b)
+        w_im = dict(v)
+        for j, c in kappa.items():
+            _accum(w_im, j, -c)
+        if not w_im:
+            continue
+        x = solve(cx.delta_matrix(k - 1, 2 - k), w_im)
+        step = GaugeTransform(E, N, {
+            k - 1: cx.vector_to_cochain(k - 1, 2 - k, {i: -c for i, c in x.items()})})
+        current = gauge_act(step, current)
+        witness = gauge_compose(step, witness)
+    return current, witness
+
+
+def _on_section(E, N, rng):
+    """A flat order-N structure whose normal form is not trivial, gauged
+    away from the section, or None if HH^2 vanishes at every order <= N."""
+    cx = reduced_complex(E)
+    for k in range(3, N + 1):
+        if cx.hh_dim(2, 2 - k):
+            break
+    else:
+        return None
+    m = AnStructure(E, k, {k: cx.vector_to_cochain(k, 2 - k, _section_cocycle(E, k))})
+    while m.N < N:
+        res = extend_step(m)
+        assert res.solvable
+        comps = dict(m.comps)
+        if not res.candidate.is_zero():
+            comps[m.N + 1] = res.candidate
+        m = AnStructure(E, m.N + 1, comps)
+    return gauge_act(random_gauge(E, N, rng), m)
+
+
+@pytest.mark.parametrize("E", [E11(), E21(),
+                               build_ew(SubspaceW(2, [[rat(1, 2), rat(-2, 3)]]))],
+                         ids=["E11", "E21", "E21-nonintegral"])
+def test_normalize_matches_two_solve_reference(E):
+    rng = random.Random(17)
+    seen_section = False
+    for N in (5, 6):
+        cases = [random_structure(E, N, rng) for _ in range(2)]
+        section = _on_section(E, N, rng)
+        if section is not None:
+            cases.append(section)
+        for m in cases:
+            nf, wit = normalize(m)
+            ref_nf, ref_wit = _normalize_reference(m)
+            assert nf == ref_nf and wit == ref_wit
+            assert json.dumps(nf.to_json()) == json.dumps(ref_nf.to_json())
+            assert json.dumps(wit.to_json()) == json.dumps(ref_wit.to_json())
+            seen_section |= not nf.is_trivial()
+    assert seen_section
 
 
 def test_normalize_trivial():

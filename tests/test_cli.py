@@ -1,11 +1,21 @@
 """CLI behaviour: exit codes, determinism, manifests, file formats."""
 
+import contextlib
+import functools
+import io
 import json
+import os
 import platform
+import random
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import example, given, strategies as st
+
+from curvealg import ainfinity, cli
 from curvealg.linalg import ONE
+from curvealg.quiver import SubspaceW, build_ew
 
 
 def run_cli(*args):
@@ -221,3 +231,144 @@ def test_manifest_records_backend_and_python():
     assert json.loads(out.stdout) == {
         "curve": {"n": 2, "S": [1], "a": [["2"]]},
         "basis": {"verdict": "PASS", "reason": ""}}
+
+
+# -- in-process runs: internal errors and fuzzed inputs -------------------------
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of cli.main; argparse's SystemExit is
+    taken as the exit code it carries, any other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_internal_error_exit_3(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.json")
+    code, _, _ = run_in_process(["ainf", "random", "--n", "1", "--g", "1", "--w", "",
+                                 "--order", "4", "--seed", "3", "--out", path])
+    assert code == 0
+
+    def broken(m):
+        raise AssertionError("gauge step did not land on the complement")
+
+    monkeypatch.setattr(ainfinity, "normalize", broken)
+    code, out, err = run_in_process(["ainf", "normalize", "--input", path])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: gauge step did not land on the complement\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_structure_text():
+    """A valid order-4 structure file on E_W for n = g = 1, built on first
+    use and kept as text so each caller parses a fresh copy."""
+    E = build_ew(SubspaceW.zero(1))
+    m = ainfinity.random_structure(E, 4, random.Random(3))
+    return json.dumps(cli.structure_file_json(E, m))
+
+
+_junk = st.one_of(
+    st.sampled_from([None, True, 0, -1, 2, 3, 4.0, 2.5, -1.0, float("inf"),
+                     float("nan"), "", "x", "1/0", "-1/2", "A1", "e_O", "zz",
+                     [], [[1]], [["1/0"]], [[float("inf")]], {}]),
+    st.integers(-3, 8), st.text(max_size=3))
+
+
+def _field_paths(obj):
+    """Paths to the structure file's fields by kind: the order, the
+    algebra data, each component's arity, t and entry list, and each
+    entry's arguments, value labels and coefficients."""
+    kinds = {"top": [("order",), ("components",), ("algebra",)],
+             "algebra": [("algebra", "n"), ("algebra", "w")],
+             "component": [], "entry": [], "arg": [], "coefficient": []}
+    for k, comp in obj["components"].items():
+        at = ("components", k)
+        kinds["component"] += [at + ("arity",), at + ("t",), at + ("entries",)]
+        for e, ent in enumerate(comp["entries"]):
+            kinds["entry"] += [at + ("entries", e, "args"), at + ("entries", e, "value")]
+            kinds["arg"] += [at + ("entries", e, "args", i) for i in range(len(ent["args"]))]
+            kinds["coefficient"] += [at + ("entries", e, "value", lab) for lab in ent["value"]]
+    return kinds
+
+
+@st.composite
+def _edits(draw):
+    """(path, action, value): one change that may break the file: a key
+    deleted or renamed, a value replaced, a list grown or shortened."""
+    kinds = _field_paths(json.loads(_valid_structure_text()))
+    path = draw(st.sampled_from(kinds[draw(st.sampled_from(sorted(kinds)))]))
+    action = draw(st.sampled_from(["delete", "replace", "append", "drop", "relabel"]))
+    value = draw(st.sampled_from(["zz", "e_O", "A1", "3", "9", "-1"])
+                 if action == "relabel" else _junk)
+    return path, action, value
+
+
+def _edited(path, action, value):
+    obj = json.loads(_valid_structure_text())
+    *head, key = path
+    parent = obj
+    for k in head:
+        parent = parent[k]
+    if action == "delete" and isinstance(parent, dict):
+        del parent[key]
+    elif action == "relabel" and isinstance(parent, dict):
+        parent[value] = parent.pop(key)
+    elif action == "append" and isinstance(parent[key], list):
+        parent[key].append(value)
+    elif action == "drop" and isinstance(parent[key], list):
+        parent[key] = parent[key][:-1]
+    else:
+        parent[key] = value
+    return obj
+
+
+@given(_edits(), st.sampled_from(["normalize", "extend", "equiv"]))
+@example((("order",), "replace", 4.0), "normalize")
+@example((("algebra", "n"), "replace", -1), "normalize")
+@example((("algebra", "w"), "replace", [[float("inf")]]), "extend")
+@example((("components", "3", "arity"), "replace", 3.0), "normalize")
+@example((("components", "3", "entries", 0, "value", "A1"), "replace", float("inf")), "extend")
+@example((("components", "3", "entries", 0, "value", "A1"), "replace", "1/0"), "equiv")
+def test_fuzz_malformed_structure_files(edit, sub):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(_edited(*edit), fh)
+        argv = ["ainf", sub, "--input", path]
+        if sub == "equiv":
+            good = os.path.join(tmp, "good.json")
+            with open(good, "w") as fh:
+                fh.write(_valid_structure_text())
+            argv += ["--input2", good]
+        code, _, err = run_in_process(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+
+
+_flag_runs = st.one_of(
+    st.tuples(st.just(("ainf", "random", "--n", "1", "--g", "1", "--w", "", "--order")),
+              st.integers(-3, 4)),
+    st.tuples(st.just(("ainf", "tangent", "--n", "1", "--g", "1", "--w", "", "--order")),
+              st.integers(-3, 5)),
+    st.tuples(st.just(("hh", "--n", "1", "--g", "1", "--w", "", "--t-min", "-2",
+                       "--i-max")), st.integers(-3, 1)),
+    st.tuples(st.just(("genus1", "hilbert", "--u", "1", "--v", "1", "--nmax")),
+              st.integers(-3, 6)),
+    st.tuples(st.just(("curve", "basis", "--n", "2", "--s", "1", "--a", "2",
+                       "--deg-bound")), st.integers(-3, 4)),
+    st.tuples(st.just(("ew", "--g", "0", "--n")), st.integers(-2, 2)),
+    st.tuples(st.just(("ew", "--n", "2", "--g", "1", "--w")),
+              st.sampled_from(["", "1,1", "1/0,1", "a,b", "1,1;2,2", "1", ";", "0,0"])),
+)
+
+
+@given(_flag_runs)
+def test_fuzz_flag_values(run):
+    head, value = run
+    code, _, err = run_in_process(list(head) + [str(value)])
+    assert code in (0, 1, 2, 3), (code, err)
