@@ -14,9 +14,10 @@ b2(x, y) = (-1)^{|x|} x y.  With this convention b2 o b2 = 0 is literally
 associativity, the differential is [b2, .], and all higher identities
 (delta^2 = 0, graded Jacobi) hold on the nose; the tests assert them.
 
-A second, independently written complex (composable tuples that may contain
-idempotents, classic unsuspended signs) serves as the cross-check oracle for
-cohomology dimensions.
+The unnormalized complex serves as the cross-check oracle for cohomology
+dimensions.  It shares tuple enumeration, bases and ranks with the reduced
+complex, and differs in its element set (idempotents included) and in its
+independently written textbook differential (classic unsuspended signs).
 """
 
 from __future__ import annotations
@@ -277,6 +278,8 @@ def differential_apply(phi):
 # the reduced complex
 
 
+# The shared methods live in this class body, not on a base class:
+# perfbench/spans.py traces basis and tuple_keys through vars(HochschildComplex).
 class HochschildComplex:
     """Cochain bases, differential matrices, and cohomology dimensions for
     the normalized (radical-tuple) complex of one algebra."""
@@ -300,10 +303,9 @@ class HochschildComplex:
         degree 0 or 1 at internal degree t."""
         if s == 0:
             return list(range(self.E.n + 1))
-        dlo, dhi = -t, -t + 1
-        dhi = min(dhi, s)
-        dlo = max(dlo, 0)
-        if dlo > dhi or -t > s or -t + 1 < 0:
+        dlo = max(-t, 0)
+        dhi = min(-t + 1, s)
+        if dlo > dhi:
             return []
         key = (s, dlo, dhi)
         got = self._tuples.get(key)
@@ -353,8 +355,6 @@ class HochschildComplex:
         else:
             for T in self.tuple_keys(s, t):
                 d = t + sum(E.deg[x] for x in T)
-                if d not in (0, 1):
-                    continue
                 for w in E.hom_basis(E.src[T[0]], E.tgt[T[-1]], d):
                     out.append((T, w))
         self._basis[key] = out
@@ -371,7 +371,7 @@ class HochschildComplex:
         return self._index[(s, t)]
 
     def factorizations(self):
-        """fact[z] = [(x, y, c)] over radical pairs with (x*y)_z = c."""
+        """fact[z] = [(x, y, c)] over pairs of elements() with (x*y)_z = c."""
         if self._fact is None:
             E = self.E
             fact = {}
@@ -564,12 +564,13 @@ def vanishing_scan(E, i_max, t_min):
 # (unsuspended) sign convention
 
 
-class UnnormalizedComplex:
+class UnnormalizedComplex(HochschildComplex):
     """The relative Hochschild complex without normalization: arguments are
     composable tuples of arbitrary basis elements (idempotents included).
 
-    Written independently of HochschildComplex, with the textbook
-    differential: (delta f)(a_1,...,a_{s+1}) =
+    It shares tuple enumeration, bases and ranks with HochschildComplex and
+    differs in its element set and in its differential, written
+    independently in the textbook form: (delta f)(a_1,...,a_{s+1}) =
         (-1)^{deg(a_1) * t} a_1 f(a_2, ...)
       + sum_i (-1)^i f(..., a_i a_{i+1}, ...)
       + (-1)^{s+1} f(...) a_{s+1}.
@@ -577,86 +578,13 @@ class UnnormalizedComplex:
     an acceptance criterion, not an assumption.
     """
 
-    def __init__(self, E):
-        self.E = E
-        self._tuples = {}
-        self._basis = {}
-        self._index = {}
-        self._rank = {}
-        fact = {}
-        for x in range(E.dim):
-            for y in range(E.dim):
-                if E.tgt[x] != E.src[y]:
-                    continue
-                for z, c in E.table.get((x, y), {}).items():
-                    fact.setdefault(z, []).append((x, y, c))
-        self.fact = fact
-
-    def tuple_keys(self, s, t):
-        if s == 0:
-            return list(range(self.E.n + 1))
-        dlo = max(-t, 0)
-        dhi = min(-t + 1, s)
-        if dlo > dhi:
-            return []
-        key = (s, dlo, dhi)
-        got = self._tuples.get(key)
-        if got is None:
-            E = self.E
-            by_src = {}
-            for x in range(E.dim):
-                by_src.setdefault(E.src[x], []).append(x)
-            out = []
-            acc = []
-
-            def rec(pos, vertex, degsum):
-                if degsum > dhi or degsum + (s - pos) < dlo:
-                    return
-                if pos == s:
-                    out.append(tuple(acc))
-                    return
-                for x in by_src.get(vertex, ()):
-                    acc.append(x)
-                    rec(pos + 1, E.tgt[x], degsum + E.deg[x])
-                    acc.pop()
-
-            for v in range(E.n + 1):
-                rec(0, v, 0)
-            out.sort()
-            self._tuples[key] = got = out
-        return got
-
-    def basis(self, s, t):
-        key = (s, t)
-        got = self._basis.get(key)
-        if got is not None:
-            return got
-        E = self.E
-        out = []
-        if s == 0:
-            for v in range(E.n + 1):
-                for w in E.hom_basis(v, v, t):
-                    out.append((v, w))
-        else:
-            for T in self.tuple_keys(s, t):
-                d = t + sum(E.deg[x] for x in T)
-                if d not in (0, 1):
-                    continue
-                for w in E.hom_basis(E.src[T[0]], E.tgt[T[-1]], d):
-                    out.append((T, w))
-        self._basis[key] = out
-        self._index[key] = {bk: i for i, bk in enumerate(out)}
-        return out
-
-    def dim(self, s, t):
-        if s < 0:
-            return 0
-        return len(self.basis(s, t))
+    def elements(self):
+        return range(self.E.dim)
 
     def delta_columns(self, s, t):
         E = self.E
-        self.basis(s + 1, t)
-        rindex = self._index[(s + 1, t)]
+        rindex = self.index(s + 1, t)
+        fact = self.factorizations()
         cols = []
         for key, w in self.basis(s, t):
             col = {}
@@ -683,7 +611,7 @@ class UnnormalizedComplex:
                 # contractions
                 for a in range(s):
                     neg = a % 2 == 0  # (-1)^{a+1}
-                    for x, y, cf in self.fact.get(T[a], ()):
+                    for x, y, cf in fact.get(T[a], ()):
                         Tp = T[:a] + (x, y) + T[a + 1:]
                         _accum(col, rindex[(Tp, w)], -cf if neg else cf)
                 # f(a_1 ... a_s) . a_{s+1}
@@ -694,25 +622,6 @@ class UnnormalizedComplex:
                             _accum(col, rindex[(T + (x,), wp)], -c if neg else c)
             cols.append(col)
         return cols
-
-    def delta_rank(self, s, t):
-        if s < 0 or self.dim(s, t) == 0 or self.dim(s + 1, t) == 0:
-            return 0
-        key = (s, t)
-        got = self._rank.get(key)
-        if got is None:
-            got = rank_of_columns(self.delta_columns(s, t))
-            self._rank[key] = got
-        return got
-
-    def hh_dim(self, i, t):
-        s = i - t
-        if s < 0:
-            return 0
-        d = self.dim(s, t)
-        if d == 0:
-            return 0
-        return d - self.delta_rank(s, t) - self.delta_rank(s - 1, t)
 
 
 def unnormalized_complex(E) -> UnnormalizedComplex:

@@ -1,9 +1,8 @@
 """Exact rational linear algebra: rref, rank, kernels, canonical complements.
 
-Everything is computed over Q with exact arithmetic (gmpy2.mpq when
-available, fractions.Fraction otherwise).  No floating point anywhere.
-Matrices are stored sparsely; vectors are dicts index -> coefficient with
-no stored zeros.
+Everything is computed over Q with exact arithmetic (fractions.Fraction);
+no floating point anywhere.  Matrices are stored sparsely; vectors are
+dicts index -> coefficient with no stored zeros.
 
 rref is the canonical exact reference.  rank_of_columns, which the
 Hochschild ranks and the curve-basis checks run on, eliminates
@@ -17,16 +16,12 @@ exact without any rational division.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as _ratimpl
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _ratimpl
-
-ZERO = _ratimpl(0)
-ONE = _ratimpl(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def rat(a, b=None):
@@ -35,8 +30,8 @@ def rat(a, b=None):
     raises ValueError, like a malformed string."""
     try:
         if b is None:
-            return _ratimpl(a.strip() if isinstance(a, str) else a)
-        return _ratimpl(a) / _ratimpl(b)
+            return Fraction(a.strip() if isinstance(a, str) else a)
+        return Fraction(a) / Fraction(b)
     except (ZeroDivisionError, OverflowError):
         raise ValueError("%r is not a rational number"
                          % (a if b is None else "%s/%s" % (a, b))) from None

@@ -193,6 +193,10 @@ def test_negative_bounds_and_short_random_order_rejected():
         assert out.returncode == 2, args
         assert "must be at least" in out.stderr
         assert "Traceback" not in out.stderr
+    out = run_cli("hh", "--n", "1", "--g", "1", "--w", "", "--t-min", "2")
+    assert out.returncode == 2
+    assert "--t-min must be at most 0" in out.stderr
+    assert "Traceback" not in out.stderr
     out = run_cli("hh", "--n", "1", "--g", "1", "--w", "", "--i-max", "0")
     assert out.returncode == 0
     assert [row["i"] for row in json.loads(out.stdout)["cells"]] == [0] * 7

@@ -1,6 +1,7 @@
 """Hochschild cochains: bases, the differential, the bracket, cohomology
 dimensions, and agreement with independently built complexes."""
 
+import itertools
 import random
 
 import pytest
@@ -60,6 +61,21 @@ def test_cochain_dimension_by_direct_enumeration():
             count += len(E.hom_basis(E.src[x], E.tgt[y], d))
     assert count == len(cochain_basis(E, s, t))
     assert count > 0
+    # both complexes share one enumerator: check it tuple by tuple against
+    # a brute-force product over each complex's own element set
+    for E in (E11(), build_ew(SubspaceW(2, [["1/2", "-2/3"]]))):
+        for cx in (reduced_complex(E), unnormalized_complex(E)):
+            for s in range(1, 5):
+                for t in range(-s, 2):
+                    want = []
+                    for T in itertools.product(cx.elements(), repeat=s):
+                        if any(E.tgt[x] != E.src[y] for x, y in zip(T, T[1:])):
+                            continue
+                        d = t + sum(E.deg[x] for x in T)
+                        if d not in (0, 1):
+                            continue
+                        want += [(T, w) for w in E.hom_basis(E.src[T[0]], E.tgt[T[-1]], d)]
+                    assert cx.basis(s, t) == want, (type(cx).__name__, s, t)
 
 
 def test_low_t_cochains_empty():
@@ -428,7 +444,7 @@ def unnormalized_delta_reference(ucx, s, t):
                         _accum_reference(col, rindex[((x,) + T, wp)], sg * c)
             for a in range(s):
                 sg = _sign_reference(a + 1)
-                for x, y, cf in ucx.fact.get(T[a], ()):
+                for x, y, cf in ucx.factorizations().get(T[a], ()):
                     Tp = T[:a] + (x, y) + T[a + 1:]
                     _accum_reference(col, rindex[(Tp, w)], sg * cf)
             sg = _sign_reference(s + 1)
