@@ -23,8 +23,9 @@ morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
 minus the F o D' terms whose inner m' has lower arity, so it needs neither
 the inverse gauge nor any product over outer blocks.  Arities below the
 lowest gauge component are copied unchanged, in gauge_act and gauge_compose
-alike, which covers every step gauge f_{k-1} of normalize; normalize makes
-one exact solve per step.
+alike, which covers every step gauge f_{k-1} of normalize.  normalize
+makes one exact elimination per arity, cached per algebra, and no solves,
+and checks flatness once, on the normal form.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .linalg import (ExactMatrix, ONE, Subspace, canonical_complement, rat,
-                     rref, solve)
+from .linalg import (ExactMatrix, ONE, Subspace, rat, solve, vec_addmul,
+                     vec_scale)
 from .hochschild import (Cochain, _accum, compose as cochain_compose,
                          differential_apply, eval_b2, reduced_complex)
 from .poly import PolyRing
@@ -397,18 +398,51 @@ def is_flat(m):
 
 
 class ComplementData:
-    """Splitting of the arity-k cochain space as K + im(delta): `pivots` are
-    the rref pivot columns of delta, `im` holds delta's columns there, and
-    `mix` has the K basis followed by the im basis as its columns."""
+    """Splitting of the arity-k cochain space as K + im(delta) with
+    delta = delta^1: C^{k-1} -> C^k, from one elimination of delta's
+    columns in order.
 
-    __slots__ = ("pivots", "im", "K", "mix")
+    `pivots` are the columns of delta that enlarge the span of the columns
+    before them (the pivot columns of rref(delta)).  `rows` maps each pivot
+    index q of the reduced row echelon basis of im(delta) to (R_q, X_q):
+    R_q has entry 1 at q and is zero below q and at every other pivot
+    index, and X_q holds its coordinates on delta's columns at `pivots`,
+    so R_q = delta(X_q).  K is spanned by the standard vectors off the
+    pivot indices, the pivot-rule complement of im(delta)."""
 
-    def __init__(self, pivots, im, K):
-        self.pivots = pivots
-        self.im = im
-        self.K = K
-        cols = [dict(v) for v in K.basis] + [dict(v) for v in im.basis]
-        self.mix = ExactMatrix.from_columns(cols, K.ambient_dim)
+    __slots__ = ("pivots", "rows", "K")
+
+    def __init__(self, columns, dim):
+        self.pivots = []
+        self.rows = {}
+        for j, col in enumerate(columns):
+            r, x = self.split(col)
+            if not r:
+                continue
+            q = min(r)
+            inv = ONE / r[q]
+            r, x = vec_scale(r, inv), {p: -c * inv for p, c in x.items()}
+            x[j] = inv
+            for rq, xq in self.rows.values():
+                c = rq.get(q)
+                if c:
+                    vec_addmul(rq, -c, r)
+                    vec_addmul(xq, -c, x)
+            self.pivots.append(j)
+            self.rows[q] = (r, x)
+        self.K = Subspace(dim, [{i: ONE} for i in range(dim) if i not in self.rows])
+
+    def split(self, v):
+        """(kappa, x) with v = kappa + delta(x), kappa in K and x supported
+        on `pivots`: kappa = v - sum_q v_q R_q and x = sum_q v_q X_q."""
+        kappa = dict(v)
+        x = {}
+        for q, c in v.items():
+            row = self.rows.get(q)
+            if row is not None:
+                vec_addmul(kappa, -c, row[0])
+                vec_addmul(x, c, row[1])
+        return kappa, x
 
 
 def complement_data(E, k):
@@ -416,23 +450,19 @@ def complement_data(E, k):
     cochain space, cached per algebra and k."""
     got = E._complements.get(k)
     if got is None:
-        D = reduced_complex(E).delta_matrix(k - 1, 2 - k)
-        _, pivots = rref(D)
-        im = Subspace(D.rows, [D.column(j) for j in pivots])
-        got = ComplementData(pivots, im, canonical_complement(im))
+        cx = reduced_complex(E)
+        got = ComplementData(cx.delta_columns(k - 1, 2 - k), cx.dim(k, 2 - k))
         E._complements[k] = got
     return got
 
 
 def in_complement(m):
-    """True iff every component of m lies in its canonical complement."""
+    """True iff every component of m lies in its canonical complement, that
+    is, has no support on the pivot indices of im(delta)."""
     cx = reduced_complex(m.E)
     for k, c in m.comps.items():
-        data = complement_data(m.E, k)
-        v = cx.cochain_to_vector(c)
-        coords = solve(data.mix, v)
-        nk = len(data.K.basis)
-        if any(i >= nk and x for i, x in coords.items()):
+        rows = complement_data(m.E, k).rows
+        if any(i in rows for i in cx.cochain_to_vector(c)):
             return False
     return True
 
@@ -442,11 +472,18 @@ def normalize(m):
     kappa in K_{2-k} and gauge by f_{k-1} = -x.  Returns (normal form,
     gauge witness) with gauge_act(witness, m) equal to the normal form.
 
-    One solve per step: the coordinates of m_k on K + im give kappa, and
-    its im coordinates are x itself at the pivot columns of delta (free
-    variables zero).  Each step checks that the gauged m_k equals kappa."""
-    if not is_flat(m):
-        raise ValueError("normalize requires a defect-free structure")
+    Each step is a sparse combination of the rows stored on
+    ComplementData: no solve and no elimination.  A step gauge f_{k-1}
+    leaves the arities below k alone and changes m_k by exactly
+    delta(f_{k-1}) = -delta(x), whether or not m is flat, so each step
+    checks that the gauged m_k equals kappa.
+
+    Flatness is checked once, on the normal form.  The action is
+    conjugation by the invertible coalgebra morphism F of the witness
+    (Lefevre-Hasegawa 2003): D' = F^-1 D F, hence D'^2 = F^-1 D^2 F, and
+    m is flat iff its normal form is.  The normal form lies in the sparse
+    complements, so its defect is cheap; a non-flat m raises ValueError
+    after the steps, which never fail on it."""
     E, N = m.E, m.N
     cx = reduced_complex(E)
     witness = GaugeTransform.identity(E, N)
@@ -455,28 +492,17 @@ def normalize(m):
         mk = current.comps.get(k)
         if mk is None:
             continue
-        data = complement_data(E, k)
-        coords = solve(data.mix, cx.cochain_to_vector(mk))
-        if coords is None:
-            raise AssertionError("component not in cochain space span")
-        nk = len(data.K.basis)
-        kappa = {}
-        neg_x = {}
-        for i, c in coords.items():
-            if i < nk:
-                for j, b in data.K.basis[i].items():
-                    _accum(kappa, j, c * b)
-            else:
-                neg_x[data.pivots[i - nk]] = -c
-        if not neg_x:
+        kappa, x = complement_data(E, k).split(cx.cochain_to_vector(mk))
+        if not x:
             continue
-        step = GaugeTransform(E, N, {
-            k - 1: cx.vector_to_cochain(k - 1, 2 - k, neg_x)})
+        step = GaugeTransform(E, N, {k - 1: cx.vector_to_cochain(
+            k - 1, 2 - k, {p: -c for p, c in x.items()})})
         current = gauge_act(step, current)
         witness = gauge_compose(step, witness)
-        got = cx.cochain_to_vector(current.component(k))
-        if got != kappa:
+        if cx.cochain_to_vector(current.component(k)) != kappa:
             raise AssertionError("gauge step did not land on the complement")
+    if not is_flat(current):
+        raise ValueError("normalize requires a defect-free structure")
     return current, witness
 
 

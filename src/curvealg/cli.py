@@ -133,8 +133,8 @@ def cmd_ew(args):
 
 
 def cmd_hh(args):
-    if args.t_min > 0:
-        raise ValueError("--t-min must be at most 0, got %d" % args.t_min)
+    if args.t_min > -1:
+        raise ValueError("--t-min must be at most -1, got %d" % args.t_min)
     run = Run(args, "hh")
     E = build_ew(_subspace(args))
     table = vanishing_scan(E, args.i_max, args.t_min)

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: rref, rank, kernels, canonical complements.
+"""Exact rational linear algebra: rref, rank, kernels, echelon bases, solves.
 
 Everything is computed over Q with exact arithmetic (fractions.Fraction);
 no floating point anywhere.  Matrices are stored sparsely; vectors are
@@ -386,19 +386,6 @@ class Echelon:
 
     def contains(self, v):
         return not self._reduce(v)
-
-
-def canonical_complement(sub):
-    """Span of the standard basis vectors at the non-pivot columns of
-    rref(basis-as-rows).
-
-    Depends only on the subspace, not on its presented basis, and satisfies
-    sub + complement = ambient with zero intersection.
-    """
-    _, pivots = rref(sub.matrix())
-    pivset = set(pivots)
-    basis = [{j: ONE} for j in range(sub.ambient_dim) if j not in pivset]
-    return Subspace(sub.ambient_dim, basis)
 
 
 # ---------------------------------------------------------------------------

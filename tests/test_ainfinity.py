@@ -1,12 +1,13 @@
 """Truncated A_n structures: gauge action, normalization, extension,
 tangent data, moduli equations."""
 
+import functools
 import json
 import random
 
 import pytest
 
-from curvealg.linalg import ONE, rank, rat, solve
+from curvealg.linalg import ExactMatrix, ONE, Subspace, rank, rat, rref, solve
 from curvealg.quiver import SubspaceW, build_ew
 from curvealg.hochschild import (Cochain, _accum, _sign, differential_apply,
                                  eval_b2, reduced_complex)
@@ -16,6 +17,7 @@ from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 gauge_compose, gauge_inverse, in_complement,
                                 is_flat, normalize, random_gauge,
                                 random_structure, tangent_dims)
+from test_linalg import canonical_complement
 
 
 def E11():
@@ -24,6 +26,10 @@ def E11():
 
 def E21():
     return build_ew(SubspaceW(2, [[1, 1]]))
+
+
+def E21_nonintegral():
+    return build_ew(SubspaceW(2, [[rat(1, 2), rat(-2, 3)]]))
 
 
 # -- defect ---------------------------------------------------------------------
@@ -311,9 +317,24 @@ def test_gauge_mismatch_rejected():
 # -- normalization ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _parent_complement(E, k):
+    """The splitting built from two rrefs: the pivot columns of delta, im
+    spanned by delta's columns there, K = canonical_complement(im), and
+    the square matrix `mix` with the K basis and then the im basis as its
+    columns."""
+    D = reduced_complex(E).delta_matrix(k - 1, 2 - k)
+    _, pivots = rref(D)
+    im = Subspace(D.rows, [D.column(j) for j in pivots])
+    K = canonical_complement(im)
+    mix = ExactMatrix.from_columns([dict(v) for v in K.basis + im.basis], D.rows)
+    return pivots, im, K, mix
+
+
 def _normalize_reference(m):
-    """Two solves per step: coordinates on K + im for kappa, then a
-    preimage of the image part under delta with free variables zero."""
+    """Two solves per step on the two-rref splitting: coordinates on
+    K + im for kappa, then a preimage of the image part under delta with
+    free variables zero."""
     E, N = m.E, m.N
     cx = reduced_complex(E)
     witness = GaugeTransform.identity(E, N)
@@ -322,14 +343,13 @@ def _normalize_reference(m):
         mk = current.comps.get(k)
         if mk is None:
             continue
-        data = complement_data(E, k)
+        _, _, K, mix = _parent_complement(E, k)
         v = cx.cochain_to_vector(mk)
-        coords = solve(data.mix, v)
-        nk = len(data.K.basis)
+        coords = solve(mix, v)
         kappa = {}
         for i, c in coords.items():
-            if i < nk:
-                for j, b in data.K.basis[i].items():
+            if i < K.dim:
+                for j, b in K.basis[i].items():
                     _accum(kappa, j, c * b)
         w_im = dict(v)
         for j, c in kappa.items():
@@ -342,6 +362,55 @@ def _normalize_reference(m):
         current = gauge_act(step, current)
         witness = gauge_compose(step, witness)
     return current, witness
+
+
+def _split_reference(E, k, v):
+    """(kappa, x) from the coordinates of v on K + im: kappa is the K part
+    and x holds the im coordinates at delta's pivot columns."""
+    pivots, _, K, mix = _parent_complement(E, k)
+    kappa, x = {}, {}
+    for i, c in solve(mix, v).items():
+        if i < K.dim:
+            for j, b in K.basis[i].items():
+                _accum(kappa, j, c * b)
+        else:
+            x[pivots[i - K.dim]] = c
+    return kappa, x
+
+
+@pytest.mark.parametrize("E", [E11(), E21(), E21_nonintegral()],
+                         ids=["E11", "E21", "E21-nonintegral"])
+def test_complement_data_matches_two_rref_construction(E):
+    rng = random.Random(18)
+    cx = reduced_complex(E)
+    for k in range(3, 8):
+        data = complement_data(E, k)
+        pivots, im, K, _ = _parent_complement(E, k)
+        assert data.pivots == pivots, k
+        assert data.K.basis == K.basis
+        R, qs = rref(im.matrix())
+        assert sorted(data.rows) == qs
+        D = cx.delta_matrix(k - 1, 2 - k)
+        for i, q in enumerate(qs):
+            row, coords = data.rows[q]
+            assert row == R.row(i)
+            assert set(coords) <= set(pivots)
+            assert D.apply(coords) == row
+        # random vectors, their K parts, and K parts with one entry added
+        # at a pivot index of im
+        dim = cx.dim(k, 2 - k)
+        for _ in range(10):
+            v = {i: rat(rng.randint(-3, 3), rng.choice([1, 2]))
+                 for i in range(dim) if rng.random() < 0.3}
+            v = {i: c for i, c in v.items() if c}
+            kappa, x = _split_reference(E, k, v)
+            assert data.split(v) == (kappa, x)
+            cases = [(v, not x), (kappa, True)]
+            if qs:
+                cases.append((dict(kappa) | {rng.choice(qs): ONE}, False))
+            for w, inside in cases:
+                m = AnStructure(E, k, {k: cx.vector_to_cochain(k, 2 - k, w)})
+                assert in_complement(m) == inside
 
 
 def _on_section(E, N, rng):
@@ -455,18 +524,57 @@ def test_normalize_strips_exact_components():
     assert nf.component(3).is_zero()
 
 
+def _nonzero_residuals(m):
+    return sorted(r for r, c in defect(m).items() if not c.is_zero())
+
+
+def _bent_at(E, k, N, rng):
+    """An order-N structure whose only component m_k is not a cocycle."""
+    while True:
+        m = AnStructure(E, N, _random_cochains(E, [k], rng, 2))
+        if _nonzero_residuals(m):
+            return m
+
+
 def test_normalize_rejects_defective_input():
+    # the defect sits in residuals 4 and 5, only in the top residual N + 1,
+    # only in a middle one, and anywhere on a non-integral algebra; each
+    # structure is also tried gauged, so normalize takes steps on it
     rng = random.Random(9)
     E = E11()
     cx = reduced_complex(E)
     values = {}
     for key, w in cx.basis(3, -1):
         values.setdefault(key, {})[w] = ONE
-    m3 = Cochain(E, 3, -1, values)
-    m = AnStructure(E, 4, {3: m3})
-    if not is_flat(m):
-        with pytest.raises(ValueError):
-            normalize(m)
+    ones = AnStructure(E, 4, {3: Cochain(E, 3, -1, values)})
+    top = _bent_at(E, 5, 5, rng)
+    middle = _bent_at(E21(), 5, 6, rng)
+    E2 = E21_nonintegral()
+    bent = AnStructure(E2, 5, _random_cochains(E2, range(3, 6), rng, 2))
+    assert _nonzero_residuals(ones) == [4, 5]
+    assert _nonzero_residuals(top) == [6]
+    assert _nonzero_residuals(middle) == [6]
+    for m in (ones, top, middle, bent):
+        assert not is_flat(m)
+        for case in (m, gauge_act(random_gauge(m.E, m.N, rng), m)):
+            with pytest.raises(ValueError, match="defect-free"):
+                normalize(case)
+
+
+@pytest.mark.parametrize("E", [E11(), E21_nonintegral()], ids=["E11", "E21-nonintegral"])
+def test_gauge_action_preserves_flatness(E):
+    # the action is conjugation by an invertible coalgebra morphism, so it
+    # keeps the defect zero or nonzero; normalize checks flatness on its
+    # output on the strength of this
+    rng = random.Random(19)
+    for N in (5, 6):
+        flat = random_structure(E, N, rng)
+        bent = AnStructure(E, N, _random_cochains(E, range(3, N + 1), rng, 2))
+        cases = [(flat, True), (bent, False), (_bent_at(E, N, N, rng), False)]
+        for m, want in cases:
+            assert is_flat(m) == want
+            for _ in range(2):
+                assert is_flat(gauge_act(random_gauge(E, N, rng), m)) == want
 
 
 # -- equivalence ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import tempfile
 from hypothesis import example, given, strategies as st
 
 from curvealg import ainfinity, cli
+from curvealg.hochschild import Cochain, reduced_complex
 from curvealg.linalg import ONE
 from curvealg.quiver import SubspaceW, build_ew
 
@@ -162,6 +163,29 @@ def test_malformed_structure_file_is_usage_error(tmp_path):
             assert "Traceback" not in out.stderr
 
 
+def test_non_flat_structure_is_usage_error(tmp_path):
+    # a structure file that parses but is not defect-free: normalize and
+    # equiv (with either side bent) report one usage error, not an
+    # internal error
+    E = build_ew(SubspaceW.zero(1))
+    good = tmp_path / "good.json"
+    bent = tmp_path / "bent.json"
+    good.write_text(json.dumps(cli.structure_file_json(
+        E, ainfinity.random_structure(E, 4, random.Random(3)))))
+    values = {key: {w: ONE} for key, w in reduced_complex(E).basis(3, -1)}
+    m = ainfinity.AnStructure(E, 4, {3: Cochain(E, 3, -1, values)})
+    assert not ainfinity.is_flat(m)
+    bent.write_text(json.dumps(cli.structure_file_json(E, m)))
+    for args in (("normalize", "--input", bent),
+                 ("equiv", "--input", bent, "--input2", good),
+                 ("equiv", "--input", good, "--input2", bent)):
+        out = run_cli("ainf", *map(str, args))
+        assert out.returncode == 2, (args, out.stderr)
+        errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: normalize requires a defect-free structure"]
+        assert "Traceback" not in out.stderr
+
+
 def test_out_of_range_flags_rejected():
     for args in (("ainf", "tangent", "--n", "1", "--g", "1", "--w", "", "--order", "2"),
                  ("ainf", "equations", "--n", "1", "--g", "1", "--w", "", "--order", "2"),
@@ -193,10 +217,17 @@ def test_negative_bounds_and_short_random_order_rejected():
         assert out.returncode == 2, args
         assert "must be at least" in out.stderr
         assert "Traceback" not in out.stderr
-    out = run_cli("hh", "--n", "1", "--g", "1", "--w", "", "--t-min", "2")
-    assert out.returncode == 2
-    assert "--t-min must be at most 0" in out.stderr
-    assert "Traceback" not in out.stderr
+    for t_min in ("2", "0"):
+        # t_min = 0 would check HH^0 and HH^1 vanishing on the empty range
+        # t in [0, -1], a vacuous PASS
+        out = run_cli("hh", "--n", "1", "--g", "1", "--w", "", "--t-min", t_min)
+        assert out.returncode == 2
+        assert "--t-min must be at most -1" in out.stderr
+        assert "Traceback" not in out.stderr
+    out = run_cli("hh", "--n", "1", "--g", "1", "--w", "", "--i-max", "1",
+                  "--t-min", "-1")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["low_degree_vanishing"] is True
     out = run_cli("hh", "--n", "1", "--g", "1", "--w", "", "--i-max", "0")
     assert out.returncode == 0
     assert [row["i"] for row in json.loads(out.stdout)["cells"]] == [0] * 7

@@ -5,14 +5,27 @@ import random
 
 from hypothesis import given, strategies as st
 
-from curvealg.linalg import (Echelon, ExactMatrix, ONE, Subspace, canonical_complement,
-                             image_basis, kernel_basis, rank, rank_of_columns,
-                             rat, rat_str, rref, solve, vec_addmul,
-                             vec_from_list)
+from curvealg.linalg import (Echelon, ExactMatrix, ONE, Subspace, image_basis,
+                             kernel_basis, rank, rank_of_columns, rat, rat_str,
+                             rref, solve, vec_addmul, vec_from_list)
 
 
 def M(rows):
     return ExactMatrix.from_rows(rows)
+
+
+def canonical_complement(sub):
+    """Span of the standard basis vectors at the non-pivot columns of
+    rref(basis-as-rows): the reference for the pivot-rule complements that
+    ainfinity.ComplementData builds by one incremental elimination.
+
+    Depends only on the subspace, not on its presented basis, and satisfies
+    sub + complement = ambient with zero intersection.
+    """
+    _, pivots = rref(sub.matrix())
+    pivset = set(pivots)
+    basis = [{j: ONE} for j in range(sub.ambient_dim) if j not in pivset]
+    return Subspace(sub.ambient_dim, basis)
 
 
 def test_rref_identity():
