@@ -61,19 +61,22 @@ def _curve_data(args, suffix=""):
     return SpecialCurveData(n, S)
 
 
-def _structure_from_file(path):
-    """Read a structure file; a malformed one raises ValueError."""
+def _from_file(path, kind, parse):
+    """parse(JSON content of path); a malformed file raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
     try:
-        w = SubspaceW(obj["algebra"]["n"], [[rat(x) for x in row]
-                                            for row in obj["algebra"]["w"]])
-        E = build_ew(w)
-        m = ainf.AnStructure.from_json(E, obj)
+        return parse(obj)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ValueError("malformed structure file %s: %s %s"
-                         % (path, type(exc).__name__, exc)) from None
-    return E, m
+        raise ValueError("malformed %s file %s: %s %s"
+                         % (kind, path, type(exc).__name__, exc)) from None
+
+
+def _parse_structure(obj):
+    w = SubspaceW(obj["algebra"]["n"], [[rat(x) for x in row]
+                                        for row in obj["algebra"]["w"]])
+    E = build_ew(w)
+    return E, ainf.AnStructure.from_json(E, obj)
 
 
 def structure_file_json(E, m):
@@ -148,7 +151,7 @@ def cmd_hh(args):
 
 def cmd_ainf_normalize(args):
     run = Run(args, "ainf normalize")
-    E, m = _structure_from_file(args.input)
+    E, m = _from_file(args.input, "structure", _parse_structure)
     nf, wit = ainf.normalize(m)
     payload = {"normal_form": structure_file_json(E, nf),
                "witness": wit.to_json()}
@@ -157,8 +160,8 @@ def cmd_ainf_normalize(args):
 
 def cmd_ainf_equiv(args):
     run = Run(args, "ainf equiv")
-    E, m = _structure_from_file(args.input)
-    E2, m2 = _structure_from_file(args.input2)
+    E, m = _from_file(args.input, "structure", _parse_structure)
+    E2, m2 = _from_file(args.input2, "structure", _parse_structure)
     if E.to_json() != E2.to_json():
         raise ValueError("structures live on different algebras")
     m2 = ainf.AnStructure(E, m2.N, {k: ainf.Cochain.from_json(E, c.to_json())
@@ -170,7 +173,7 @@ def cmd_ainf_equiv(args):
 
 def cmd_ainf_extend(args):
     run = Run(args, "ainf extend")
-    E, m = _structure_from_file(args.input)
+    E, m = _from_file(args.input, "structure", _parse_structure)
     res = ainf.extend_step(m)
     payload = {"solvable": res.solvable}
     if res.solvable:
@@ -311,8 +314,7 @@ def cmd_genus1_bundle(args):
 
 def cmd_poly_closure(args):
     run = Run(args, "poly closure")
-    with open(args.input) as fh:
-        rs = RelationSystem.from_json(json.load(fh))
+    rs = _from_file(args.input, "relation system", RelationSystem.from_json)
     rep = rs.closure_check(args.deg_bound)
     return run.emit({"closure": rep.to_json()}, ok=rep.passed)
 

@@ -18,6 +18,8 @@ The unnormalized complex serves as the cross-check oracle for cohomology
 dimensions.  It shares tuple enumeration, bases and ranks with the reduced
 complex, and differs in its element set (idempotents included) and in its
 independently written textbook differential (classic unsuspended signs).
+Both read products from the algebra's neighbour lists and fix each sign
+once per table entry and bidegree, not once per matrix entry.
 """
 
 from __future__ import annotations
@@ -303,10 +305,14 @@ class HochschildComplex:
         degree 0 or 1 at internal degree t."""
         if s == 0:
             return list(range(self.E.n + 1))
+        return self._tuples_with_degrees(s, t)[0]
+
+    def _tuples_with_degrees(self, s, t):
+        """(tuple_keys(s, t), their degree sums), enumerated once per window."""
         dlo = max(-t, 0)
         dhi = min(-t + 1, s)
         if dlo > dhi:
-            return []
+            return [], []
         key = (s, dlo, dhi)
         got = self._tuples.get(key)
         if got is None:
@@ -315,29 +321,22 @@ class HochschildComplex:
         return got
 
     def _enumerate(self, s, dlo, dhi):
+        """Composable s-tuples of elements() with degree sum in [dlo, dhi],
+        in lexicographic order, and their degree sums."""
         E = self.E
-        by_src = {}
-        for x in self.elements():
-            by_src.setdefault(E.src[x], []).append(x)
-        out = []
-        acc = []
-
-        def rec(pos, vertex, degsum):
-            if degsum > dhi or degsum + (s - pos) < dlo:
-                return
-            if pos == s:
-                out.append(tuple(acc))
-                return
-            for x in by_src.get(vertex, ()):
-                acc.append(x)
-                rec(pos + 1, E.tgt[x], degsum + E.deg[x])
-                acc.pop()
-
-        starts = sorted({E.src[x] for x in self.elements()})
-        for v in starts:
-            rec(0, v, 0)
-        out.sort()
-        return out
+        deg, tgt = E.deg, E.tgt
+        after = {None: sorted(self.elements())}  # what may follow a vertex
+        for x in after[None]:
+            after.setdefault(E.src[x], []).append(x)
+        # extending each tuple of a sorted level in ascending order keeps
+        # the next level sorted; degrees are 0 or 1, so a tuple with room
+        # slots left can still gain up to room
+        level = [((), None, 0)]
+        for room in range(s - 1, -1, -1):
+            level = [(T + (x,), tgt[x], d + deg[x])
+                     for T, v, d in level for x in after.get(v, ())
+                     if dlo - room <= d + deg[x] <= dhi]
+        return [T for T, _, _ in level], [d for _, _, d in level]
 
     def basis(self, s, t):
         """Ordered cochain basis: (argument key, target basis index),
@@ -353,9 +352,8 @@ class HochschildComplex:
                 for w in E.hom_basis(v, v, t):
                     out.append((v, w))
         else:
-            for T in self.tuple_keys(s, t):
-                d = t + sum(E.deg[x] for x in T)
-                for w in E.hom_basis(E.src[T[0]], E.tgt[T[-1]], d):
+            for T, d in zip(*self._tuples_with_degrees(s, t)):
+                for w in E.hom_basis(E.src[T[0]], E.tgt[T[-1]], t + d):
                     out.append((T, w))
         self._basis[key] = out
         self._index[key] = {bk: i for i, bk in enumerate(out)}
@@ -390,43 +388,41 @@ class HochschildComplex:
         """Columns of delta: C^{s} -> C^{s+1} at internal degree t, indexed
         by the (s, t) basis, rows indexed by the (s+1, t) basis."""
         E = self.E
-        cols = []
+        deg, rad = E.deg, E.radical_set
         rindex = self.index(s + 1, t)
-        fact = self.factorizations()
         sus = s + t - 1
+        # signs fixed once per table entry: (-1)^{|w|} on w.x,
+        # (-1)^{(sus+1)|x|} on x.w
+        right = [[(x, [(wp, -c if (deg[w] - 1) % 2 else c) for wp, c in prod.items()])
+                  for x, prod in E.right_products[w] if x in rad]
+                 for w in range(E.dim)]
+        left = [[(x, [(wp, -c if (sus + 1) * (deg[x] - 1) % 2 else c)
+                      for wp, c in prod.items()])
+                 for x, prod in E.left_products[w] if x in rad]
+                for w in range(E.dim)]
+        # contraction sign -(-1)^{sus + |T[:a]| + |x|}, by the parity of
+        # sus + 1 + |T[:a]|
+        even = {z: [(x, y, -cf if (deg[x] - 1) % 2 else cf) for x, y, cf in xs]
+                for z, xs in self.factorizations().items()}
+        odd = {z: [(x, y, -cf) for x, y, cf in xs] for z, xs in even.items()}
+        cols = []
         for key, w in self.basis(s, t):
+            T = key if s else ()  # arity 0: keyed by vertex, no arguments
             col = {}
-            wodd = (E.deg[w] - 1) % 2  # (-1)^{|w|} = -1
-            if s == 0:
-                v = key
-                for x in self.elements():
-                    if E.src[x] == v:
-                        for wp, c in E.table.get((w, x), {}).items():
-                            _accum(col, rindex[((x,), wp)], -c if wodd else c)
-                for x in self.elements():
-                    if E.tgt[x] == v:
-                        neg = (sus + 1) * (E.deg[x] - 1) % 2
-                        for wp, c in E.table.get((x, w), {}).items():
-                            _accum(col, rindex[((x,), wp)], -c if neg else c)
-            else:
-                T = key
-                for x in self.elements():
-                    if E.src[x] == E.tgt[w]:
-                        for wp, c in E.table.get((w, x), {}).items():
-                            _accum(col, rindex[(T + (x,), wp)], -c if wodd else c)
-                for x in self.elements():
-                    if E.tgt[x] == E.src[w]:
-                        neg = (sus + 1) * (E.deg[x] - 1) % 2
-                        for wp, c in E.table.get((x, w), {}).items():
-                            _accum(col, rindex[((x,) + T, wp)], -c if neg else c)
-                # sign -(-1)^{sus + |T[:a]| + |x|}; parity starts at sus + 1
-                parity = sus + 1
-                for a in range(s):
-                    for x, y, cf in fact.get(T[a], ()):
-                        Tp = T[:a] + (x, y) + T[a + 1:]
-                        neg = (parity + E.deg[x] - 1) % 2
-                        _accum(col, rindex[(Tp, w)], -cf if neg else cf)
-                    parity += E.deg[T[a]] - 1
+            for x, prod in right[w]:
+                Tx = T + (x,)
+                for wp, c in prod:
+                    _accum(col, rindex[(Tx, wp)], c)
+            for x, prod in left[w]:
+                xT = (x,) + T
+                for wp, c in prod:
+                    _accum(col, rindex[(xT, wp)], c)
+            parity = sus + 1
+            for a in range(s):
+                head, tail = T[:a], T[a + 1:]
+                for x, y, cf in (odd if parity % 2 else even).get(T[a], ()):
+                    _accum(col, rindex[(head + (x, y) + tail, w)], cf)
+                parity += deg[T[a]] - 1
             cols.append(col)
         return cols
 
@@ -584,42 +580,35 @@ class UnnormalizedComplex(HochschildComplex):
     def delta_columns(self, s, t):
         E = self.E
         rindex = self.index(s + 1, t)
+        # signs fixed once per table entry: (-1)^{deg(a_1) t} on a_1 . f,
+        # (-1)^{s+1} on f . a_{s+1}, (-1)^{a+1} on the a-th contraction
+        left = [[(x, [(wp, -c if E.deg[x] * t % 2 else c) for wp, c in prod.items()])
+                 for x, prod in E.left_products[w]]
+                for w in range(E.dim)]
+        right = [[(x, [(wp, c if s % 2 else -c) for wp, c in prod.items()])
+                  for x, prod in E.right_products[w]]
+                 for w in range(E.dim)]
         fact = self.factorizations()
+        negfact = {z: [(x, y, -cf) for x, y, cf in xs] for z, xs in fact.items()}
         cols = []
         for key, w in self.basis(s, t):
+            T = key if s else ()  # arity 0: keyed by vertex, no arguments
             col = {}
-            if s == 0:
-                v = key
-                # a_1 . c needs tgt(a_1) = v; c . a_1 needs src(a_1) = v
-                for x in range(E.dim):
-                    if E.tgt[x] == v:
-                        neg = E.deg[x] * t % 2
-                        for wp, c in E.table.get((x, w), {}).items():
-                            _accum(col, rindex[((x,), wp)], -c if neg else c)
-                for x in range(E.dim):
-                    if E.src[x] == v:
-                        for wp, c in E.table.get((w, x), {}).items():
-                            _accum(col, rindex[((x,), wp)], -c)
-            else:
-                T = key
-                # a_1 . f(a_2 ... a_{s+1})
-                for x in range(E.dim):
-                    if E.tgt[x] == E.src[w]:
-                        neg = E.deg[x] * t % 2
-                        for wp, c in E.table.get((x, w), {}).items():
-                            _accum(col, rindex[((x,) + T, wp)], -c if neg else c)
-                # contractions
-                for a in range(s):
-                    neg = a % 2 == 0  # (-1)^{a+1}
-                    for x, y, cf in fact.get(T[a], ()):
-                        Tp = T[:a] + (x, y) + T[a + 1:]
-                        _accum(col, rindex[(Tp, w)], -cf if neg else cf)
-                # f(a_1 ... a_s) . a_{s+1}
-                neg = s % 2 == 0  # (-1)^{s+1}
-                for x in range(E.dim):
-                    if E.src[x] == E.tgt[w]:
-                        for wp, c in E.table.get((w, x), {}).items():
-                            _accum(col, rindex[(T + (x,), wp)], -c if neg else c)
+            # a_1 . f(a_2 ... a_{s+1})
+            for x, prod in left[w]:
+                xT = (x,) + T
+                for wp, c in prod:
+                    _accum(col, rindex[(xT, wp)], c)
+            # contractions
+            for a in range(s):
+                head, tail = T[:a], T[a + 1:]
+                for x, y, cf in (fact if a % 2 else negfact).get(T[a], ()):
+                    _accum(col, rindex[(head + (x, y) + tail, w)], cf)
+            # f(a_1 ... a_s) . a_{s+1}
+            for x, prod in right[w]:
+                Tx = T + (x,)
+                for wp, c in prod:
+                    _accum(col, rindex[(Tx, wp)], c)
             cols.append(col)
         return cols
 

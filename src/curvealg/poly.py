@@ -39,6 +39,11 @@ class PolyRing:
         if order_weights is None:
             order_weights = self.weights
         self.order_weights = tuple(order_weights)
+        if len(self.order_weights) != len(self.names):
+            raise ValueError("one order weight per variable")
+        if any(type(x) is not int for x in self.weights + self.order_weights):
+            raise ValueError("grading and order weights must be integers, got %r and %r"
+                             % (self.weights, self.order_weights))
         self.index = {n: i for i, n in enumerate(self.names)}
 
     def nvars(self):

@@ -108,6 +108,10 @@ class EWAlgebra:
             + [i + 1 for i in range(n)] + [0] * g
         self.src = src
         self.tgt = tgt
+        homs = {}
+        for k in range(self.dim):
+            homs.setdefault((src[k], tgt[k], deg[k]), []).append(k)
+        self._homs = {key: tuple(ks) for key, ks in homs.items()}
 
         # class of e_j in Q^n/W on the basis (e_c)_{c in nonpivots}:
         # for a pivot column p_r the rref row r gives
@@ -124,6 +128,13 @@ class EWAlgebra:
         self.coset_coords = coset  # index j-1 shifted: entry per column 0..n-1
 
         self.table = self._build_table()
+        # right_products[k] = [(m, k*m)], left_products[m] = [(k, k*m)] over
+        # nonzero products, ascending because the table is built in (k, m) order
+        self.right_products = [[] for _ in range(self.dim)]
+        self.left_products = [[] for _ in range(self.dim)]
+        for (k, m), prod in self.table.items():
+            self.right_products[k].append((m, prod))
+            self.left_products[m].append((k, prod))
 
         # caches filled on first use by hochschild.reduced_complex,
         # hochschild.unnormalized_complex and ainfinity.complement_data
@@ -185,9 +196,6 @@ class EWAlgebra:
                         del out[r]
         return out
 
-    def unit(self):
-        return {k: ONE for k in self.e_idx}
-
     def check_associativity(self):
         for a in range(self.dim):
             for b in range(self.dim):
@@ -201,14 +209,10 @@ class EWAlgebra:
 
     # -- views --------------------------------------------------------------
 
-    def is_idempotent(self, k):
-        return k < self.n + 1
-
-    def hom_basis(self, u, v, d=None):
-        """Basis indices of e_u E e_v, optionally restricted to degree d."""
-        return [k for k in range(self.dim)
-                if self.src[k] == u and self.tgt[k] == v
-                and (d is None or self.deg[k] == d)]
+    def hom_basis(self, u, v, d):
+        """Basis indices of the degree-d part of e_u E e_v, ascending, read
+        from a (source, target, degree) table built once per algebra."""
+        return self._homs.get((u, v, d), ())
 
     def graded_dims(self):
         out = {}

@@ -163,6 +163,25 @@ def test_malformed_structure_file_is_usage_error(tmp_path):
             assert "Traceback" not in out.stderr
 
 
+def test_malformed_relation_system_file_is_usage_error(tmp_path):
+    x = {"name": "x", "degree": 1}
+    for i, bad in enumerate(({}, [x], {"generators": [{"name": "x"}], "relations": []},
+                             {"generators": [dict(x, degree="a")], "relations": ["x^2"]},
+                             {"generators": [dict(x, degree=1.5)], "relations": ["x^2"]},
+                             {"generators": [x], "relations": ["x^2"],
+                              "order_weights": [1, 2]})):
+        path = tmp_path / ("bad%d.json" % i)
+        path.write_text(json.dumps(bad))
+        out = run_cli("poly", "closure", "--input", str(path))
+        assert out.returncode == 2, (bad, out.stderr)
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: malformed relation system file")
+        assert "Traceback" not in out.stderr
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps({"generators": [x], "relations": ["x^2"]}))
+    assert run_cli("poly", "closure", "--input", str(path)).returncode == 0
+
+
 def test_non_flat_structure_is_usage_error(tmp_path):
     # a structure file that parses but is not defect-free: normalize and
     # equiv (with either side bent) report one usage error, not an

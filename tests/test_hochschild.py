@@ -468,25 +468,29 @@ def test_accum_matches_reference_accumulation():
 
 
 def test_delta_columns_match_reference_exactly():
-    E = build_ew(SubspaceW(2, [["1/2", "-2/3"]]))
     cases = [(0, 0), (0, 1), (1, -1), (1, 0), (2, -2), (2, -1), (3, -3), (3, -2),
              (4, -3)]
-    for cx, reference in ((reduced_complex(E), reduced_delta_reference),
-                          (unnormalized_complex(E), unnormalized_delta_reference)):
-        nnz = 0
-        for s, t in cases:
-            got = cx.delta_columns(s, t)
-            want = reference(cx, s, t)
-            # same keys in the same order, same values of the same type
-            assert [list(c.items()) for c in got] == [list(c.items()) for c in want], (s, t)
-            assert all(type(x) is type(y) for c, d in zip(got, want)
-                       for x, y in zip(c.values(), d.values()))
-            nnz += sum(len(c) for c in got)
-            # delta o delta = 0
-            d1 = ExactMatrix.from_columns(got, cx.dim(s + 1, t))
-            d2 = ExactMatrix.from_columns(cx.delta_columns(s + 1, t), cx.dim(s + 2, t))
-            assert d2.matmul(d1).is_zero(), (s, t)
-        assert nnz > 100
+    # g = 1, then g = 0 (no loop classes w_s) and g = n (no relation among them)
+    for w in (SubspaceW(2, [["1/2", "-2/3"]]), SubspaceW.full(2), SubspaceW.zero(2)):
+        E = build_ew(w)
+        for cx, reference in ((reduced_complex(E), reduced_delta_reference),
+                              (unnormalized_complex(E), unnormalized_delta_reference)):
+            nnz = 0
+            for s, t in cases:
+                got = cx.delta_columns(s, t)
+                want = reference(cx, s, t)
+                # same keys in the same order, same values of the same type
+                assert [list(c.items()) for c in got] == [list(c.items()) for c in want], \
+                    (E.g, s, t)
+                assert all(type(x) is type(y) for c, d in zip(got, want)
+                           for x, y in zip(c.values(), d.values()))
+                nnz += sum(len(c) for c in got)
+                # delta o delta = 0
+                d1 = ExactMatrix.from_columns(got, cx.dim(s + 1, t))
+                d2 = ExactMatrix.from_columns(cx.delta_columns(s + 1, t),
+                                              cx.dim(s + 2, t))
+                assert d2.matmul(d1).is_zero(), (E.g, s, t)
+            assert nnz > 100
 
 
 # -- cochain deserialization ----------------------------------------------------------

@@ -68,6 +68,35 @@ def test_triple_radical_products_vanish():
                 assert E.mul({k: v for k, v in ab.items()}, {c: ONE}) == {}
 
 
+def test_lookup_tables_match_a_scan():
+    algebras = [build_ew(SubspaceW.zero(1)), build_ew(SubspaceW(2, [[1, 1]])),
+                build_ew(SubspaceW(2, [["1/2", "-2/3"]])), build_ew(SubspaceW.full(3)),
+                build_ew(SubspaceW.zero(2))]
+    for E in algebras:
+        for u in range(E.n + 1):
+            for v in range(E.n + 1):
+                for d in (-1, 0, 1, 2):
+                    want = [k for k in range(E.dim)
+                            if E.src[k] == u and E.tgt[k] == v and E.deg[k] == d]
+                    assert list(E.hom_basis(u, v, d)) == want, (E, u, v, d)
+        for k in range(E.dim):
+            assert E.right_products[k] == [(m, E.table[(k, m)]) for m in range(E.dim)
+                                           if (k, m) in E.table]
+            assert E.left_products[k] == [(m, E.table[(m, k)]) for m in range(E.dim)
+                                          if (m, k) in E.table]
+    # what a caller gets back cannot change the table
+    E = algebras[1]
+    want = list(E.hom_basis(0, 0, 1))
+    assert want == E.w_idx
+    for mutate in (lambda xs: xs.append(0), lambda xs: xs.__setitem__(0, 0),
+                   lambda xs: xs.clear()):
+        try:
+            mutate(E.hom_basis(0, 0, 1))
+        except (AttributeError, TypeError):
+            pass
+    assert list(E.hom_basis(0, 0, 1)) == want
+
+
 # -- path-enumeration oracle ---------------------------------------------------
 
 
