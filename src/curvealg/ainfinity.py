@@ -33,9 +33,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .linalg import (ExactMatrix, ONE, Subspace, rat, solve, vec_addmul,
-                     vec_scale)
-from .hochschild import (Cochain, _accum, compose as cochain_compose,
+from .linalg import (ExactMatrix, ONE, Subspace, accum, rat, solve,
+                     vec_addmul, vec_scale)
+from .hochschild import (Cochain, compose as cochain_compose,
                          differential_apply, eval_b2, reduced_complex)
 from .poly import PolyRing
 
@@ -225,7 +225,7 @@ def _add_on_blocks(out, c, f, T, parts):
         val = values.get(tuple(key))
         if val:
             for k, x in val.items():
-                _accum(out, k, x if coef is None else coef * x)
+                accum(out, k, x if coef is None else coef * x)
 
 
 def gauge_compose(f, g):
@@ -250,7 +250,7 @@ def gauge_compose(f, g):
                 p = len(parts)
                 if p == 1:
                     for k, c in f.comps[r].values.get(T, {}).items():
-                        _accum(val, k, c)
+                        accum(val, k, c)
                 elif p in g.comps:
                     _add_on_blocks(val, g.comps[p], f, T, parts)
             if val:
@@ -327,7 +327,7 @@ def gauge_act(f, m):
                     ys = _layer_values(f, T, parts)
                     if ys is not None:
                         for k, c in eval_b2(E, ys[0], ys[1]).items():
-                            _accum(val, k, c)
+                            accum(val, k, c)
                 elif q > 2 and q in m.comps:
                     _add_on_blocks(val, m.comps[q], f, T, parts)
             signs = [-1]  # -(-1)^{|T[:i]|}
@@ -351,9 +351,7 @@ def gauge_act(f, m):
                             continue
                         fv = fvals.get(head + (z,) + tail)
                         if fv:
-                            c = sgn * cz
-                            for k, x in fv.items():
-                                _accum(val, k, c * x)
+                            vec_addmul(val, sgn * cz, fv)
             if val:
                 values[T] = val
         if values:

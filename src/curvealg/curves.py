@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import (Echelon, ExactMatrix, ONE, ZERO, kernel_basis,
+from .linalg import (Echelon, ExactMatrix, ONE, ZERO, accum, kernel_basis,
                      rank_of_columns, rat, rat_str, vec_addmul)
 from .poly import LaurentVector, PolyRing, RelationSystem, WindowUnderflowError
 from .quiver import SubspaceW
@@ -66,6 +66,9 @@ class SpecialCurveData:
         sorted complement."""
         d = cls(n, S)
         comp = d.complement()
+        if [len(row) for row in rows] != [len(comp)] * d.g:
+            raise ValueError("a must be a %d x %d matrix (|S| x (n - |S|))"
+                             % (d.g, len(comp)))
         a = {}
         for r, i in enumerate(d.S):
             for c, j in enumerate(comp):
@@ -79,7 +82,10 @@ class SpecialCurveData:
 
     @classmethod
     def from_json(cls, obj):
-        return cls.from_rows(obj["n"], obj["S"], obj.get("a", []))
+        """Inverse of to_json; a missing "a" is the zero matrix."""
+        if "a" not in obj:
+            return cls(obj["n"], obj["S"])
+        return cls.from_rows(obj["n"], obj["S"], obj["a"])
 
     def __repr__(self):
         return "SpecialCurveData(n=%d, S=%s)" % (self.n, list(self.S))
@@ -180,30 +186,9 @@ def bp_mul(u, v):
     out = {}
     for (b1, e1), c1 in u.items():
         for (b2, e2), c2 in v.items():
-            if b1 != b2:
-                continue
-            key = (b1, e1 + e2)
-            s = out.get(key, ZERO) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            if b1 == b2:
+                accum(out, (b1, e1 + e2), c1 * c2)
     return out
-
-
-def bp_add(u, v):
-    out = dict(u)
-    for key, c in v.items():
-        s = out.get(key, ZERO) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return out
-
-
-def bp_scale(u, c):
-    return {k: c * x for k, x in u.items()} if c else {}
 
 
 def bp_eval(u, branch, value):
@@ -239,7 +224,7 @@ def rho_embed(pres, p, degree_bound=None, images=None):
         raise ValueError("degree above bound")
     out = {}
     for exps, c in p.terms.items():
-        out = bp_add(out, bp_scale(rho_monomial(pres, exps, images), c))
+        vec_addmul(out, c, rho_monomial(pres, exps, images))
     return out
 
 
@@ -467,11 +452,10 @@ def glue(left, q_left, right, q_right):
         bp = {}
         for idx, c in v.items():
             if idx < off:
-                part = {(b, e): c * x for (b, e), x in left.basis[idx].items()}
+                vec_addmul(bp, c, left.basis[idx])
             else:
-                part = {(b + left.branches, e): c * x
-                        for (b, e), x in right.basis[idx - off].items()}
-            bp = bp_add(bp, part)
+                for (b, e), x in right.basis[idx - off].items():
+                    accum(bp, (b + left.branches, e), c * x)
         glued.append(bp)
     model = CurveModel(branches, depth, glued, left.genus + right.genus)
     vectors = []

@@ -26,26 +26,12 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ExactMatrix, ONE, rank_of_columns, rat, rat_str
+from .linalg import (ExactMatrix, ONE, accum, rank_of_columns, rat, rat_str,
+                     vec_addmul)
 
 
 def _sign(k):
     return -1 if k % 2 else 1
-
-
-def _accum(out, key, c):
-    """out[key] += c, storing c itself for a new key and dropping zeros."""
-    if not c:
-        return
-    s = out.get(key)
-    if s is None:
-        out[key] = c
-    else:
-        s += c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
 
 
 class Cochain:
@@ -78,21 +64,14 @@ class Cochain:
     def is_zero(self):
         return not self.is_mul and not self.values
 
-    def copy(self):
-        return Cochain(self.E, self.s, self.t,
-                       {k: dict(v) for k, v in self.values.items()},
-                       self.is_mul)
-
     def add(self, other):
         assert (self.s, self.t) == (other.s, other.t)
-        out = self.copy()
+        values = {k: dict(v) for k, v in self.values.items()}
         for key, vec in other.values.items():
-            acc = out.values.setdefault(key, {})
+            acc = values.setdefault(key, {})
             for k, c in vec.items():
-                _accum(acc, k, c)
-            if not acc:
-                del out.values[key]
-        return out
+                accum(acc, k, c)
+        return Cochain(self.E, self.s, self.t, values, self.is_mul)
 
     def scale(self, c):
         if not c:
@@ -132,8 +111,7 @@ class Cochain:
             c = ONE
             for _, ci in pick:
                 c = c * ci
-            for k, x in val.items():
-                _accum(out, k, c * x)
+            vec_addmul(out, c, val)
         return out
 
     def to_json(self):
@@ -185,17 +163,7 @@ class Cochain:
 
 def eval_b2(E, u, v):
     """Suspended product of two E-vectors: sum (-1)^{|x|} x y."""
-    out = {}
-    for k, ck in u.items():
-        sk = ck if E.deg[k] == 1 else -ck
-        for m, cm in v.items():
-            prod = E.table.get((k, m))
-            if not prod:
-                continue
-            c = sk * cm
-            for r, cr in prod.items():
-                _accum(out, r, c * cr)
-    return out
+    return E.mul({k: ck if E.deg[k] == 1 else -ck for k, ck in u.items()}, v)
 
 
 def compose(f, g):
@@ -250,14 +218,9 @@ def compose(f, g):
                     if z not in E.radical_set:
                         continue
                     fv = f.values.get(T[:a] + (z,) + rest)
-                    if not fv:
-                        continue
-                    for k, c in fv.items():
-                        _accum(term, k, cz * c)
-            if not term:
-                continue
-            for k, c in term.items():
-                _accum(val, k, sgn * c)
+                    if fv:
+                        vec_addmul(term, cz, fv)
+            vec_addmul(val, sgn, term)
         if val:
             out[key] = val
     return Cochain(E, r, t, out)
@@ -412,16 +375,16 @@ class HochschildComplex:
             for x, prod in right[w]:
                 Tx = T + (x,)
                 for wp, c in prod:
-                    _accum(col, rindex[(Tx, wp)], c)
+                    accum(col, rindex[(Tx, wp)], c)
             for x, prod in left[w]:
                 xT = (x,) + T
                 for wp, c in prod:
-                    _accum(col, rindex[(xT, wp)], c)
+                    accum(col, rindex[(xT, wp)], c)
             parity = sus + 1
             for a in range(s):
                 head, tail = T[:a], T[a + 1:]
                 for x, y, cf in (odd if parity % 2 else even).get(T[a], ()):
-                    _accum(col, rindex[(head + (x, y) + tail, w)], cf)
+                    accum(col, rindex[(head + (x, y) + tail, w)], cf)
                 parity += deg[T[a]] - 1
             cols.append(col)
         return cols
@@ -598,17 +561,17 @@ class UnnormalizedComplex(HochschildComplex):
             for x, prod in left[w]:
                 xT = (x,) + T
                 for wp, c in prod:
-                    _accum(col, rindex[(xT, wp)], c)
+                    accum(col, rindex[(xT, wp)], c)
             # contractions
             for a in range(s):
                 head, tail = T[:a], T[a + 1:]
                 for x, y, cf in (fact if a % 2 else negfact).get(T[a], ()):
-                    _accum(col, rindex[(head + (x, y) + tail, w)], cf)
+                    accum(col, rindex[(head + (x, y) + tail, w)], cf)
             # f(a_1 ... a_s) . a_{s+1}
             for x, prod in right[w]:
                 Tx = T + (x,)
                 for wp, c in prod:
-                    _accum(col, rindex[(Tx, wp)], c)
+                    accum(col, rindex[(Tx, wp)], c)
             cols.append(col)
         return cols
 

@@ -2,7 +2,11 @@
 
 Everything is computed over Q with exact arithmetic (fractions.Fraction);
 no floating point anywhere.  Matrices are stored sparsely; vectors are
-dicts index -> coefficient with no stored zeros.
+dicts index -> coefficient with no stored zeros.  accum is the one place
+that writes the accumulation rule for such dicts (store c itself for a new
+key, drop the key when the sum cancels); every sparse sum in the package
+goes through it or vec_addmul, except the integer elimination in
+_rank_component, which tracks row use as keys come and go.
 
 rref is the canonical exact reference.  rank_of_columns, which the
 Hochschild ranks and the curve-basis checks run on, eliminates
@@ -46,15 +50,19 @@ def rat_str(x):
 # sparse vectors
 
 
-def vec_add(u, v):
-    w = dict(u)
-    for i, c in v.items():
-        s = w.get(i, ZERO) + c
+def accum(u, i, c):
+    """u[i] += c, storing c itself for a new key and dropping zeros."""
+    if not c:
+        return
+    s = u.get(i)
+    if s is None:
+        u[i] = c
+    else:
+        s += c
         if s:
-            w[i] = s
+            u[i] = s
         else:
-            w.pop(i, None)
-    return w
+            del u[i]
 
 
 def vec_scale(u, c):
@@ -65,14 +73,9 @@ def vec_scale(u, c):
 
 def vec_addmul(u, c, v):
     """u += c*v in place, dropping zeros."""
-    if not c:
-        return u
-    for i, x in v.items():
-        s = u.get(i, ZERO) + c * x
-        if s:
-            u[i] = s
-        else:
-            u.pop(i, None)
+    if c:
+        for i, x in v.items():
+            accum(u, i, c * x)
     return u
 
 
@@ -486,6 +489,8 @@ def _rank_component(cols):
             if a != 1:
                 for i in other:
                     other[i] *= a
+            # written out, not accum: each added or dropped key also
+            # updates row_use
             for i, v in col.items():
                 s = other.get(i, 0) - b * v
                 if s:

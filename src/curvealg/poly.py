@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ZERO, ONE, rat, rat_str, vec_addmul
+from .linalg import ZERO, ONE, accum, rat, rat_str, vec_addmul
 
 
 class BoundExceededError(Exception):
@@ -139,11 +139,7 @@ class MultiPoly:
         self._check(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, ZERO) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
+            accum(t, e, c)
         return MultiPoly(self.ring, t)
 
     __radd__ = __add__
@@ -166,12 +162,7 @@ class MultiPoly:
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, ZERO) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]
+                accum(t, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return MultiPoly(self.ring, t)
 
     def __rmul__(self, other):
@@ -593,13 +584,8 @@ class LaurentVector:
         hi = min(his) if his else None
         out = LaurentVector(self.branches, lo, hi)
         for (b, e), c in itertools.chain(self.coeffs.items(), other.coeffs.items()):
-            if hi is not None and e > hi:
-                continue
-            s = out.coeffs.get((b, e), ZERO) + c
-            if s:
-                out.coeffs[(b, e)] = s
-            else:
-                out.coeffs.pop((b, e), None)
+            if hi is None or e <= hi:
+                accum(out.coeffs, (b, e), c)
         return out
 
     def scale(self, c):
@@ -630,13 +616,8 @@ class LaurentVector:
                 if b1 != b2:
                     continue
                 e = e1 + e2
-                if hi is not None and e > hi:
-                    continue
-                s = out.coeffs.get((b1, e), ZERO) + c1 * c2
-                if s:
-                    out.coeffs[(b1, e)] = s
-                else:
-                    del out.coeffs[(b1, e)]
+                if hi is None or e <= hi:
+                    accum(out.coeffs, (b1, e), c1 * c2)
         return out
 
     def truncate(self, low, high):

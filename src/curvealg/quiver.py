@@ -17,7 +17,7 @@ basis deterministic.
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix, ONE, ZERO, rat, rat_str, rref
+from .linalg import ExactMatrix, ONE, rat, rat_str, rref, vec_addmul
 
 
 class SubspaceW:
@@ -185,15 +185,8 @@ class EWAlgebra:
         for k, ck in u.items():
             for m, cm in v.items():
                 prod = self.table.get((k, m))
-                if not prod:
-                    continue
-                c = ck * cm
-                for r, cr in prod.items():
-                    s = out.get(r, ZERO) + c * cr
-                    if s:
-                        out[r] = s
-                    else:
-                        del out[r]
+                if prod:
+                    vec_addmul(out, ck * cm, prod)
         return out
 
     def check_associativity(self):
@@ -255,12 +248,7 @@ class AlgebraMap:
     def apply(self, u):
         out = {}
         for k, c in u.items():
-            for r, cr in self.images[k].items():
-                s = out.get(r, ZERO) + c * cr
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
+            vec_addmul(out, c, self.images[k])
         return out
 
     def intertwines(self):

@@ -7,10 +7,11 @@ import random
 
 import pytest
 
-from curvealg.linalg import ExactMatrix, ONE, Subspace, rank, rat, rref, solve
+from curvealg.linalg import (ExactMatrix, ONE, Subspace, accum, rank, rat, rref,
+                             solve)
 from curvealg.quiver import SubspaceW, build_ew
-from curvealg.hochschild import (Cochain, _accum, _sign, differential_apply,
-                                 eval_b2, reduced_complex)
+from curvealg.hochschild import (Cochain, _sign, differential_apply, eval_b2,
+                                 reduced_complex)
 from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 defect, emit_moduli_equations, equivalent,
                                 extend_step, extension_residual, gauge_act,
@@ -136,7 +137,7 @@ def _gauge_inverse_reference(f):
         for T in cx.tuple_keys(r, 1 - r):
             val = {}
             for k, c in f.component(r).values.get(T, {}).items():
-                _accum(val, k, -c)
+                accum(val, k, -c)
             for p in range(2, r):
                 hp = inv_comps.get(p)
                 if hp is None:
@@ -146,7 +147,7 @@ def _gauge_inverse_reference(f):
                     if ys is None:
                         continue
                     for k, c in hp.eval_multilinear(ys).items():
-                        _accum(val, k, -c)
+                        accum(val, k, -c)
             if val:
                 values[T] = val
         if values:
@@ -174,7 +175,7 @@ def _gauge_compose_reference(f, g):
                             continue
                         term = g.component(p).eval_multilinear(ys)
                     for k, c in (term or {}).items():
-                        _accum(val, k, c)
+                        accum(val, k, c)
             if val:
                 values[T] = val
         if values:
@@ -219,7 +220,7 @@ def _gauge_act_reference(f, m):
                                 continue
                             sgn = _sign(sum(ydegs[:a]))
                             for k, c in term.items():
-                                _accum(val, k, sgn * c)
+                                accum(val, k, sgn * c)
             if val:
                 values[T] = val
         if values:
@@ -350,10 +351,10 @@ def _normalize_reference(m):
         for i, c in coords.items():
             if i < K.dim:
                 for j, b in K.basis[i].items():
-                    _accum(kappa, j, c * b)
+                    accum(kappa, j, c * b)
         w_im = dict(v)
         for j, c in kappa.items():
-            _accum(w_im, j, -c)
+            accum(w_im, j, -c)
         if not w_im:
             continue
         x = solve(cx.delta_matrix(k - 1, 2 - k), w_im)
@@ -372,7 +373,7 @@ def _split_reference(E, k, v):
     for i, c in solve(mix, v).items():
         if i < K.dim:
             for j, b in K.basis[i].items():
-                _accum(kappa, j, c * b)
+                accum(kappa, j, c * b)
         else:
             x[pivots[i - K.dim]] = c
     return kappa, x

@@ -404,6 +404,33 @@ def test_fuzz_malformed_structure_files(edit, sub):
     assert code in (0, 1, 2, 3), (code, err)
 
 
+def test_misshaped_a_matrix_is_usage_error():
+    # on n = 3, S = {1} the a-matrix is 1 x 2: a short row, an extra row and
+    # a long row are each one error line and exit 2, never a traceback or a
+    # silently truncated matrix
+    curve = ["--n", "3", "--s", "1"]
+    good = curve + ["--q", "0,1", "--depth", "4"]
+    runs = []
+    for a in ("2", "1,2;3", "1,2,3"):
+        runs += [["curve", "basis", *curve, "--a", a, "--deg-bound", "4"],
+                 ["curve", "special", *curve, "--a", a, "--deg-bound", "8"],
+                 ["curve", "component", *curve, "--a", a],
+                 ["curve", "krichever", *curve, "--a", a, "--depth", "4"],
+                 ["curve", "glue", *good, "--a", a, "--n2", "3", "--s2", "1",
+                  "--a2", "1,2", "--q2", "0,2"],
+                 ["curve", "glue", *good, "--a", "1,2", "--n2", "3", "--s2", "1",
+                  "--a2", a, "--q2", "0,2"]]
+    for argv in runs:
+        code, out, err = run_in_process(argv)
+        assert code == 2, (argv, err)
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: a must be a 1 x 2 matrix (|S| x (n - |S|))"], argv
+    code, _, err = run_in_process(["curve", "basis", *curve, "--a", "1,2",
+                                   "--deg-bound", "4"])
+    assert code == 0, err
+
+
 _flag_runs = st.one_of(
     st.tuples(st.just(("ainf", "random", "--n", "1", "--g", "1", "--w", "", "--order")),
               st.integers(-3, 4)),
@@ -415,6 +442,9 @@ _flag_runs = st.one_of(
               st.integers(-3, 6)),
     st.tuples(st.just(("curve", "basis", "--n", "2", "--s", "1", "--a", "2",
                        "--deg-bound")), st.integers(-3, 4)),
+    st.tuples(st.just(("curve", "basis", "--n", "3", "--s", "1", "--deg-bound", "4",
+                       "--a")),
+              st.sampled_from(["", "2", "1,2", "1,2,3", "1,2;3", "1;2", ";", "1/0,1"])),
     st.tuples(st.just(("ew", "--g", "0", "--n")), st.integers(-2, 2)),
     st.tuples(st.just(("ew", "--n", "2", "--g", "1", "--w")),
               st.sampled_from(["", "1,1", "1/0,1", "a,b", "1,1;2,2", "1", ";", "0,0"])),

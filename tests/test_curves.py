@@ -356,3 +356,10 @@ def test_json_serialization():
     assert j == {"n": 3, "S": [1, 3], "a": [["1/2"], ["-2"]]}
     d2 = SpecialCurveData.from_json(j)
     assert d2.n == d.n and d2.S == d.S and d2.a == d.a
+    # a missing matrix is zero for every S; a mis-shaped one is refused
+    for S in ([], [1], [1, 2, 3]):
+        d3 = SpecialCurveData.from_json({"n": 3, "S": S})
+        assert d3.S == tuple(S) and d3.a == {}
+    for a in ([], [["1"]], [["1", "2"], ["3", "4"], ["5", "6"]]):
+        with pytest.raises(ValueError, match="1 x 2"):
+            SpecialCurveData.from_json({"n": 3, "S": [2], "a": a})

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from curvealg.linalg import ExactMatrix, ONE, rank_of_columns, rat
+from curvealg.linalg import ExactMatrix, ONE, accum, rank_of_columns, rat
 from curvealg.quiver import SubspaceW, build_ew
-from curvealg.hochschild import (Cochain, _accum, cochain_basis,
-                                 differential_apply, gerstenhaber, hh_dim,
+from curvealg.hochschild import (Cochain, cochain_basis, differential_apply,
+                                 eval_b2, gerstenhaber, hh_dim,
                                  reduced_complex, unnormalized_complex,
                                  vanishing_scan)
 
@@ -461,10 +461,40 @@ def test_accum_matches_reference_accumulation():
              (5, rat(-1)), (1, rat(7)), (3, rat(-3, 4)), (5, rat(1, 3))]
     got, want = {}, {}
     for key, c in steps:
-        _accum(got, key, c)
+        accum(got, key, c)
         _accum_reference(want, key, c)
         assert list(got.items()) == list(want.items())
     assert list(got.items()) == [(5, rat(-2, 3)), (1, rat(7))]
+
+
+def _eval_b2_reference(E, u, v):
+    """eval_b2 as first written: its own signed triple loop over the table."""
+    out = {}
+    for k, ck in u.items():
+        sk = ck if E.deg[k] == 1 else -ck
+        for m, cm in v.items():
+            prod = E.table.get((k, m))
+            if not prod:
+                continue
+            c = sk * cm
+            for r, cr in prod.items():
+                accum(out, r, c * cr)
+    return out
+
+
+def test_eval_b2_matches_reference_loop_exactly():
+    rng = random.Random(7)
+    coeffs = [rat(1), rat(-1), rat(2), rat(1, 2), rat(-2, 3)]
+    for E in (E11(), E21(), build_ew(SubspaceW(2, [["1/2", "-2/3"]]))):
+        pairs = [({k: ONE}, {m: ONE}) for k in range(E.dim) for m in range(E.dim)]
+        for _ in range(40):
+            pairs.append(tuple({k: rng.choice(coeffs)
+                                for k in rng.sample(range(E.dim), rng.randint(1, 4))}
+                               for _ in range(2)))
+        for u, v in pairs:
+            got, want = eval_b2(E, u, v), _eval_b2_reference(E, u, v)
+            assert list(got.items()) == list(want.items()), (u, v)
+            assert all(type(c) is type(ONE) for c in got.values())
 
 
 def test_delta_columns_match_reference_exactly():

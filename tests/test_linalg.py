@@ -2,12 +2,14 @@
 
 import copy
 import random
+from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from curvealg.linalg import (Echelon, ExactMatrix, ONE, Subspace, image_basis,
-                             kernel_basis, rank, rank_of_columns, rat, rat_str,
-                             rref, solve, vec_addmul, vec_from_list)
+from curvealg.linalg import (Echelon, ExactMatrix, ONE, Subspace, accum,
+                             image_basis, kernel_basis, rank, rank_of_columns,
+                             rat, rat_str, rref, solve, vec_addmul,
+                             vec_from_list)
 
 
 def M(rows):
@@ -161,6 +163,68 @@ def test_matmul_and_apply():
     b = M([[1, 0], [3, 1]])
     assert a.matmul(b) == M([[7, 2], [3, 1]])
     assert a.apply(vec_from_list([1, 1])) == {0: rat(3), 1: ONE}
+
+
+# -- the sparse accumulation kernel against plain Fraction sums -------------------
+
+
+def _accum_reference(u, i, c):
+    """u[i] += c by summing Fractions from zero and dropping a zero sum."""
+    s = u.get(i, Fraction(0)) + c
+    if s:
+        u[i] = s
+    else:
+        u.pop(i, None)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _accumulations(draw):
+    """(key, c) steps over few keys; some steps recur negated, interleaved,
+    so that sums cancel and keys are dropped and re-added."""
+    steps = draw(st.lists(st.tuples(st.integers(0, 5), _small), max_size=20))
+    undo = draw(st.lists(st.sampled_from(steps), max_size=len(steps))) if steps else []
+    return draw(st.permutations(steps + [(k, -c) for k, c in undo]))
+
+
+def _assert_clean_and_equal(got, want):
+    assert list(got.items()) == list(want.items())
+    assert all(type(x) is Fraction and x for x in got.values())
+
+
+@given(_accumulations())
+def test_accum_matches_fraction_reference(steps):
+    got, want = {}, {}
+    for i, c in steps:
+        before = list(got.items())
+        accum(got, i, c)
+        _accum_reference(want, i, c)
+        _assert_clean_and_equal(got, want)
+        if not c:
+            assert list(got.items()) == before
+
+
+@given(_accumulations(), _small, _accumulations())
+def test_vec_addmul_matches_fraction_reference(u_steps, c, v_steps):
+    u, v = {}, {}
+    for i, x in u_steps:
+        _accum_reference(u, i, x)
+    for i, x in v_steps:
+        _accum_reference(v, i, x)
+    # v also holds -u / c where it can, so that whole entries cancel
+    if c:
+        for i, x in list(u.items())[::2]:
+            v[i] = -x / c
+    want = dict(u)
+    for i, x in v.items():
+        _accum_reference(want, i, c * x)
+    v_before = dict(v)
+    got = vec_addmul(u, c, v)
+    assert got is u
+    assert v == v_before
+    _assert_clean_and_equal(got, want)
 
 
 # -- fraction-free rank against rref, on inputs built to stress it ----------------
