@@ -33,8 +33,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .linalg import (ExactMatrix, ONE, Subspace, accum, rat, solve,
-                     vec_addmul, vec_scale)
+from .linalg import (Echelon, ExactMatrix, ONE, Subspace, accum, rank, rat,
+                     solve, vec_addmul)
 from .hochschild import (Cochain, compose as cochain_compose,
                          differential_apply, eval_b2, reduced_complex)
 from .poly import PolyRing
@@ -395,52 +395,25 @@ def is_flat(m):
 # canonical normalization
 
 
-class ComplementData:
+class ComplementData(Echelon):
     """Splitting of the arity-k cochain space as K + im(delta) with
-    delta = delta^1: C^{k-1} -> C^k, from one elimination of delta's
-    columns in order.
+    delta = delta^1: C^{k-1} -> C^k: the Echelon of delta's columns, added
+    in order.
 
     `pivots` are the columns of delta that enlarge the span of the columns
-    before them (the pivot columns of rref(delta)).  `rows` maps each pivot
-    index q of the reduced row echelon basis of im(delta) to (R_q, X_q):
-    R_q has entry 1 at q and is zero below q and at every other pivot
-    index, and X_q holds its coordinates on delta's columns at `pivots`,
-    so R_q = delta(X_q).  K is spanned by the standard vectors off the
-    pivot indices, the pivot-rule complement of im(delta)."""
+    before them (the pivot columns of the reduced row echelon form of
+    delta).  `rows` maps each pivot index q of the RREF basis of im(delta)
+    to (R_q, X_q) with R_q = delta(X_q) and X_q supported on `pivots`, and
+    `split(v)` returns (kappa, x) with v = kappa + delta(x).  K is spanned
+    by the standard vectors off the pivot indices, the pivot-rule
+    complement of im(delta), and holds kappa."""
 
-    __slots__ = ("pivots", "rows", "K")
+    __slots__ = ("pivots", "K")
 
     def __init__(self, columns, dim):
-        self.pivots = []
-        self.rows = {}
-        for j, col in enumerate(columns):
-            r, x = self.split(col)
-            if not r:
-                continue
-            q = min(r)
-            inv = ONE / r[q]
-            r, x = vec_scale(r, inv), {p: -c * inv for p, c in x.items()}
-            x[j] = inv
-            for rq, xq in self.rows.values():
-                c = rq.get(q)
-                if c:
-                    vec_addmul(rq, -c, r)
-                    vec_addmul(xq, -c, x)
-            self.pivots.append(j)
-            self.rows[q] = (r, x)
+        super().__init__()
+        self.pivots = [j for j, col in enumerate(columns) if self.add(col)]
         self.K = Subspace(dim, [{i: ONE} for i in range(dim) if i not in self.rows])
-
-    def split(self, v):
-        """(kappa, x) with v = kappa + delta(x), kappa in K and x supported
-        on `pivots`: kappa = v - sum_q v_q R_q and x = sum_q v_q X_q."""
-        kappa = dict(v)
-        x = {}
-        for q, c in v.items():
-            row = self.rows.get(q)
-            if row is not None:
-                vec_addmul(kappa, -c, row[0])
-                vec_addmul(x, c, row[1])
-        return kappa, x
 
 
 def complement_data(E, k):
@@ -620,7 +593,6 @@ class ModuliEquations:
         return mat
 
     def corank_at_zero(self):
-        from .linalg import rank
         return len(self.unknowns) - rank(self.jacobian_at_zero())
 
     def to_json(self):

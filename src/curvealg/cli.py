@@ -57,7 +57,7 @@ def _curve_data(args, suffix=""):
     S = _parse_ints(getattr(args, "s" + suffix))
     rows = _parse_rows(getattr(args, "a" + suffix, None) or "")
     if rows:
-        return SpecialCurveData.from_rows(n, S, rows)
+        return SpecialCurveData.from_rows(n, S, rows, name="--a" + suffix)
     return SpecialCurveData(n, S)
 
 
@@ -351,8 +351,10 @@ def _add_curve(p, suffix=""):
     p.add_argument("--a" + suffix, default="", help="a-matrix rows ';'-separated")
 
 
-def _add_chart(p):
-    p.add_argument("--a12", default="0")
+def _add_chart(p, a12="0"):
+    # transition and bundle need a12 invertible and pass a12="1", so their
+    # bare commands run
+    p.add_argument("--a12", default=a12)
     p.add_argument("--b12", default="0")
     p.add_argument("--e12", default="0")
     p.add_argument("--pi1", default="0")
@@ -460,7 +462,7 @@ def build_parser():
     p.set_defaults(func=cmd_genus1_relations)
 
     p = gsub.add_parser("transition")
-    _add_chart(p)
+    _add_chart(p, a12="1")
     p.add_argument("--symbolic", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_genus1_transition)
@@ -480,7 +482,7 @@ def build_parser():
     p.set_defaults(func=cmd_genus1_compare)
 
     p = gsub.add_parser("bundle")
-    _add_chart(p)
+    _add_chart(p, a12="1")
     p.add_argument("--symbolic", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_genus1_bundle)

@@ -61,14 +61,14 @@ class SpecialCurveData:
         return self.a.get((i, j), ZERO)
 
     @classmethod
-    def from_rows(cls, n, S, rows):
+    def from_rows(cls, n, S, rows, name="a"):
         """a given as a dense matrix, rows over sorted S, columns over the
-        sorted complement."""
+        sorted complement; a shape error calls the matrix `name`."""
         d = cls(n, S)
         comp = d.complement()
         if [len(row) for row in rows] != [len(comp)] * d.g:
-            raise ValueError("a must be a %d x %d matrix (|S| x (n - |S|))"
-                             % (d.g, len(comp)))
+            raise ValueError("%s must be a %d x %d matrix (|S| x (n - |S|))"
+                             % (name, d.g, len(comp)))
         a = {}
         for r, i in enumerate(d.S):
             for c, j in enumerate(comp):

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: rref, rank, kernels, echelon bases, solves.
+"""Exact rational linear algebra: echelon bases, kernels, solves, ranks.
 
 Everything is computed over Q with exact arithmetic (fractions.Fraction);
 no floating point anywhere.  Matrices are stored sparsely; vectors are
@@ -8,14 +8,20 @@ key, drop the key when the sum cancels); every sparse sum in the package
 goes through it or vec_addmul, except the integer elimination in
 _rank_component, which tracks row use as keys come and go.
 
-rref is the canonical exact reference.  rank_of_columns, which the
-Hochschild ranks and the curve-basis checks run on, eliminates
-fraction-free on Python ints instead (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
-each column is scaled to coprime integers, and a column is reduced
-against a pivot column by integer combination followed by division by its
-content.  Both steps are rank-preserving column operations, so the rank is
-exact without any rational division.
+Echelon is the one Fraction elimination: it keeps the reduced row echelon
+basis of a span together with each row's coordinates on the added
+vectors, and kernel_basis, solve, the pivot-rule complements of
+ainfinity, the loop classes of quiver and the curve-basis checks all read
+it.  The textbook reduced row echelon form is kept in the tests, as the
+reference.
+
+rank_of_columns, which the Hochschild and Laurent-window ranks run on,
+eliminates fraction-free on Python ints instead (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968): each column is scaled to coprime integers, and a column is
+reduced against a pivot column by integer combination followed by
+division by its content.  Both steps are rank-preserving column
+operations, so the rank is exact without any rational division.
 """
 
 from __future__ import annotations
@@ -81,10 +87,6 @@ def vec_addmul(u, c, v):
 
 def vec_from_list(xs):
     return {i: rat(x) for i, x in enumerate(xs) if rat(x)}
-
-
-def vec_to_list(u, n):
-    return [u.get(i, ZERO) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +166,6 @@ class ExactMatrix:
     def nnz(self):
         return sum(len(r) for r in self.data.values())
 
-    def transpose(self):
-        m = ExactMatrix(self.cols, self.rows)
-        for i, row in self.data.items():
-            for j, c in row.items():
-                m.set(j, i, c)
-        return m
-
     def apply(self, v):
         """Matrix times sparse vector (dict)."""
         out = {}
@@ -201,11 +196,6 @@ class ExactMatrix:
     def to_lists(self):
         return [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
-    def copy(self):
-        m = ExactMatrix(self.rows, self.cols)
-        m.data = {i: dict(row) for i, row in self.data.items()}
-        return m
-
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -231,90 +221,100 @@ class ExactMatrix:
 # elimination
 
 
-def rref(m):
-    """Reduced row echelon form. Returns (ExactMatrix, pivot column list).
-
-    The RREF is unique, hence deterministic regardless of pivot choices.
-    """
-    work = [dict(m.data.get(i, {})) for i in range(m.rows)]
-    pivots = []
-    pivot_rows = []  # parallel to pivots: row dict holding that pivot
-    next_row = 0
-    for j in range(m.cols):
-        sel = None
-        for i in range(next_row, m.rows):
-            if work[i].get(j):
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[next_row], work[sel] = work[sel], work[next_row]
-        prow = work[next_row]
-        inv = ONE / prow[j]
-        if inv != ONE:
-            for k in list(prow):
-                prow[k] *= inv
-        for i in range(m.rows):
-            if i != next_row and work[i].get(j):
-                vec_addmul(work[i], -work[i][j], prow)
-        pivots.append(j)
-        pivot_rows.append(prow)
-        next_row += 1
-    out = ExactMatrix(m.rows, m.cols)
-    out.data = {i: row for i, row in enumerate(work) if row}
-    return out, pivots
-
-
 def rank(m):
     return rank_of_columns(m.columns())
+
+
+class Echelon:
+    """The reduced row echelon basis of the span of the sparse vectors added
+    so far, with the coordinates of each row on those vectors.
+
+    `rows` maps each pivot q to (R_q, X_q).  R_q has entry 1 at q, which is
+    the least index of its support, and is zero at every other pivot;
+    X_q holds its coordinates on the added vectors, numbered in the order
+    they were added, so R_q = sum_j X_q[j] v_j.  The rows are the RREF basis
+    of the span whatever order the vectors came in, and X_q is supported
+    on the vectors that enlarged the span of those before them.
+    """
+
+    __slots__ = ("rows", "added")
+
+    def __init__(self, vectors=()):
+        self.rows = {}
+        self.added = 0
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def split(self, v):
+        """(kappa, x) with v = kappa + sum_j x_j v_j and kappa zero at every
+        pivot: kappa = v - sum_q v_q R_q and x = sum_q v_q X_q."""
+        kappa = dict(v)
+        x = {}
+        for q, c in v.items():
+            row = self.rows.get(q)
+            if row is not None:
+                vec_addmul(kappa, -c, row[0])
+                vec_addmul(x, c, row[1])
+        return kappa, x
+
+    def contains(self, v):
+        """v lies in the span: split's kappa is zero, found without
+        building x."""
+        kappa = dict(v)
+        for q, c in v.items():
+            row = self.rows.get(q)
+            if row is not None:
+                vec_addmul(kappa, -c, row[0])
+        return not kappa
+
+    def add(self, v):
+        """Add v as the next vector; True iff it enlarged the span."""
+        j = self.added
+        self.added += 1
+        r, x = self.split(v)
+        if not r:
+            return False
+        q = min(r)
+        inv = ONE / r[q]
+        r, x = vec_scale(r, inv), {p: -c * inv for p, c in x.items()}
+        x[j] = inv
+        for rq, xq in self.rows.values():
+            c = rq.get(q)
+            if c:
+                vec_addmul(rq, -c, r)
+                vec_addmul(xq, -c, x)
+        self.rows[q] = (r, x)
+        return True
 
 
 def kernel_basis(m):
     """Basis of the null space, as a Subspace of dimension cols - rank.
 
-    One basis vector per free column, in increasing column order; the free
-    coordinate is set to 1 (deterministic presentation).
+    One basis vector e_j - x per column j that the columns before it span,
+    with x its coordinates on the pivot columns, in increasing column
+    order: the free coordinate is 1 and the others are zero (the
+    presentation read off the reduced row echelon form of m).
     """
-    r, pivots = rref(m)
-    pivset = set(pivots)
+    ech = Echelon()
     basis = []
-    # row index of each pivot column
-    prow_of = {j: i for i, j in enumerate(pivots)}
-    for j in range(m.cols):
-        if j in pivset:
-            continue
-        v = {j: ONE}
-        for pj, pi in prow_of.items():
-            c = r.get(pi, j)
-            if c:
-                v[pj] = -c
-        basis.append(v)
+    for j, col in enumerate(m.columns()):
+        if not ech.add(col):
+            x = ech.split(col)[1]
+            basis.append({j: ONE} | {p: -x[p] for p in sorted(x)})
     return Subspace(m.cols, basis)
 
 
-def image_basis(m):
-    """Basis of the column span: the original columns at rref pivot indices."""
-    _, pivots = rref(m)
-    return Subspace(m.rows, [m.column(j) for j in pivots])
-
-
 def solve(m, b):
-    """Some x with m x = b, or None. Free variables are set to zero."""
-    aug = m.copy()
-    bcol = ExactMatrix(m.rows, m.cols + 1)
-    bcol.data = {i: dict(row) for i, row in aug.data.items()}
-    bcol.cols = m.cols + 1
-    for i, c in b.items():
-        bcol.set(i, m.cols, c)
-    r, pivots = rref(bcol)
-    if pivots and pivots[-1] == m.cols:
+    """Some x with m x = b, or None.  x is supported on the pivot columns
+    (free variables are zero), which makes it unique, and its keys are in
+    increasing order."""
+    kappa, x = Echelon(m.columns()).split(b)
+    if kappa:
         return None
-    x = {}
-    for row_i, j in enumerate(pivots):
-        c = r.get(row_i, m.cols)
-        if c:
-            x[j] = c
-    return x
+    return {j: x[j] for j in sorted(x)}
 
 
 class Subspace:
@@ -322,11 +322,9 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim, basis, check=False):
+    def __init__(self, ambient_dim, basis):
         self.ambient_dim = ambient_dim
         self.basis = list(basis)
-        if check and rank(self.matrix()) != len(self.basis):
-            raise ValueError("basis vectors are dependent")
 
     @property
     def dim(self):
@@ -351,46 +349,6 @@ class Subspace:
         return len(Echelon(self.basis + other.basis)) == self.dim
 
 
-class Echelon:
-    """Exact echelon basis of the span of the sparse vectors added so far.
-
-    Each stored vector has a pivot entry 1 and is zero at the pivots stored
-    before it, so reducing a vector against the stored ones in order clears
-    every pivot, and the remainder is zero exactly when the vector lies in
-    the span.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, vectors=()):
-        self.rows = []  # (pivot index, vector with that entry 1)
-        for v in vectors:
-            self.add(v)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def _reduce(self, v):
-        v = dict(v)
-        for p, row in self.rows:
-            c = v.get(p)
-            if c:
-                vec_addmul(v, -c, row)
-        return v
-
-    def add(self, v):
-        """Add v to the span; True iff it was independent of the span."""
-        v = self._reduce(v)
-        if not v:
-            return False
-        p = next(iter(v))
-        self.rows.append((p, vec_scale(v, ONE / v[p])))
-        return True
-
-    def contains(self, v):
-        return not self._reduce(v)
-
-
 # ---------------------------------------------------------------------------
 # fast rank for large sparse systems
 
@@ -407,8 +365,8 @@ def rank_of_columns(columns):
     a/b the reduced ratio of the two pivot-row entries, divided by its
     content.  Each step is an exact rank-preserving column operation, so
     no fraction, modulus or certificate is needed.  Any pivot strategy
-    yields the same rank, so this path is free to be greedy while rref
-    stays canonical.
+    yields the same rank, so this path is free to be greedy while Echelon
+    keeps the canonical pivot rule.
     """
     cols = [_integer_column(c) for c in columns if c]
     if not cols:

@@ -209,17 +209,6 @@ class MultiPoly:
     def coeff(self, exps):
         return self.terms.get(tuple(exps), ZERO)
 
-    def subs_values(self, values):
-        """Evaluate at a full point (list of coefficients, one per variable)."""
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(values, e):
-                for _ in range(k):
-                    v = v * x
-            total += v
-        return total
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -10,20 +10,23 @@ the n+1 vertex idempotents, the arrows A_i and B_i, the loops l_i = A_i B_i,
 and g = n - rank-deficiency independent loop classes at O; its dimension is
 4n + g + 1.
 
-The loop classes at O are the classes of e_i in Q^n / W at the non-pivot
-columns of rref(W) (the canonical-complement pivot rule), which makes the
+The loop classes at O are the classes of e_i in Q^n / W at the columns
+that are not pivots of the reduced row echelon basis of W (the
+canonical-complement pivot rule, read off linalg.Echelon), which makes the
 basis deterministic.
 """
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix, ONE, rat, rat_str, rref, vec_addmul
+from .linalg import Echelon, ExactMatrix, ONE, rat, rat_str, vec_addmul
 
 
 class SubspaceW:
-    """An (n-g)-dimensional subspace of Q^n, given by full-rank rows."""
+    """An (n-g)-dimensional subspace of Q^n, given by full-rank rows.
+    `echelon` is the Echelon of those rows: its `rows` are the reduced row
+    echelon basis of W, one per pivot column."""
 
-    __slots__ = ("n", "g", "matrix")
+    __slots__ = ("n", "g", "matrix", "echelon")
 
     def __init__(self, n, rows):
         if n < 0:
@@ -39,8 +42,8 @@ class SubspaceW:
                 for j, c in enumerate(row):
                     m.set(i, j, rat(c))
             self.matrix = m
-        red, pivots = rref(self.matrix)
-        if len(pivots) != self.matrix.rows:
+        self.echelon = Echelon(self.matrix.row(i) for i in range(self.matrix.rows))
+        if len(self.echelon) != self.matrix.rows:
             raise ValueError("W rows are not linearly independent")
         self.g = n - self.matrix.rows
 
@@ -80,8 +83,8 @@ class EWAlgebra:
         labels += ["B%d" % i for i in range(1, n + 1)]
         labels += ["l%d" % i for i in range(1, n + 1)]
 
-        red, pivots = rref(w.matrix)
-        nonpivots = [j for j in range(n) if j not in set(pivots)]
+        reduced = w.echelon.rows
+        nonpivots = [j for j in range(n) if j not in reduced]
         labels += ["w%d" % (s + 1) for s in range(len(nonpivots))]
         assert len(nonpivots) == g
 
@@ -114,15 +117,13 @@ class EWAlgebra:
         self._homs = {key: tuple(ks) for key, ks in homs.items()}
 
         # class of e_j in Q^n/W on the basis (e_c)_{c in nonpivots}:
-        # for a pivot column p_r the rref row r gives
-        # e_{p_r} = -sum_{c nonpivot} R[r][c] e_c  (mod W)
+        # for a pivot column p the reduced row R_p gives
+        # e_p = -sum_{c nonpivot} R_p[c] e_c  (mod W)
         coset = []
-        prow_of = {j: i for i, j in enumerate(pivots)}
         for j in range(n):
-            if j in prow_of:
-                i = prow_of[j]
-                coset.append({s: -red.get(i, c)
-                              for s, c in enumerate(nonpivots) if red.get(i, c)})
+            if j in reduced:
+                row = reduced[j][0]
+                coset.append({s: -row[c] for s, c in enumerate(nonpivots) if c in row})
             else:
                 coset.append({nonpivots.index(j): ONE})
         self.coset_coords = coset  # index j-1 shifted: entry per column 0..n-1

@@ -132,6 +132,21 @@ def test_genus1_gating():
     assert run_cli("genus1", "bundle", "--symbolic").returncode == 0
 
 
+def test_genus1_transition_and_bundle_run_with_default_flags():
+    # both need a12 invertible, so --a12 defaults to 1 there; relations
+    # accepts a12 = 0 and keeps that default
+    out = run_cli("genus1", "transition")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["certificate"]["verdict"] == "PASS"
+    assert payload["chart"]["a12"] == "1" and payload["involutive"] is True
+    out = run_cli("genus1", "bundle")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["verdict"] == "PASS"
+    out = run_cli("genus1", "relations")
+    assert json.loads(out.stdout)["chart"]["a12"] == "0"
+
+
 def test_ew_dump_and_tangent():
     out = run_cli("ew", "--n", "2", "--g", "1", "--w", "1,1")
     assert out.returncode == 0
@@ -407,25 +422,26 @@ def test_fuzz_malformed_structure_files(edit, sub):
 def test_misshaped_a_matrix_is_usage_error():
     # on n = 3, S = {1} the a-matrix is 1 x 2: a short row, an extra row and
     # a long row are each one error line and exit 2, never a traceback or a
-    # silently truncated matrix
+    # silently truncated matrix; the line names the flag of the bad matrix
     curve = ["--n", "3", "--s", "1"]
     good = curve + ["--q", "0,1", "--depth", "4"]
     runs = []
     for a in ("2", "1,2;3", "1,2,3"):
-        runs += [["curve", "basis", *curve, "--a", a, "--deg-bound", "4"],
-                 ["curve", "special", *curve, "--a", a, "--deg-bound", "8"],
-                 ["curve", "component", *curve, "--a", a],
-                 ["curve", "krichever", *curve, "--a", a, "--depth", "4"],
-                 ["curve", "glue", *good, "--a", a, "--n2", "3", "--s2", "1",
-                  "--a2", "1,2", "--q2", "0,2"],
-                 ["curve", "glue", *good, "--a", "1,2", "--n2", "3", "--s2", "1",
-                  "--a2", a, "--q2", "0,2"]]
-    for argv in runs:
+        runs += [("--a", ["curve", "basis", *curve, "--a", a, "--deg-bound", "4"]),
+                 ("--a", ["curve", "special", *curve, "--a", a, "--deg-bound", "8"]),
+                 ("--a", ["curve", "component", *curve, "--a", a]),
+                 ("--a", ["curve", "krichever", *curve, "--a", a, "--depth", "4"]),
+                 ("--a", ["curve", "glue", *good, "--a", a, "--n2", "3", "--s2", "1",
+                          "--a2", "1,2", "--q2", "0,2"]),
+                 ("--a2", ["curve", "glue", *good, "--a", "1,2", "--n2", "3",
+                           "--s2", "1", "--a2", a, "--q2", "0,2"])]
+    for flag, argv in runs:
         code, out, err = run_in_process(argv)
         assert code == 2, (argv, err)
         assert out == ""
         errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert errors == ["error: a must be a 1 x 2 matrix (|S| x (n - |S|))"], argv
+        assert errors == ["error: %s must be a 1 x 2 matrix (|S| x (n - |S|))"
+                          % flag], argv
     code, _, err = run_in_process(["curve", "basis", *curve, "--a", "1,2",
                                    "--deg-bound", "4"])
     assert code == 0, err

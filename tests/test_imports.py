@@ -1,7 +1,9 @@
 """No dead imports in the package: every name a module imports at its top
-level is read somewhere in that module."""
+level is read somewhere in that module.  Every package name the benchmark
+hooks by getattr exists."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -39,3 +41,16 @@ def test_unused_import_is_reported():
               "from .linalg import ONE, ZERO as Z, rat\n"
               "def f():\n    return rat(ONE) + len(os.path.sep)\n")
     assert unused_imports(source) == ["itertools", "Z"]
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/spans.py wraps these (owner, attribute) pairs by getattr;
+    # a rename or deletion in the package must fail here, not only in a
+    # traced benchmark run
+    path = SRC.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for span, owner, attr in spans.TARGETS:
+        assert callable(getattr(owner, attr, None)), (span, owner, attr)

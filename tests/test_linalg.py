@@ -7,19 +7,97 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from curvealg.linalg import (Echelon, ExactMatrix, ONE, Subspace, accum,
-                             image_basis, kernel_basis, rank, rank_of_columns,
-                             rat, rat_str, rref, solve, vec_addmul,
-                             vec_from_list)
+                             kernel_basis, rank, rank_of_columns, rat,
+                             rat_str, solve, vec_addmul, vec_from_list)
 
 
 def M(rows):
     return ExactMatrix.from_rows(rows)
 
 
+# -- references: the textbook reduced row echelon form and what reads it ---------
+#
+# The package's one Fraction elimination is Echelon; these are the independent
+# references that its answers are checked against.
+
+
+def rref(m):
+    """Reduced row echelon form. Returns (ExactMatrix, pivot column list).
+
+    The RREF is unique, hence deterministic regardless of pivot choices.
+    """
+    work = [dict(m.data.get(i, {})) for i in range(m.rows)]
+    pivots = []
+    next_row = 0
+    for j in range(m.cols):
+        sel = None
+        for i in range(next_row, m.rows):
+            if work[i].get(j):
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[next_row], work[sel] = work[sel], work[next_row]
+        prow = work[next_row]
+        inv = ONE / prow[j]
+        if inv != ONE:
+            for k in list(prow):
+                prow[k] *= inv
+        for i in range(m.rows):
+            if i != next_row and work[i].get(j):
+                vec_addmul(work[i], -work[i][j], prow)
+        pivots.append(j)
+        next_row += 1
+    out = ExactMatrix(m.rows, m.cols)
+    out.data = {i: row for i, row in enumerate(work) if row}
+    return out, pivots
+
+
+def image_basis(m):
+    """Basis of the column span: the original columns at rref pivot indices."""
+    _, pivots = rref(m)
+    return Subspace(m.rows, [m.column(j) for j in pivots])
+
+
+def kernel_basis_reference(m):
+    """One null vector per free column of rref(m), in increasing column
+    order, with the free coordinate 1."""
+    r, pivots = rref(m)
+    basis = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        v = {j: ONE}
+        for i, pj in enumerate(pivots):
+            c = r.get(i, j)
+            if c:
+                v[pj] = -c
+        basis.append(v)
+    return Subspace(m.cols, basis)
+
+
+def solve_reference(m, b):
+    """rref of [m | b]: None if b's column is a pivot, else the solution
+    with free variables zero, keyed in pivot order."""
+    aug = ExactMatrix(m.rows, m.cols + 1)
+    aug.data = {i: dict(row) for i, row in m.data.items()}
+    for i, c in b.items():
+        aug.set(i, m.cols, c)
+    r, pivots = rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = {}
+    for row_i, j in enumerate(pivots):
+        c = r.get(row_i, m.cols)
+        if c:
+            x[j] = c
+    return x
+
+
 def canonical_complement(sub):
     """Span of the standard basis vectors at the non-pivot columns of
     rref(basis-as-rows): the reference for the pivot-rule complements that
-    ainfinity.ComplementData builds by one incremental elimination.
+    ainfinity.ComplementData reads off its Echelon.
 
     Depends only on the subspace, not on its presented basis, and satisfies
     sub + complement = ambient with zero intersection.
@@ -93,6 +171,7 @@ def test_solve_examples():
     b = {0: rat(3), 2: rat(-1)}
     assert solve(ExactMatrix.identity(3), b) == b
     assert solve(ExactMatrix(2, 2), {0: ONE}) is None
+    assert solve(M([[1, 2], [2, 4]]), {0: ONE}) is None  # inconsistent
     assert solve(M([[1, 1]]), {0: rat(3)}) == {0: rat(3)}  # free var set to 0
 
 
@@ -358,3 +437,69 @@ def test_subspace_contains_and_equality():
     assert u != Subspace(3, [a, {2: ONE}])
     assert u != Subspace(3, [a])
     assert u != Subspace(4, [a, b])
+
+
+# -- Echelon against the rref references --------------------------------------------
+
+
+@st.composite
+def _vector_lists(draw):
+    """Sparse rational vectors in a shuffled order: independent draws, their
+    rational combinations (dependent), negated copies and near-negated
+    copies that cancel all but one entry during elimination, and {}."""
+    base = draw(st.lists(_columns, min_size=1, max_size=5))
+    vectors = base + [combination(base, c)
+                      for c in draw(st.lists(_coeffs, max_size=3))]
+    u = draw(st.sampled_from(base))
+    vectors.append({i: -c for i, c in u.items()})
+    near = {i: -c for i, c in u.items()}
+    accum(near, draw(st.integers(0, NROWS - 1)), draw(_entries))
+    vectors += [near, {}]
+    return draw(st.permutations(vectors))
+
+
+def _rows_matrix(vectors):
+    m = ExactMatrix(len(vectors), NROWS)
+    for i, v in enumerate(vectors):
+        for j, c in v.items():
+            m.set(i, j, c)
+    return m
+
+
+@given(_vector_lists(), st.lists(_columns, max_size=3))
+def test_echelon_rows_are_rref_of_span_with_exact_coordinates(vectors, probes):
+    ech = Echelon(vectors)
+    R, pivots = rref(_rows_matrix(vectors))
+    assert sorted(ech.rows) == pivots
+    assert ech.added == len(vectors)
+    independent = {j for j in range(len(vectors))
+                   if rank_of_columns(vectors[:j + 1]) > rank_of_columns(vectors[:j])}
+    for i, q in enumerate(pivots):
+        row, coords = ech.rows[q]
+        assert row == R.row(i) and min(row) == q
+        assert set(coords) <= independent
+        assert combination([vectors[j] for j in coords], coords.values()) == row
+    # split writes v as kappa plus a combination of the added vectors, with
+    # kappa zero at every pivot; contains agrees with kappa
+    for v in probes + [combination(vectors, [rat(j + 1, 2) for j in range(len(vectors))])]:
+        kappa, x = ech.split(v)
+        assert not set(kappa) & set(pivots)
+        whole = combination([vectors[j] for j in x], x.values())
+        for i, c in kappa.items():
+            accum(whole, i, c)
+        assert whole == v
+        assert ech.contains(v) == (not kappa)
+
+
+@given(_vector_lists(), _columns, _coeffs)
+def test_kernel_basis_and_solve_match_rref_references(vectors, b, coeffs):
+    m = ExactMatrix.from_columns(vectors, NROWS)
+    assert [list(v.items()) for v in kernel_basis(m).basis] == \
+        [list(v.items()) for v in kernel_basis_reference(m).basis]
+    # a consistent right-hand side and one that may not be
+    for rhs in (combination(vectors, coeffs), b, {}):
+        got, want = solve(m, rhs), solve_reference(m, rhs)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert list(got.items()) == list(want.items())
+            assert m.apply(got) == rhs

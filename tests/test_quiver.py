@@ -7,6 +7,7 @@ import pytest
 
 from curvealg.linalg import ONE, rank_of_columns, rat
 from curvealg.quiver import SubspaceW, build_ew, gm_rescale
+from test_linalg import rref
 
 
 def random_w(n, g, rng):
@@ -46,6 +47,38 @@ def test_two_point_coset_relation():
 def test_rank_deficient_w_rejected():
     with pytest.raises(ValueError):
         SubspaceW(2, [[1, 1], [2, 2]])
+
+
+def _loop_classes_reference(w):
+    """Non-pivot columns of rref(W), and the class of each e_j in Q^n/W on
+    the e_c at those columns: e_p = -sum_c R[row of p][c] e_c mod W."""
+    red, pivots = rref(w.matrix)
+    nonpivots = [j for j in range(w.n) if j not in pivots]
+    coset = []
+    for j in range(w.n):
+        if j in pivots:
+            i = pivots.index(j)
+            coset.append({s: -red.get(i, c)
+                          for s, c in enumerate(nonpivots) if red.get(i, c)})
+        else:
+            coset.append({nonpivots.index(j): ONE})
+    return nonpivots, coset
+
+
+def test_loop_classes_match_rref_reference():
+    rng = random.Random(2)
+    cases = [SubspaceW.zero(1), SubspaceW.full(1), SubspaceW(2, [[1, 1]]),
+             SubspaceW(2, [[1, -2]]), SubspaceW(2, [[rat(1, 2), rat(-2, 3)]]),
+             SubspaceW(3, [[1, 2, 0], [0, 1, 3]]),
+             SubspaceW(4, [[1, rat(1, 2), 0, 3], [0, 0, 1, rat(-2, 3)]]),
+             SubspaceW(3, [[0, 0, 1], [0, 2, 5]])]
+    cases += [random_w(n, g, rng) for n in (1, 2, 3) for g in range(n + 1)]
+    for w in cases:
+        E = build_ew(w)
+        nonpivots, coset = _loop_classes_reference(w)
+        assert E.loop_columns == nonpivots
+        assert [list(v.items()) for v in E.coset_coords] == \
+            [list(v.items()) for v in coset]
 
 
 def test_dimension_and_grading_grid():
@@ -192,7 +225,6 @@ def test_rescale_two_point_example():
     E = build_ew(SubspaceW(2, [[1, 1]]))
     m = gm_rescale(E, [2, 1])
     # componentwise rescaling of W = span(e1+e2) gives span(2 e1 + e2)
-    from curvealg.linalg import rref
     assert rref(m.target.w.matrix)[0].to_lists() == [[rat(1), rat(1, 2)]]
     assert m.intertwines()
 
