@@ -36,5 +36,5 @@ print("  (A1 B1) * A1 =", triple, "(radical^3 = 0)")
 # of the componentwise-rescaled subspace
 iso = gm_rescale(E2, [2, 1])
 print("\nrescaling by (2, 1):")
-print("  target W rows:", iso.target.w.matrix.to_json())
+print("  target W rows:", iso.target.w.to_json()["rows"])
 print("  intertwines the products:", iso.intertwines())

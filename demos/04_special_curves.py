@@ -18,7 +18,7 @@ for r in pres.system.relations:
 print("closure check:", pres.system.closure_check(12).to_json()["verdict"])
 print("basis verified to degree 12:", bool(verify_basis(d, 12)))
 print("component 1 is", component_type(d, 1))
-print("Grassmannian point rows:", grassmannian_point(d).matrix.to_json())
+print("Grassmannian point rows:", grassmannian_point(d).to_json()["rows"])
 
 win = krichever_window(d, 8)
 print("\nKrichever window at depth 8:")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .linalg import (Echelon, ExactMatrix, ONE, Subspace, accum, rank, rat,
+from .linalg import (Echelon, ONE, Subspace, accum, rank_of_columns, rat,
                      solve, vec_addmul)
 from .hochschild import (Cochain, compose as cochain_compose,
                          differential_apply, eval_b2, reduced_complex)
@@ -545,9 +545,7 @@ def extend_step(m, check_cocycle=True):
     if check_cocycle and not differential_apply(o).is_zero():
         raise AssertionError("extension residual is not a cocycle")
     t = 1 - N
-    D = cx.delta_matrix(N + 1, t)
-    ov = cx.cochain_to_vector(o)
-    c = solve(D, ov)
+    c = solve(cx.delta_columns(N + 1, t), cx.cochain_to_vector(o))
     if c is None:
         return ExtensionResult(None, o, False)
     cand = cx.vector_to_cochain(N + 1, t, {i: -x for i, x in c.items()})
@@ -581,19 +579,17 @@ class ModuliEquations:
         self.equations = equations
 
     def jacobian_at_zero(self):
-        """Matrix of the linear parts of the equations at the origin."""
-        nu = len(self.unknowns)
-        mat = ExactMatrix(len(self.equations), nu)
+        """The linear parts of the equations at the origin: one sparse
+        column per unknown, indexed by equation."""
+        cols = [{} for _ in self.unknowns]
         for row, eq in enumerate(self.equations):
             for exps, c in eq.terms.items():
-                if sum(exps) != 1:
-                    continue
-                col = exps.index(1)
-                mat.set(row, col, c)
-        return mat
+                if sum(exps) == 1:
+                    cols[exps.index(1)][row] = c
+        return cols
 
     def corank_at_zero(self):
-        return len(self.unknowns) - rank(self.jacobian_at_zero())
+        return len(self.unknowns) - rank_of_columns(self.jacobian_at_zero())
 
     def to_json(self):
         return {"order": self.N,

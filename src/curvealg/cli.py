@@ -81,7 +81,7 @@ def _parse_structure(obj):
 
 def structure_file_json(E, m):
     out = m.to_json()
-    out["algebra"] = {"n": E.n, "g": E.g, "w": E.w.matrix.to_json()}
+    out["algebra"] = {"n": E.n, "g": E.g, "w": E.w.to_json()["rows"]}
     return out
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import (Echelon, ExactMatrix, ONE, ZERO, accum, kernel_basis,
-                     rank_of_columns, rat, rat_str, vec_addmul)
+from .linalg import (Echelon, ONE, ZERO, accum, kernel_basis, rank_of_columns,
+                     rat, rat_str, vec_addmul)
 from .poly import LaurentVector, PolyRing, RelationSystem, WindowUnderflowError
 from .quiver import SubspaceW
 
@@ -35,6 +35,8 @@ class SpecialCurveData:
     __slots__ = ("n", "S", "a")
 
     def __init__(self, n, S, a=None):
+        if n < 1:
+            raise ValueError("n must be at least 1, got %d" % n)
         self.n = n
         self.S = tuple(sorted(set(S)))
         if any(not 1 <= i <= n for i in self.S):
@@ -423,29 +425,22 @@ def glue(left, q_left, right, q_right):
     """Transversal gluing of two curve models at the points q = (branch,
     x-value); the glued algebra is the pairs of functions agreeing at the
     glued point.  Returns (glued CurveModel, report)."""
-    for q in (q_left, q_right):
+    for side, q in ((left, q_left), (right, q_right)):
         if q[1] is None:
             raise ValueError("gluing at a marked point (x = infinity) is not allowed")
+        if not 0 <= q[0] < side.branches:
+            raise ValueError("gluing branch must be in 0..%d, got %d"
+                             % (side.branches - 1, q[0]))
     if left.depth != right.depth:
         raise ValueError("models must share the filtration depth")
     depth = left.depth
     bl, vl = q_left[0], rat(q_left[1])
     br, vr = q_right[0], rat(q_right[1])
     # kernel of (f, g) -> f(q_left) - g(q_right) on the concatenated basis
-    row = {}
-    for a, f in enumerate(left.basis):
-        c = bp_eval(f, bl, vl)
-        if c:
-            row[a] = c
+    values = ([bp_eval(f, bl, vl) for f in left.basis]
+              + [-bp_eval(gfun, br, vr) for gfun in right.basis])
+    ker = kernel_basis([{0: c} if c else {} for c in values])
     off = len(left.basis)
-    for b, gfun in enumerate(right.basis):
-        c = bp_eval(gfun, br, vr)
-        if c:
-            row[off + b] = -c
-    mat = ExactMatrix(1, off + len(right.basis))
-    for jcol, c in row.items():
-        mat.set(0, jcol, c)
-    ker = kernel_basis(mat)
     branches = left.branches + right.branches
     glued = []
     for v in ker.basis:

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import (ExactMatrix, ONE, accum, rank_of_columns, rat, rat_str,
-                     vec_addmul)
+from .linalg import ONE, accum, rank_of_columns, rat, rat_str, vec_addmul
 
 
 def _sign(k):
@@ -246,7 +245,7 @@ def differential_apply(phi):
 # The shared methods live in this class body, not on a base class:
 # perfbench/spans.py traces basis and tuple_keys through vars(HochschildComplex).
 class HochschildComplex:
-    """Cochain bases, differential matrices, and cohomology dimensions for
+    """Cochain bases, the columns of delta, and cohomology dimensions for
     the normalized (radical-tuple) complex of one algebra."""
 
     def __init__(self, E):
@@ -254,7 +253,6 @@ class HochschildComplex:
         self._tuples = {}
         self._basis = {}
         self._index = {}
-        self._delta = {}
         self._rank = {}
         self._fact = None
 
@@ -389,15 +387,6 @@ class HochschildComplex:
             cols.append(col)
         return cols
 
-    def delta_matrix(self, s, t):
-        key = (s, t)
-        got = self._delta.get(key)
-        if got is None:
-            cols = self.delta_columns(s, t)
-            got = ExactMatrix.from_columns(cols, self.dim(s + 1, t))
-            self._delta[key] = got
-        return got
-
     def delta_rank(self, s, t):
         if s < 0 or self.dim(s, t) == 0 or self.dim(s + 1, t) == 0:
             return 0
@@ -455,21 +444,6 @@ def reduced_complex(E) -> HochschildComplex:
     if E._hochschild_complex is None:
         E._hochschild_complex = HochschildComplex(E)
     return E._hochschild_complex
-
-
-# -- module-level entry points ------------------------------------------------
-
-
-def cochain_basis(E, s, t):
-    return reduced_complex(E).basis(s, t)
-
-
-def differential(E, s, t):
-    return reduced_complex(E).delta_matrix(s, t)
-
-
-def hh_dim(E, i, t):
-    return reduced_complex(E).hh_dim(i, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Exact rational linear algebra: echelon bases, kernels, solves, ranks.
 
 Everything is computed over Q with exact arithmetic (fractions.Fraction);
-no floating point anywhere.  Matrices are stored sparsely; vectors are
-dicts index -> coefficient with no stored zeros.  accum is the one place
-that writes the accumulation rule for such dicts (store c itself for a new
-key, drop the key when the sum cancels); every sparse sum in the package
-goes through it or vec_addmul, except the integer elimination in
-_rank_component, which tracks row use as keys come and go.
+no floating point anywhere.  Vectors are dicts index -> coefficient with
+no stored zeros, and a matrix is a list of sparse columns.  accum is the
+one place that writes the accumulation rule for such dicts (store c
+itself for a new key, drop the key when the sum cancels); every sparse
+sum in the package goes through it or vec_addmul, except the integer
+elimination in _rank_component, which tracks row use as keys come and go.
 
 Echelon is the one Fraction elimination: it keeps the reduced row echelon
 basis of a span together with each row's coordinates on the added
@@ -85,144 +85,8 @@ def vec_addmul(u, c, v):
     return u
 
 
-def vec_from_list(xs):
-    return {i: rat(x) for i, x in enumerate(xs) if rat(x)}
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-class ExactMatrix:
-    """Sparse matrix over Q. Entries are kept as rows: dict i -> {j: c}."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        self.data = {}
-        if data:
-            for (i, j), c in data.items():
-                self.set(i, j, c)
-
-    @classmethod
-    def from_rows(cls, rowlists):
-        rows = len(rowlists)
-        cols = len(rowlists[0]) if rows else 0
-        m = cls(rows, cols)
-        for i, row in enumerate(rowlists):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, c in enumerate(row):
-                m.set(i, j, rat(c))
-        return m
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.set(i, i, ONE)
-        return m
-
-    @classmethod
-    def from_columns(cls, columns, nrows):
-        m = cls(nrows, len(columns))
-        for j, col in enumerate(columns):
-            for i, c in col.items():
-                m.set(i, j, c)
-        return m
-
-    def set(self, i, j, c):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        c = rat(c)
-        row = self.data.get(i)
-        if c:
-            if row is None:
-                row = self.data[i] = {}
-            row[j] = c
-        elif row is not None:
-            row.pop(j, None)
-            if not row:
-                del self.data[i]
-
-    def get(self, i, j):
-        return self.data.get(i, {}).get(j, ZERO)
-
-    def row(self, i):
-        return dict(self.data.get(i, {}))
-
-    def column(self, j):
-        return {i: row[j] for i, row in self.data.items() if j in row}
-
-    def columns(self):
-        cols = [dict() for _ in range(self.cols)]
-        for i, row in self.data.items():
-            for j, c in row.items():
-                cols[j][i] = c
-        return cols
-
-    def nnz(self):
-        return sum(len(r) for r in self.data.values())
-
-    def apply(self, v):
-        """Matrix times sparse vector (dict)."""
-        out = {}
-        for i, row in self.data.items():
-            s = ZERO
-            for j, c in row.items():
-                x = v.get(j)
-                if x is not None:
-                    s += c * x
-            if s:
-                out[i] = s
-        return out
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = ExactMatrix(self.rows, other.cols)
-        for i, row in self.data.items():
-            acc = {}
-            for k, c in row.items():
-                orow = other.data.get(k)
-                if orow:
-                    vec_addmul(acc, c, orow)
-            for j, c in acc.items():
-                out.set(i, j, c)
-        return out
-
-    def to_lists(self):
-        return [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return (isinstance(other, ExactMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __repr__(self):
-        return "ExactMatrix(%d x %d, nnz=%d)" % (self.rows, self.cols, self.nnz())
-
-    def is_zero(self):
-        return not self.data
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self):
-        return [[rat_str(self.get(i, j)) for j in range(self.cols)]
-                for i in range(self.rows)]
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls.from_rows([[rat(x) for x in row] for row in obj])
-
-
 # ---------------------------------------------------------------------------
 # elimination
-
-
-def rank(m):
-    return rank_of_columns(m.columns())
 
 
 class Echelon:
@@ -290,28 +154,29 @@ class Echelon:
         return True
 
 
-def kernel_basis(m):
-    """Basis of the null space, as a Subspace of dimension cols - rank.
+def kernel_basis(columns):
+    """Basis of the null space of the matrix with these sparse columns, as
+    a Subspace of Q^len(columns) of dimension len(columns) - rank.
 
     One basis vector e_j - x per column j that the columns before it span,
     with x its coordinates on the pivot columns, in increasing column
     order: the free coordinate is 1 and the others are zero (the
-    presentation read off the reduced row echelon form of m).
+    presentation read off the reduced row echelon form of the matrix).
     """
     ech = Echelon()
     basis = []
-    for j, col in enumerate(m.columns()):
+    for j, col in enumerate(columns):
         if not ech.add(col):
             x = ech.split(col)[1]
             basis.append({j: ONE} | {p: -x[p] for p in sorted(x)})
-    return Subspace(m.cols, basis)
+    return Subspace(len(columns), basis)
 
 
-def solve(m, b):
-    """Some x with m x = b, or None.  x is supported on the pivot columns
-    (free variables are zero), which makes it unique, and its keys are in
-    increasing order."""
-    kappa, x = Echelon(m.columns()).split(b)
+def solve(columns, b):
+    """Some x with sum_j x_j columns[j] = b, or None.  x is supported on
+    the pivot columns (free variables are zero), which makes it unique,
+    and its keys are in increasing order."""
+    kappa, x = Echelon(columns).split(b)
     if kappa:
         return None
     return {j: x[j] for j in sorted(x)}
@@ -329,14 +194,6 @@ class Subspace:
     @property
     def dim(self):
         return len(self.basis)
-
-    def matrix(self):
-        """Matrix with the basis vectors as rows."""
-        m = ExactMatrix(len(self.basis), self.ambient_dim)
-        for i, v in enumerate(self.basis):
-            for j, c in v.items():
-                m.set(i, j, c)
-        return m
 
     def contains(self, v):
         return Echelon(self.basis).contains(v)

@@ -18,40 +18,34 @@ basis deterministic.
 
 from __future__ import annotations
 
-from .linalg import Echelon, ExactMatrix, ONE, rat, rat_str, vec_addmul
+from .linalg import Echelon, ONE, rat, rat_str, vec_addmul
 
 
 class SubspaceW:
     """An (n-g)-dimensional subspace of Q^n, given by full-rank rows.
-    `echelon` is the Echelon of those rows: its `rows` are the reduced row
-    echelon basis of W, one per pivot column."""
+    `rows` holds them as dense rational tuples; `echelon` is their
+    Echelon, whose `rows` are the reduced row echelon basis of W, one per
+    pivot column."""
 
-    __slots__ = ("n", "g", "matrix", "echelon")
+    __slots__ = ("n", "g", "rows", "echelon")
 
     def __init__(self, n, rows):
         if n < 0:
             raise ValueError("n must be at least 0, got %d" % n)
         self.n = n
-        if isinstance(rows, ExactMatrix):
-            self.matrix = rows
-        else:
-            m = ExactMatrix(len(rows), n)
-            for i, row in enumerate(rows):
-                if len(row) != n:
-                    raise ValueError("row length must be n")
-                for j, c in enumerate(row):
-                    m.set(i, j, rat(c))
-            self.matrix = m
-        self.echelon = Echelon(self.matrix.row(i) for i in range(self.matrix.rows))
-        if len(self.echelon) != self.matrix.rows:
+        self.rows = tuple(tuple(rat(c) for c in row) for row in rows)
+        if any(len(row) != n for row in self.rows):
+            raise ValueError("row length must be n")
+        self.echelon = Echelon({j: c for j, c in enumerate(row) if c}
+                               for row in self.rows)
+        if len(self.echelon) != len(self.rows):
             raise ValueError("W rows are not linearly independent")
-        self.g = n - self.matrix.rows
+        self.g = n - len(self.rows)
 
     def scaled(self, lam):
         """Componentwise rescaling (lambda_1 x_1, ..., lambda_n x_n)."""
-        rows = [[lam[j] * self.matrix.get(i, j) for j in range(self.n)]
-                for i in range(self.matrix.rows)]
-        return SubspaceW(self.n, rows)
+        return SubspaceW(self.n, [[l * c for l, c in zip(lam, row)]
+                                  for row in self.rows])
 
     @classmethod
     def zero(cls, n):
@@ -59,10 +53,10 @@ class SubspaceW:
 
     @classmethod
     def full(cls, n):
-        return cls(n, ExactMatrix.identity(n).to_lists())
+        return cls(n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def to_json(self):
-        return {"n": self.n, "rows": self.matrix.to_json()}
+        return {"n": self.n, "rows": [[rat_str(c) for c in row] for row in self.rows]}
 
 
 class EWAlgebra:
@@ -189,17 +183,6 @@ class EWAlgebra:
                 if prod:
                     vec_addmul(out, ck * cm, prod)
         return out
-
-    def check_associativity(self):
-        for a in range(self.dim):
-            for b in range(self.dim):
-                ab = self.mul_basis(a, b)
-                for c in range(self.dim):
-                    left = self.mul({k: v for k, v in ab.items()}, {c: ONE})
-                    right = self.mul({a: ONE}, self.mul_basis(b, c))
-                    if left != right:
-                        return False
-        return True
 
     # -- views --------------------------------------------------------------
 

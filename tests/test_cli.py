@@ -244,12 +244,29 @@ def test_negative_bounds_and_short_random_order_rejected():
                   "--depth", "-1"),
                  ("curve", "glue", "--n", "1", "--s", "1", "--n2", "1", "--s2", "",
                   "--q", "0,1", "--q2", "0,2", "--depth", "-1"),
+                 # a special curve has n >= 1 marked points
+                 ("curve", "special", "--n", "-2"),
+                 ("curve", "basis", "--n", "0"),
+                 ("curve", "glue", "--n", "0", "--n2", "1", "--s2", "1",
+                  "--q", "0,1", "--q2", "0,2"),
                  ("genus1", "relations", "--deg-bound", "-1"),
                  ("poly", "closure", "--input", "unused.json", "--deg-bound", "-1"),
                  ("ainf", "random", "--n", "1", "--g", "1", "--w", "", "--order", "2")):
         out = run_cli(*args)
         assert out.returncode == 2, args
         assert "must be at least" in out.stderr
+        assert len([line for line in out.stderr.splitlines()
+                    if "error:" in line]) == 1, args
+        assert "Traceback" not in out.stderr
+    # a gluing point on a branch the model does not have
+    for q, q2, branch in (("7,1", "0,2", 7), ("0,1", "1,2", 1)):
+        out = run_cli("curve", "glue", "--n", "1", "--s", "1", "--n2", "1", "--s2", "",
+                      "--q", q, "--q2", q2, "--depth", "10")
+        assert out.returncode == 2, (q, q2)
+        assert out.stdout == ""
+        assert [line for line in out.stderr.splitlines()
+                if line.startswith("error:")] == \
+            ["error: gluing branch must be in 0..0, got %d" % branch]
         assert "Traceback" not in out.stderr
     for t_min in ("2", "0"):
         # t_min = 0 would check HH^0 and HH^1 vanishing on the empty range

@@ -204,10 +204,10 @@ def test_component_types():
 
 def test_grassmannian_point_examples():
     w = grassmannian_point(SpecialCurveData(2, [1], {(1, 2): 2}))
-    assert w.matrix.to_lists() == [[rat(2), ONE]]
-    assert grassmannian_point(SpecialCurveData(1, [1])).matrix.rows == 0
+    assert w.rows == ((rat(2), ONE),)
+    assert grassmannian_point(SpecialCurveData(1, [1])).rows == ()
     full = grassmannian_point(SpecialCurveData(3, []))
-    assert full.g == 0 and full.matrix.rows == 3
+    assert full.g == 0 and len(full.rows) == 3
 
 
 def test_grassmannian_point_in_open_cell():
@@ -218,7 +218,7 @@ def test_grassmannian_point_in_open_cell():
             for S in itertools.combinations(range(1, n + 1), size):
                 d = random_data(n, list(S), rng)
                 w = grassmannian_point(d)
-                cols = [w.matrix.row(i) for i in range(w.matrix.rows)]
+                cols = [{j: c for j, c in enumerate(row) if c} for row in w.rows]
                 cols += [{i - 1: ONE} for i in S]
                 assert rank_of_columns(cols) == n
 
@@ -300,6 +300,24 @@ def test_glue_rejects_marked_point():
     line = branch_model(SpecialCurveData(1, []), 8)
     with pytest.raises(ValueError):
         glue(line, (0, None), line, (0, 0))
+
+
+def test_glue_rejects_branch_outside_model():
+    # a point on a missing branch would evaluate every function to 0 there
+    # and drop the gluing condition; branches are numbered 0..n-1
+    line = branch_model(SpecialCurveData(1, []), 8)
+    pair = branch_model(SpecialCurveData(2, []), 8)
+    for q_left, q_right in (((7, 1), (0, 2)), ((0, 1), (1, 2)), ((-1, 1), (0, 2))):
+        with pytest.raises(ValueError, match="gluing branch"):
+            glue(line, q_left, line, q_right)
+    _, rep = glue(pair, (1, 1), line, (0, 2))
+    assert rep["additive"]
+
+
+def test_special_curve_needs_a_marked_point():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            SpecialCurveData(n, [])
 
 
 def test_glued_algebra_is_the_fiber_product():

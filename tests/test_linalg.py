@@ -4,15 +4,43 @@ import copy
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from curvealg.linalg import (Echelon, ExactMatrix, ONE, Subspace, accum,
-                             kernel_basis, rank, rank_of_columns, rat,
-                             rat_str, solve, vec_addmul, vec_from_list)
+from curvealg.linalg import (Echelon, ONE, Subspace, accum, kernel_basis,
+                             rank_of_columns, rat, rat_str, solve, vec_addmul)
+
+
+def sparse(dense):
+    """Sparse vectors from dense lists of rationals."""
+    return [{j: rat(c) for j, c in enumerate(v) if rat(c)} for v in dense]
 
 
 def M(rows):
-    return ExactMatrix.from_rows(rows)
+    """The sparse columns of the matrix with these dense rows."""
+    return sparse(zip(*rows))
+
+
+def identity(n):
+    return [{i: ONE} for i in range(n)]
+
+
+def transpose(columns):
+    """The sparse rows of the matrix with these sparse columns, up to its
+    last nonzero row."""
+    rows = []
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows += [{} for _ in range(i + 1 - len(rows))]
+            rows[i][j] = c
+    return rows
+
+
+def apply(columns, v):
+    """The matrix with these sparse columns times the sparse vector v."""
+    out = {}
+    for j, c in v.items():
+        vec_addmul(out, c, columns[j])
+    return out
 
 
 # -- references: the textbook reduced row echelon form and what reads it ---------
@@ -21,17 +49,18 @@ def M(rows):
 # references that its answers are checked against.
 
 
-def rref(m):
-    """Reduced row echelon form. Returns (ExactMatrix, pivot column list).
+def rref(rows, ncols):
+    """Reduced row echelon form of the matrix with these sparse rows and
+    ncols columns.  Returns (its nonzero rows, pivot column list).
 
     The RREF is unique, hence deterministic regardless of pivot choices.
     """
-    work = [dict(m.data.get(i, {})) for i in range(m.rows)]
+    work = [dict(row) for row in rows]
     pivots = []
     next_row = 0
-    for j in range(m.cols):
+    for j in range(ncols):
         sel = None
-        for i in range(next_row, m.rows):
+        for i in range(next_row, len(work)):
             if work[i].get(j):
                 sel = i
                 break
@@ -43,52 +72,47 @@ def rref(m):
         if inv != ONE:
             for k in list(prow):
                 prow[k] *= inv
-        for i in range(m.rows):
+        for i in range(len(work)):
             if i != next_row and work[i].get(j):
                 vec_addmul(work[i], -work[i][j], prow)
         pivots.append(j)
         next_row += 1
-    out = ExactMatrix(m.rows, m.cols)
-    out.data = {i: row for i, row in enumerate(work) if row}
-    return out, pivots
+    return work[:next_row], pivots
 
 
-def image_basis(m):
+def image_basis(columns, nrows):
     """Basis of the column span: the original columns at rref pivot indices."""
-    _, pivots = rref(m)
-    return Subspace(m.rows, [m.column(j) for j in pivots])
+    _, pivots = rref(transpose(columns), len(columns))
+    return Subspace(nrows, [columns[j] for j in pivots])
 
 
-def kernel_basis_reference(m):
-    """One null vector per free column of rref(m), in increasing column
+def kernel_basis_reference(columns):
+    """One null vector per free column of the rref, in increasing column
     order, with the free coordinate 1."""
-    r, pivots = rref(m)
+    r, pivots = rref(transpose(columns), len(columns))
     basis = []
-    for j in range(m.cols):
+    for j in range(len(columns)):
         if j in pivots:
             continue
         v = {j: ONE}
-        for i, pj in enumerate(pivots):
-            c = r.get(i, j)
+        for row, pj in zip(r, pivots):
+            c = row.get(j)
             if c:
                 v[pj] = -c
         basis.append(v)
-    return Subspace(m.cols, basis)
+    return Subspace(len(columns), basis)
 
 
-def solve_reference(m, b):
-    """rref of [m | b]: None if b's column is a pivot, else the solution
-    with free variables zero, keyed in pivot order."""
-    aug = ExactMatrix(m.rows, m.cols + 1)
-    aug.data = {i: dict(row) for i, row in m.data.items()}
-    for i, c in b.items():
-        aug.set(i, m.cols, c)
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
+def solve_reference(columns, b):
+    """rref of [columns | b]: None if b's column is a pivot, else the
+    solution with free variables zero, keyed in pivot order."""
+    n = len(columns)
+    r, pivots = rref(transpose(columns + [b]), n + 1)
+    if pivots and pivots[-1] == n:
         return None
     x = {}
-    for row_i, j in enumerate(pivots):
-        c = r.get(row_i, m.cols)
+    for row, j in zip(r, pivots):
+        c = row.get(n)
         if c:
             x[j] = c
     return x
@@ -102,28 +126,28 @@ def canonical_complement(sub):
     Depends only on the subspace, not on its presented basis, and satisfies
     sub + complement = ambient with zero intersection.
     """
-    _, pivots = rref(sub.matrix())
+    _, pivots = rref(sub.basis, sub.ambient_dim)
     pivset = set(pivots)
     basis = [{j: ONE} for j in range(sub.ambient_dim) if j not in pivset]
     return Subspace(sub.ambient_dim, basis)
 
 
 def test_rref_identity():
-    r, piv = rref(ExactMatrix.identity(3))
-    assert r == ExactMatrix.identity(3)
+    r, piv = rref(identity(3), 3)
+    assert r == identity(3)
     assert piv == [0, 1, 2]
 
 
 def test_rref_zero():
-    r, piv = rref(ExactMatrix(2, 2))
-    assert r.is_zero()
+    r, piv = rref([{}, {}], 2)
+    assert r == []
     assert piv == []
 
 
 def test_rref_hand_elimination():
     # [[2,4],[1,2]] -> [[1,2],[0,0]] by hand
-    r, piv = rref(M([[2, 4], [1, 2]]))
-    assert r == M([[1, 2], [0, 0]])
+    r, piv = rref(sparse([[2, 4], [1, 2]]), 2)
+    assert r == sparse([[1, 2]])
     assert piv == [0]
 
 
@@ -135,9 +159,8 @@ def test_rref_idempotent():
         cols = len(rows[0])
         for _ in range(rng.randint(0, 4)):
             rows.append([rat(rng.randint(-4, 4)) for _ in range(cols)])
-        m = M(rows)
-        r, piv = rref(m)
-        r2, piv2 = rref(r)
+        r, piv = rref(sparse(rows), cols)
+        r2, piv2 = rref(r, cols)
         assert r == r2 and piv == piv2
 
 
@@ -146,15 +169,15 @@ def test_kernel_examples():
     # deterministic presentation: the free coordinate is set to 1
     assert k.dim == 1 and k.basis[0] == {0: -ONE, 1: ONE}
     assert k.contains({0: ONE, 1: -ONE})  # spans (1, -1)
-    assert kernel_basis(ExactMatrix.identity(4)).dim == 0
+    assert kernel_basis(identity(4)).dim == 0
     assert kernel_basis(M([[1, 2, 3], [2, 4, 6]])).dim == 2
 
 
 def test_image_examples():
-    assert image_basis(ExactMatrix(3, 3)).dim == 0
-    full = image_basis(ExactMatrix.identity(3))
+    assert image_basis([{}, {}, {}], 3).dim == 0
+    full = image_basis(identity(3), 3)
     assert full.dim == 3
-    im = image_basis(M([[1, 1], [1, 1]]))
+    im = image_basis(M([[1, 1], [1, 1]]), 2)
     assert im.dim == 1 and im.basis[0] == {0: ONE, 1: ONE}
 
 
@@ -169,8 +192,8 @@ def test_complement_examples():
 
 def test_solve_examples():
     b = {0: rat(3), 2: rat(-1)}
-    assert solve(ExactMatrix.identity(3), b) == b
-    assert solve(ExactMatrix(2, 2), {0: ONE}) is None
+    assert solve(identity(3), b) == b
+    assert solve([{}, {}], {0: ONE}) is None
     assert solve(M([[1, 2], [2, 4]]), {0: ONE}) is None  # inconsistent
     assert solve(M([[1, 1]]), {0: rat(3)}) == {0: rat(3)}  # free var set to 0
 
@@ -180,16 +203,13 @@ def test_rank_nullity_random():
     for _ in range(40):
         rcount = rng.randint(1, 6)
         ccount = rng.randint(1, 6)
-        m = ExactMatrix(rcount, ccount)
-        for i in range(rcount):
-            for j in range(ccount):
-                if rng.random() < 0.6:
-                    m.set(i, j, rat(rng.randint(-3, 3)))
-        rk = rank(m)
-        assert rk + kernel_basis(m).dim == ccount
-        assert image_basis(m).dim == rk
-        # both rank paths agree
-        assert rank_of_columns(m.columns()) == len(rref(m)[1])
+        rows = [[rat(rng.randint(-3, 3)) if rng.random() < 0.6 else 0
+                 for _ in range(ccount)] for _ in range(rcount)]
+        cols = M(rows)
+        rk = rank_of_columns(cols)
+        assert rk + kernel_basis(cols).dim == ccount
+        assert image_basis(cols, rcount).dim == rk
+        assert rk == len(rref(sparse(rows), ccount)[1])
 
 
 def test_complement_direct_sum_and_invariance():
@@ -229,19 +249,9 @@ def test_complement_direct_sum_and_invariance():
 
 
 def test_serialization_roundtrip():
-    m = M([["1/2", -3], [0, "7/3"]])
-    j = m.to_json()
-    assert j == [["1/2", "-3"], ["0", "7/3"]]
-    assert ExactMatrix.from_json(j) == m
+    assert [rat_str(rat(x)) for x in ("1/2", -3, 0, "7/3")] == ["1/2", "-3", "0", "7/3"]
     assert rat_str(rat(-6, 4)) == "-3/2"
     assert rat("3") == rat(3) and rat("-7/2") == rat(-7, 2)
-
-
-def test_matmul_and_apply():
-    a = M([[1, 2], [0, 1]])
-    b = M([[1, 0], [3, 1]])
-    assert a.matmul(b) == M([[7, 2], [3, 1]])
-    assert a.apply(vec_from_list([1, 1])) == {0: rat(3), 1: ONE}
 
 
 # -- the sparse accumulation kernel against plain Fraction sums -------------------
@@ -309,12 +319,12 @@ def test_vec_addmul_matches_fraction_reference(u_steps, c, v_steps):
 # -- fraction-free rank against rref, on inputs built to stress it ----------------
 
 
-def assert_rank_matches_rref(cols, nrows):
+def assert_rank_matches_rref(cols):
     """rank_of_columns agrees with rref and leaves its input untouched."""
     before = copy.deepcopy(cols)
     rk = rank_of_columns(cols)
     assert [list(c.items()) for c in cols] == [list(c.items()) for c in before]
-    assert rk == len(rref(ExactMatrix.from_columns(cols, nrows))[1])
+    assert rk == len(rref(transpose(cols), len(cols))[1])
     return rk
 
 
@@ -344,33 +354,33 @@ def test_rank_of_sparse_rational_columns_matches_rref(base, mixes):
     # drop and make entries cancel during elimination
     cols = base + [combination(base, c) for c in mixes]
     cols = [c for c in cols if c]
-    assert_rank_matches_rref(cols, NROWS) <= len(base)
+    assert_rank_matches_rref(cols) <= len(base)
 
 
 def test_rank_of_hilbert_matrix_and_dependent_column():
     n = 8
     hilbert = [{i: rat(1, i + j + 1) for i in range(n)} for j in range(n)]
-    assert assert_rank_matches_rref(hilbert, n) == n
+    assert assert_rank_matches_rref(hilbert) == n
     coeffs = [rat(3, 7), rat(-5, 11), rat(1, 13), rat(2), rat(-17, 19),
               rat(1, 999983), rat(-4, 3), rat(6, 5)]
     extra = combination(hilbert, coeffs)
     assert len(extra) == n
-    assert assert_rank_matches_rref(hilbert + [extra], n) == n
+    assert assert_rank_matches_rref(hilbert + [extra]) == n
     # the dependent column first, so it is the one eliminated to nothing
-    assert assert_rank_matches_rref([extra] + hilbert, n) == n
+    assert assert_rank_matches_rref([extra] + hilbert) == n
 
 
 def test_rank_with_columns_cancelling_mid_elimination():
     # c0 pivots first and leaves c1 and c2 proportional; c1 then clears c2
     cols = [{0: rat(1)}, {0: rat(2), 1: rat(3)}, {0: rat(1, 2), 1: rat(3, 4)}]
-    assert assert_rank_matches_rref(cols, 2) == 2
+    assert assert_rank_matches_rref(cols) == 2
     # a whole connected component that is rank deficient, next to a full one
     u = {0: rat(2, 3), 1: rat(-1), 2: rat(5, 7)}
     v = {1: rat(4), 2: rat(-1, 2), 3: rat(9)}
     dependent = [combination([u, v], [rat(a), rat(b, 3)])
                  for a, b in ((1, 1), (-2, 5), (3, -7), (1, 0))]
     cols = [u, v] + dependent + [{5: rat(1), 6: rat(-1)}, {6: rat(2)}]
-    assert assert_rank_matches_rref(cols, 7) == 4
+    assert assert_rank_matches_rref(cols) == 4
     rng = random.Random(23)
     for _ in range(40):
         base = [{i: rat(rng.randint(-5, 5) or 1, rng.randint(1, 6))
@@ -380,7 +390,7 @@ def test_rank_with_columns_cancelling_mid_elimination():
                                     for _ in base])
                  for _ in range(rng.randint(1, 5))]
         cols = [c for c in mixes + base if c]
-        assert assert_rank_matches_rref(cols, 8) <= len(base)
+        assert assert_rank_matches_rref(cols) <= len(base)
 
 
 def test_rank_with_entries_beyond_2_to_the_80():
@@ -396,11 +406,11 @@ def test_rank_with_entries_beyond_2_to_the_80():
                                     for _ in base])
                  for _ in range(rng.randint(1, 3))]
         cols = [c for c in base + mixes if c]
-        assert assert_rank_matches_rref(cols, nrows) <= len(base)
+        assert assert_rank_matches_rref(cols) <= len(base)
     # a Vandermonde matrix on nodes >= 2^80 has full rank
     nodes = [big + 3 ** k for k in range(5)]
     vander = [{i: rat(x) ** i for i in range(5)} for x in nodes]
-    assert assert_rank_matches_rref(vander, 5) == 5
+    assert assert_rank_matches_rref(vander) == 5
 
 
 # -- echelon membership against rank ---------------------------------------------------
@@ -458,25 +468,17 @@ def _vector_lists(draw):
     return draw(st.permutations(vectors))
 
 
-def _rows_matrix(vectors):
-    m = ExactMatrix(len(vectors), NROWS)
-    for i, v in enumerate(vectors):
-        for j, c in v.items():
-            m.set(i, j, c)
-    return m
-
-
 @given(_vector_lists(), st.lists(_columns, max_size=3))
 def test_echelon_rows_are_rref_of_span_with_exact_coordinates(vectors, probes):
     ech = Echelon(vectors)
-    R, pivots = rref(_rows_matrix(vectors))
+    R, pivots = rref(vectors, NROWS)
     assert sorted(ech.rows) == pivots
     assert ech.added == len(vectors)
     independent = {j for j in range(len(vectors))
                    if rank_of_columns(vectors[:j + 1]) > rank_of_columns(vectors[:j])}
     for i, q in enumerate(pivots):
         row, coords = ech.rows[q]
-        assert row == R.row(i) and min(row) == q
+        assert row == R[i] and min(row) == q
         assert set(coords) <= independent
         assert combination([vectors[j] for j in coords], coords.values()) == row
     # split writes v as kappa plus a combination of the added vectors, with
@@ -492,14 +494,17 @@ def test_echelon_rows_are_rref_of_span_with_exact_coordinates(vectors, probes):
 
 
 @given(_vector_lists(), _columns, _coeffs)
+@example([], {0: ONE}, [ONE])
+@example([{}, {}, {}], {0: ONE}, [ONE])
 def test_kernel_basis_and_solve_match_rref_references(vectors, b, coeffs):
-    m = ExactMatrix.from_columns(vectors, NROWS)
-    assert [list(v.items()) for v in kernel_basis(m).basis] == \
-        [list(v.items()) for v in kernel_basis_reference(m).basis]
-    # a consistent right-hand side and one that may not be
-    for rhs in (combination(vectors, coeffs), b, {}):
-        got, want = solve(m, rhs), solve_reference(m, rhs)
+    assert [list(v.items()) for v in kernel_basis(vectors).basis] == \
+        [list(v.items()) for v in kernel_basis_reference(vectors).basis]
+    # a consistent right-hand side, one that may not be, and one that is
+    # not: no column reaches row NROWS
+    for rhs in (combination(vectors, coeffs), b, {}, {NROWS: ONE}):
+        got, want = solve(vectors, rhs), solve_reference(vectors, rhs)
         assert (got is None) == (want is None)
         if want is not None:
             assert list(got.items()) == list(want.items())
-            assert m.apply(got) == rhs
+            assert apply(vectors, got) == rhs
+    assert solve(vectors, {NROWS: ONE}) is None
