@@ -61,6 +61,19 @@ def _curve_data(args, suffix=""):
     return SpecialCurveData(n, S)
 
 
+def _gluing_point(text, flag):
+    """(branch, x) from 'branch,point', an integer and a rational; other
+    text is a ValueError naming the flag."""
+    parts = text.split(",")
+    try:
+        if len(parts) != 2:
+            raise ValueError
+        return int(parts[0]), rat(parts[1])
+    except ValueError:
+        raise ValueError("%s must be 'branch,point' (an integer and a "
+                         "rational), got %r" % (flag, text)) from None
+
+
 def _from_file(path, kind, parse):
     """parse(JSON content of path); a malformed file raises ValueError."""
     with open(path) as fh:
@@ -254,11 +267,10 @@ def cmd_curve_krichever(args):
 
 def cmd_curve_glue(args):
     run = Run(args, "curve glue")
+    q, q2 = _gluing_point(args.q, "--q"), _gluing_point(args.q2, "--q2")
     left = branch_model(_curve_data(args), args.depth)
     right = branch_model(_curve_data(args, "2"), args.depth)
-    qb, qx = args.q.split(",")
-    qb2, qx2 = args.q2.split(",")
-    _, report = glue(left, (int(qb), rat(qx)), right, (int(qb2), rat(qx2)))
+    _, report = glue(left, q, right, q2)
     return run.emit(report, ok=report["additive"])
 
 
@@ -446,8 +458,8 @@ def build_parser():
     p = csub.add_parser("glue")
     _add_curve(p)
     _add_curve(p, suffix="2")
-    p.add_argument("--q", required=True, help="left gluing point 'branch,xvalue'")
-    p.add_argument("--q2", required=True, help="right gluing point 'branch,xvalue'")
+    p.add_argument("--q", required=True, help="left gluing point 'branch,point'")
+    p.add_argument("--q2", required=True, help="right gluing point 'branch,point'")
     p.add_argument("--depth", type=_int_at_least(0), default=10)
     _add_common(p)
     p.set_defaults(func=cmd_curve_glue)

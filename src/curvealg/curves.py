@@ -376,12 +376,18 @@ def window_from_vectors(vectors, branches, depth):
     return KricheverWindow(branches, depth, vectors, inter, codim, filled)
 
 
+def _check_window_depth(depth, g):
+    """A window of depth below 2g+4 cannot be trusted to show genus g."""
+    if depth < 2 * g + 4:
+        raise WindowUnderflowError(
+            "depth must be at least 2g+4 = %d for a trustworthy window of "
+            "genus %d, got %d" % (2 * g + 4, g, depth))
+
+
 def krichever_window(data, depth):
     """Window model for a special curve: basis monomials of weighted degree
     <= depth, re-expanded with x_i = 1/t_i."""
-    if depth < 2 * data.g + 4:
-        raise WindowUnderflowError(
-            "depth must be at least 2g+4 for a trustworthy window")
+    _check_window_depth(depth, data.g)
     pres = special_curve_algebra(data)
     images = rho_generator_images(data)
     vectors = []
@@ -424,7 +430,8 @@ def branch_model(data, depth) -> CurveModel:
 def glue(left, q_left, right, q_right):
     """Transversal gluing of two curve models at the points q = (branch,
     x-value); the glued algebra is the pairs of functions agreeing at the
-    glued point.  Returns (glued CurveModel, report)."""
+    glued point.  Returns (glued CurveModel, report).  The depth must be at
+    least 2g+4 for the glued genus g, as in krichever_window."""
     for side, q in ((left, q_left), (right, q_right)):
         if q[1] is None:
             raise ValueError("gluing at a marked point (x = infinity) is not allowed")
@@ -434,6 +441,7 @@ def glue(left, q_left, right, q_right):
     if left.depth != right.depth:
         raise ValueError("models must share the filtration depth")
     depth = left.depth
+    _check_window_depth(depth, left.genus + right.genus)
     bl, vl = q_left[0], rat(q_left[1])
     br, vr = q_right[0], rat(q_right[1])
     # kernel of (f, g) -> f(q_left) - g(q_right) on the concatenated basis

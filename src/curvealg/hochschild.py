@@ -19,7 +19,10 @@ dimensions.  It shares tuple enumeration, bases and ranks with the reduced
 complex, and differs in its element set (idempotents included) and in its
 independently written textbook differential (classic unsuspended signs).
 Both read products from the algebra's neighbour lists and fix each sign
-once per table entry and bidegree, not once per matrix entry.
+once per table entry and bidegree, not once per matrix entry.  Their
+ranks come from the shared delta_rank, which assembles only the columns
+of D*delta (D = E.denominator) that clearing leaves; delta_columns(s, t)
+with no further arguments gives the whole Fraction delta.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ from .linalg import ONE, accum, rank_of_columns, rat, rat_str, vec_addmul
 
 def _sign(k):
     return -1 if k % 2 else 1
+
+
+def _numbers(scale):
+    """c -> c, or with scale given, c -> the int scale*c."""
+    if scale is None:
+        return lambda c: c
+    return lambda c: c.numerator * (scale // c.denominator)
 
 
 class Cochain:
@@ -254,6 +264,7 @@ class HochschildComplex:
         self._basis = {}
         self._index = {}
         self._rank = {}
+        self._pivots = {}  # t -> (last s swept, pivot rows of delta^s)
         self._fact = None
 
     # -- tuple and basis enumeration ----------------------------------------
@@ -313,8 +324,14 @@ class HochschildComplex:
                 for w in E.hom_basis(v, v, t):
                     out.append((v, w))
         else:
+            src, tgt = E.src, E.tgt
+            targets = {}  # (source, target, degree sum) -> hom_basis
             for T, d in zip(*self._tuples_with_degrees(s, t)):
-                for w in E.hom_basis(E.src[T[0]], E.tgt[T[-1]], t + d):
+                hom = (src[T[0]], tgt[T[-1]], d)
+                ws = targets.get(hom)
+                if ws is None:
+                    ws = targets[hom] = E.hom_basis(hom[0], hom[1], t + d)
+                for w in ws:
                     out.append((T, w))
         self._basis[key] = out
         self._index[key] = {bk: i for i, bk in enumerate(out)}
@@ -345,29 +362,40 @@ class HochschildComplex:
 
     # -- the differential ----------------------------------------------------
 
-    def delta_columns(self, s, t):
+    def delta_columns(self, s, t, skip=(), scale=None):
         """Columns of delta: C^{s} -> C^{s+1} at internal degree t, indexed
-        by the (s, t) basis, rows indexed by the (s+1, t) basis."""
+        by the (s, t) basis, rows indexed by the (s+1, t) basis.
+
+        The columns whose basis index is in skip are left out.  With scale
+        a common multiple of the table's denominators, each structure
+        constant c enters as the int scale*c: every term of delta carries
+        exactly one constant, so the columns are those of scale*delta, with
+        the same keys in the same order."""
         E = self.E
         deg, rad = E.deg, E.radical_set
         rindex = self.index(s + 1, t)
         sus = s + t - 1
+        num = _numbers(scale)
         # signs fixed once per table entry: (-1)^{|w|} on w.x,
         # (-1)^{(sus+1)|x|} on x.w
-        right = [[(x, [(wp, -c if (deg[w] - 1) % 2 else c) for wp, c in prod.items()])
+        right = [[(x, [(wp, -num(c) if (deg[w] - 1) % 2 else num(c))
+                       for wp, c in prod.items()])
                   for x, prod in E.right_products[w] if x in rad]
                  for w in range(E.dim)]
-        left = [[(x, [(wp, -c if (sus + 1) * (deg[x] - 1) % 2 else c)
+        left = [[(x, [(wp, -num(c) if (sus + 1) * (deg[x] - 1) % 2 else num(c))
                       for wp, c in prod.items()])
                  for x, prod in E.left_products[w] if x in rad]
                 for w in range(E.dim)]
         # contraction sign -(-1)^{sus + |T[:a]| + |x|}, by the parity of
         # sus + 1 + |T[:a]|
-        even = {z: [(x, y, -cf if (deg[x] - 1) % 2 else cf) for x, y, cf in xs]
+        even = {z: [(x, y, -num(cf) if (deg[x] - 1) % 2 else num(cf))
+                    for x, y, cf in xs]
                 for z, xs in self.factorizations().items()}
         odd = {z: [(x, y, -cf) for x, y, cf in xs] for z, xs in even.items()}
         cols = []
-        for key, w in self.basis(s, t):
+        for j, (key, w) in enumerate(self.basis(s, t)):
+            if j in skip:
+                continue
             T = key if s else ()  # arity 0: keyed by vertex, no arguments
             col = {}
             for x, prod in right[w]:
@@ -388,13 +416,35 @@ class HochschildComplex:
         return cols
 
     def delta_rank(self, s, t):
-        if s < 0 or self.dim(s, t) == 0 or self.dim(s + 1, t) == 0:
+        """Rank of delta: C^s -> C^{s+1} at internal degree t.
+
+        The ranks at one t are found sweeping s upward with clearing (Chen
+        and Kerber, "Persistent homology computation with a twist", 2011;
+        Bauer, Kerber and Reininghaus, "Clear and compress", 2014).  Let P
+        be the pivot rows of the elimination of delta^{s-1}, a set of
+        (s, t) basis indices.  The image of delta^{s-1} projects
+        bijectively onto the coordinates in P (linalg.rank_of_columns), so
+        C^s = span{e_j : j not in P} + im delta^{s-1}, a direct sum by
+        dimension.  As im delta^{s-1} lies in ker delta^s, the image of
+        delta^s is spanned by its columns outside P, so only those are
+        assembled; they span all of im delta^s, so their pivot rows serve
+        the next s in the same way.  The columns are those of the integer
+        matrix E.denominator * delta, which has the same rank.  Ranks are
+        cached; the pivot set is kept only for the last s swept at each t,
+        and every lower s has its rank cached, so any order of calls gives
+        the same sweeps.
+        """
+        if s < 0:
             return 0
-        key = (s, t)
-        got = self._rank.get(key)
+        got = self._rank.get((s, t))
         if got is None:
-            got = rank_of_columns(self.delta_columns(s, t))
-            self._rank[key] = got
+            swept, pivots = self._pivots.get(t, (-1, set()))
+            for r in range(swept + 1, s + 1):
+                cleared, pivots = pivots, set()
+                self._rank[(r, t)] = rank_of_columns(
+                    self.delta_columns(r, t, cleared, self.E.denominator), pivots)
+            self._pivots[t] = (s, pivots)
+            got = self._rank[(s, t)]
         return got
 
     # -- cohomology ----------------------------------------------------------
@@ -514,21 +564,27 @@ class UnnormalizedComplex(HochschildComplex):
     def elements(self):
         return range(self.E.dim)
 
-    def delta_columns(self, s, t):
+    def delta_columns(self, s, t, skip=(), scale=None):
+        """As HochschildComplex.delta_columns, skip and scale included."""
         E = self.E
         rindex = self.index(s + 1, t)
+        num = _numbers(scale)
         # signs fixed once per table entry: (-1)^{deg(a_1) t} on a_1 . f,
         # (-1)^{s+1} on f . a_{s+1}, (-1)^{a+1} on the a-th contraction
-        left = [[(x, [(wp, -c if E.deg[x] * t % 2 else c) for wp, c in prod.items()])
+        left = [[(x, [(wp, -num(c) if E.deg[x] * t % 2 else num(c))
+                      for wp, c in prod.items()])
                  for x, prod in E.left_products[w]]
                 for w in range(E.dim)]
-        right = [[(x, [(wp, c if s % 2 else -c) for wp, c in prod.items()])
+        right = [[(x, [(wp, num(c) if s % 2 else -num(c)) for wp, c in prod.items()])
                   for x, prod in E.right_products[w]]
                  for w in range(E.dim)]
-        fact = self.factorizations()
+        fact = {z: [(x, y, num(cf)) for x, y, cf in xs]
+                for z, xs in self.factorizations().items()}
         negfact = {z: [(x, y, -cf) for x, y, cf in xs] for z, xs in fact.items()}
         cols = []
-        for key, w in self.basis(s, t):
+        for j, (key, w) in enumerate(self.basis(s, t)):
+            if j in skip:
+                continue
             T = key if s else ()  # arity 0: keyed by vertex, no arguments
             col = {}
             # a_1 . f(a_2 ... a_{s+1})

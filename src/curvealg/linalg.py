@@ -6,7 +6,8 @@ no stored zeros, and a matrix is a list of sparse columns.  accum is the
 one place that writes the accumulation rule for such dicts (store c
 itself for a new key, drop the key when the sum cancels); every sparse
 sum in the package goes through it or vec_addmul, except the integer
-elimination in _rank_component, which tracks row use as keys come and go.
+elimination in _component_pivot_rows, which tracks row use as keys come
+and go.
 
 Echelon is the one Fraction elimination: it keeps the reduced row echelon
 basis of a span together with each row's coordinates on the added
@@ -21,7 +22,10 @@ identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 1968): each column is scaled to coprime integers, and a column is
 reduced against a pivot column by integer combination followed by
 division by its content.  Both steps are rank-preserving column
-operations, so the rank is exact without any rational division.
+operations, so the rank is exact without any rational division.  It
+can also report its pivot rows, onto which the span projects
+bijectively; the Hochschild ranks use them to clear columns of the next
+differential.
 """
 
 from __future__ import annotations
@@ -210,8 +214,11 @@ class Subspace:
 # fast rank for large sparse systems
 
 
-def rank_of_columns(columns):
-    """Rank of the span of sparse column vectors; the inputs are not changed.
+def rank_of_columns(columns, pivots=None):
+    """Rank of the span of sparse column vectors; the inputs are not
+    changed.  Given a set `pivots`, the pivot rows of the elimination are
+    added to it: one row per unit of rank, and projecting the span onto
+    the coordinates in those rows is injective, hence bijective.
 
     Each column is scaled to coprime integers, which keeps the rank, and
     the incidence graph is split into connected components.  Each
@@ -221,9 +228,12 @@ def rank_of_columns(columns):
     and every other column k meeting that row becomes a*k - b*pivot with
     a/b the reduced ratio of the two pivot-row entries, divided by its
     content.  Each step is an exact rank-preserving column operation, so
-    no fraction, modulus or certificate is needed.  Any pivot strategy
-    yields the same rank, so this path is free to be greedy while Echelon
-    keeps the canonical pivot rule.
+    no fraction, modulus or certificate is needed.  A pivot column is
+    zero at every earlier pivot row, since it was live when that row was
+    cleared, so the pivot columns, which span the input, are triangular
+    with nonzero diagonal on the pivot rows.  Any pivot strategy yields
+    the same rank, so this path is free to be greedy while Echelon keeps
+    the canonical pivot rule.
     """
     cols = [_integer_column(c) for c in columns if c]
     if not cols:
@@ -255,7 +265,13 @@ def rank_of_columns(columns):
     for c in cols:
         key = find(next(iter(c)))
         groups.setdefault(key, []).append(c)
-    return sum(_rank_component(g) for g in groups.values())
+    rank = 0
+    for g in groups.values():
+        rows = _component_pivot_rows(g)
+        rank += len(rows)
+        if pivots is not None:
+            pivots.update(rows)
+    return rank
 
 
 def _integer_column(col):
@@ -269,9 +285,10 @@ def _integer_column(col):
     return ints
 
 
-def _rank_component(cols):
-    """Fraction-free elimination of integer columns (modified in place)."""
-    rk = 0
+def _component_pivot_rows(cols):
+    """Fraction-free elimination of integer columns (modified in place);
+    the pivot rows in the order they were chosen."""
+    pivots = []
     # row -> set of column indices still containing it
     row_use = {}
     for k, col in enumerate(cols):
@@ -290,11 +307,11 @@ def _rank_component(cols):
         done[ci] = True
         if not col:
             continue
-        rk += 1
         for i in col:
             row_use[i].discard(ci)
         # pick pivot row used by fewest other columns
         pr = min(col, key=lambda i: (len(row_use[i]), i))
+        pivots.append(pr)
         pc = col[pr]
         for k in list(row_use[pr]):
             other = cols[k]
@@ -321,4 +338,4 @@ def _rank_component(cols):
                     for i in other:
                         other[i] //= g
             heappush(heap, (len(other), k))
-    return rk
+    return pivots

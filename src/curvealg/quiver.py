@@ -18,6 +18,8 @@ basis deterministic.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .linalg import Echelon, ONE, rat, rat_str, vec_addmul
 
 
@@ -123,6 +125,10 @@ class EWAlgebra:
         self.coset_coords = coset  # index j-1 shifted: entry per column 0..n-1
 
         self.table = self._build_table()
+        # lcm of the structure constants' denominators: denominator * c is
+        # an integer for every constant c of the table
+        self.denominator = lcm(*[c.denominator for prod in self.table.values()
+                                 for c in prod.values()])
         # right_products[k] = [(m, k*m)], left_products[m] = [(k, k*m)] over
         # nonzero products, ascending because the table is built in (k, m) order
         self.right_products = [[] for _ in range(self.dim)]

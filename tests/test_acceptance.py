@@ -91,6 +91,29 @@ def test_criterion_02_tangent_dimensions():
           "for %d subspaces" % len(ws))
 
 
+def test_criterion_02_tangent_dimensions_beyond_n_2():
+    """Sum of negative HH^2 plus g(n-g) equals 3g - 3 + 2n for (2,0), (3,0),
+    (3,1) and (3,2).
+
+    The sum runs over t in [-7, -1] only.  That this window holds every
+    nonzero negative HH^2 is an assumption, not a result: the cochain
+    counts of the small Anick-type complex suggest HH^2_t = 0 for t <= -7,
+    and the cells at t = -7 are checked to be zero, but nothing here
+    proves that no class returns further down."""
+    cases = [(SubspaceW.full(2), 1), (SubspaceW.full(3), 3),
+             (SubspaceW(3, [[1, 0, 2], [0, 1, 3]]), 6),
+             (SubspaceW(3, [[1, 2, 3]]), 9)]
+    for w, want in cases:
+        n, g = w.n, w.g
+        assert want == 3 * g - 3 + 2 * n
+        cx = reduced_complex(build_ew(w))
+        hh2 = [cx.hh_dim(2, t) for t in range(-7, 0)]
+        assert hh2[0] == 0, (n, g, hh2)
+        assert sum(hh2) + g * (n - g) == want, (n, g, hh2)
+    print("\n[PASS] criterion 2: tangent dimensions 1, 3, 6 and 9 at (2,0), "
+          "(3,0), (3,1) and (3,2), HH^2 summed over t in [-7, -1]")
+
+
 def test_criterion_03_reduced_vs_unreduced():
     """Equal HH dims from the reduced and unnormalized complexes,
     i <= 3, t in [-6, 0], (n,g) up to (2,2)."""

@@ -14,8 +14,8 @@ import tempfile
 from hypothesis import example, given, strategies as st
 
 from curvealg import ainfinity, cli
-from curvealg.hochschild import Cochain, reduced_complex
-from curvealg.linalg import ONE
+from curvealg.hochschild import Cochain, HochschildComplex, reduced_complex
+from curvealg.linalg import ONE, rank_of_columns
 from curvealg.quiver import SubspaceW, build_ew
 
 
@@ -332,6 +332,58 @@ def run_in_process(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def test_hh_cells_match_full_fraction_delta_ranks():
+    # the cleared integer ranks behind `curvealg hh` against the ranks of
+    # the whole Fraction delta, for every cell of the (2,1) table
+    code, out, _ = run_in_process(["hh", "--n", "2", "--g", "1", "--w", "1,1",
+                                   "--t-min", "-6"])
+    assert code == 0
+    cx = HochschildComplex(build_ew(SubspaceW(2, [[1, 1]])))
+
+    def rank(s, t):
+        if s < 0:
+            return 0
+        cols = cx.delta_columns(s, t)
+        assert all(type(c) is type(ONE) for col in cols for c in col.values())
+        return rank_of_columns(cols)
+
+    cells = json.loads(out)["cells"]
+    assert [(c["i"], c["t"]) for c in cells] == \
+        sorted((i, t) for i in range(3) for t in range(-6, 1))
+    for c in cells:
+        s = c["i"] - c["t"]
+        dim = len(cx.basis(s, c["t"]))
+        cocycles = dim - rank(s, c["t"])
+        coboundaries = rank(s - 1, c["t"])
+        assert (c["dim_cochain"], c["dim_cocycle"], c["dim_coboundary"],
+                c["dim_HH"]) == (dim, cocycles, coboundaries,
+                                 cocycles - coboundaries), c
+    assert sum(c["dim_HH"] for c in cells if c["i"] == 2 and c["t"] < 0) == 3
+
+
+def test_glue_depth_below_window_and_malformed_points_exit_2():
+    curves = ["curve", "glue", "--n", "1", "--s", "1", "--n2", "1", "--s2", ""]
+    # the glued curve has genus 1, so its window needs depth 2g+4 = 6; at
+    # depth 0 the window read genus 0 and the command exited 1
+    for depth in ("0", "5"):
+        code, out, err = run_in_process(curves + ["--q", "0,1", "--q2", "0,2",
+                                                  "--depth", depth])
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            ["error: depth must be at least 2g+4 = 6 for a trustworthy window "
+             "of genus 1, got %s" % depth]
+    code, out, _ = run_in_process(curves + ["--q", "0,1", "--q2", "0,2",
+                                            "--depth", "6"])
+    assert code == 0 and json.loads(out)["genus"] == 1
+    for flag, other in (("--q", "--q2"), ("--q2", "--q")):
+        for bad in ("7", "0,1,2", "a,1", "0,x", "", "0,1/0"):
+            code, out, err = run_in_process(curves + [flag, bad, other, "0,2"])
+            assert code == 2 and out == "", (flag, bad)
+            assert [line for line in err.splitlines() if line.startswith("error:")] == \
+                ["error: %s must be 'branch,point' (an integer and a rational), "
+                 "got %r" % (flag, bad)], (flag, bad)
 
 
 def test_internal_error_exit_3(tmp_path, monkeypatch):

@@ -2,15 +2,17 @@
 dimensions, and agreement with independently built complexes."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from curvealg.linalg import ONE, accum, rank_of_columns, rat
 from curvealg.quiver import SubspaceW, build_ew
-from curvealg.hochschild import (Cochain, differential_apply, eval_b2,
-                                 gerstenhaber, reduced_complex,
-                                 unnormalized_complex, vanishing_scan)
+from curvealg.hochschild import (Cochain, HochschildComplex, UnnormalizedComplex,
+                                 differential_apply, eval_b2, gerstenhaber,
+                                 reduced_complex, unnormalized_complex,
+                                 vanishing_scan)
 from test_linalg import apply
 
 
@@ -508,6 +510,63 @@ def test_delta_columns_match_reference_exactly():
                 d2 = cx.delta_columns(s + 1, t)
                 assert not any(apply(d2, col) for col in got), (E.g, s, t)
             assert nnz > 100
+
+
+# -- cleared integer ranks against the full Fraction delta ----------------------------
+
+
+CLEARING_ALGEBRAS = (SubspaceW.zero(1), SubspaceW(2, [["1/2", "-2/3"]]),
+                     SubspaceW.full(2), SubspaceW.zero(2))
+
+
+def test_cleared_ranks_match_full_delta_in_any_call_order():
+    rng = random.Random(12)
+    for w in CLEARING_ALGEBRAS:
+        E = build_ew(w)
+        # every delta that HH^i reads for i <= 3 (reduced) or i <= 2 (oracle;
+        # its delta at s = 3 - t, t = -5 on g = n = 2 has 65 548 columns)
+        for cls, i_max in ((HochschildComplex, 3), (UnnormalizedComplex, 2)):
+            full = cls(E)
+            pairs = [(s, t) for t in range(-5, 1) for s in range(i_max - t + 1)]
+            want = {(s, t): rank_of_columns(full.delta_columns(s, t))
+                    for s, t in pairs}
+            shuffled = list(pairs)
+            rng.shuffle(shuffled)
+            top_first = sorted(pairs, key=lambda st: (-st[0], st[1]))
+            for order in (pairs, top_first, shuffled):
+                cx = cls(E)
+                got = {(s, t): cx.delta_rank(s, t) for s, t in order}
+                assert got == want, (w.rows, cls.__name__)
+            # each swept t keeps one pivot set, at the top s it reached
+            assert {t: s for t, (s, _) in cx._pivots.items()} == \
+                {t: i_max - t for t in range(-5, 1)}
+            assert sum(want.values()) > 100
+
+
+def test_integer_delta_is_denominator_times_fraction_delta():
+    E = build_ew(SubspaceW(2, [["1/2", "-2/3"]]))
+    D = E.denominator
+    assert D == math.lcm(*[c.denominator for prod in E.table.values()
+                           for c in prod.values()]) == 3
+    rng = random.Random(5)
+    for cx in (reduced_complex(E), unnormalized_complex(E)):
+        nnz = 0
+        for s, t in ((0, 0), (0, 1), (1, -1), (1, 0), (2, -2), (2, -1), (3, -3),
+                     (3, -2), (4, -3), (5, -4)):
+            frac = cx.delta_columns(s, t)
+            ints = cx.delta_columns(s, t, scale=D)
+            assert [list(c.items()) for c in ints] == \
+                [[(i, D * x) for i, x in c.items()] for c in frac], (s, t)
+            assert all(type(x) is int for c in ints for x in c.values())
+            nnz += sum(len(c) for c in ints)
+            # skipped columns are left out, the others kept in order
+            skip = {j for j in range(len(frac)) if rng.random() < 0.5}
+            kept = cx.delta_columns(s, t, skip=skip, scale=D)
+            assert kept == [c for j, c in enumerate(ints) if j not in skip]
+        # some entry of delta has denominator 3, so the scaling shows
+        assert any(x % D for c in cx.delta_columns(2, -1, scale=D)
+                   for x in c.values())
+        assert nnz > 100
 
 
 # -- cochain deserialization ----------------------------------------------------------

@@ -393,6 +393,40 @@ def test_rank_with_columns_cancelling_mid_elimination():
         assert assert_rank_matches_rref(cols) <= len(base)
 
 
+def assert_pivot_rows_project_injectively(cols):
+    """The pivot rows that rank_of_columns reports are as many as the rref
+    rank, the input is untouched, and the span projects injectively onto
+    the pivot rows: the columns cut down to those rows keep the rank."""
+    before = copy.deepcopy(cols)
+    rows = {"already there"}
+    rk = rank_of_columns(cols, rows)
+    assert [list(c.items()) for c in cols] == [list(c.items()) for c in before]
+    rows.remove("already there")
+    assert len(rows) == rk == len(rref(transpose(cols), len(cols))[1])
+    assert rows <= {i for c in cols for i in c}
+    cut = [{i: c for i, c in col.items() if i in rows} for col in cols]
+    assert len(rref(transpose(cut), len(cut))[1]) == rk
+    return rows
+
+
+@given(st.lists(_columns, min_size=1, max_size=6), st.lists(_coeffs, max_size=4))
+@example([{0: rat(1)}, {0: rat(2), 1: rat(3)}, {0: rat(1, 2), 1: rat(3, 4)}], [])
+@example([{0: rat(2, 3), 1: rat(-1), 2: rat(5, 7)}, {1: rat(4), 2: rat(-1, 2), 3: rat(9)}],
+         [[rat(1), rat(1, 3)], [rat(-2), rat(5, 3)], [rat(3), rat(-7, 3)], [rat(1)]])
+def test_pivot_rows_give_rank_and_an_injective_projection(base, mixes):
+    # the appended combinations cancel part-way through the elimination,
+    # as in test_rank_with_columns_cancelling_mid_elimination, whose
+    # inputs are the two examples
+    cols = [c for c in base + [combination(base, c) for c in mixes] if c]
+    assert len(assert_pivot_rows_project_injectively(cols)) <= len(base)
+
+
+def test_pivot_rows_of_no_columns_or_zero_columns_are_empty():
+    for cols in ([], [{}, {}]):
+        rows = set()
+        assert rank_of_columns(cols, rows) == 0 and rows == set()
+
+
 def test_rank_with_entries_beyond_2_to_the_80():
     rng = random.Random(31)
     big = 2 ** 80
