@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from curvealg import ainfinity, cli
@@ -384,6 +385,32 @@ def test_glue_depth_below_window_and_malformed_points_exit_2():
             assert [line for line in err.splitlines() if line.startswith("error:")] == \
                 ["error: %s must be 'branch,point' (an integer and a rational), "
                  "got %r" % (flag, bad)], (flag, bad)
+
+
+def _window_json(branches, depth, dim, codim, codim_matches=True):
+    verdicts = {"complement_condition": True, "intersection_is_constants": True}
+    if codim_matches is not None:
+        verdicts["codim_matches"] = codim_matches
+    return {"branches": branches, "codim": codim, "depth": depth,
+            "dim_subspace": dim, "intersection_dim": 1, "verdicts": verdicts}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["curve", "krichever", "--n", "2", "--s", "1", "--a", "2", "--depth", "8"],
+     _window_json(2, 8, 16, 1)),
+    (["curve", "krichever", "--n", "1", "--s", "1", "--depth", "6"],
+     _window_json(1, 6, 6, 1)),
+    (["curve", "glue", "--n", "1", "--s", "1", "--n2", "1", "--s2", "1",
+      "--q", "0,1", "--q2", "0,1", "--depth", "10"],
+     {"additive": True, "branches": 2, "expected_genus": 2, "genus": 2,
+      "window": _window_json(2, 10, 19, 2, codim_matches=None)}),
+])
+def test_window_json_is_pinned(argv, expected):
+    # the whole stdout of the window commands, as the branch polynomials
+    # give it; a glued window carries no codim verdict
+    code, out, _ = run_in_process(argv)
+    assert code == 0
+    assert json.loads(out) == expected
 
 
 def test_internal_error_exit_3(tmp_path, monkeypatch):
