@@ -260,9 +260,7 @@ def cmd_curve_krichever(args):
     run = Run(args, "curve krichever")
     data = _curve_data(args)
     win = krichever_window(data, args.depth)
-    ok = all(v for v in win.verdicts.values() if v is not None) and \
-        win.verdicts["codim_matches"]
-    return run.emit(win.to_json(), ok=ok)
+    return run.emit(win.to_json(), ok=all(win.verdicts.values()))
 
 
 def cmd_curve_glue(args):

@@ -19,7 +19,7 @@ import itertools
 
 from .linalg import (Echelon, ONE, ZERO, accum, kernel_basis, rank_of_columns,
                      rat, rat_str, vec_addmul)
-from .poly import LaurentVector, PolyRing, RelationSystem, WindowUnderflowError
+from .poly import PolyRing, RelationSystem
 from .quiver import SubspaceW
 
 # order weights making every relation template's left side leading:
@@ -317,6 +317,31 @@ def grassmannian_point(data) -> SubspaceW:
 
 
 # ---------------------------------------------------------------------------
+# branch models
+
+
+class CurveModel:
+    """A curve presented by branch polynomials: a filtered basis of its
+    affine algebra inside a direct sum of polynomial rings."""
+
+    __slots__ = ("branches", "depth", "basis", "genus")
+
+    def __init__(self, branches, depth, basis, genus):
+        self.branches = branches
+        self.depth = depth
+        self.basis = basis
+        self.genus = genus
+
+
+def branch_model(data, depth) -> CurveModel:
+    pres = special_curve_algebra(data)
+    images = rho_generator_images(data)
+    basis = [rho_monomial(pres, e, images)
+             for e in pres.claimed_basis_monomials(depth)]
+    return CurveModel(data.n, depth, basis, data.g)
+
+
+# ---------------------------------------------------------------------------
 # Krichever windows
 
 
@@ -352,19 +377,15 @@ class KricheverWindow:
         }
 
 
-def window_from_vectors(vectors, branches, depth):
-    """Verdict computations for a list of window-supported Laurent vectors."""
-    coords = {}
-
-    def col(v):
-        out = {}
-        for (b, e), c in v.coeffs.items():
-            if not -depth <= e <= depth:
-                raise ValueError("vector outside window")
-            out[(b, e)] = c
-        return out
-
-    wcols = [col(v) for v in vectors]
+def window_from_vectors(basis, branches, depth):
+    """Verdict computations for branch polynomials {(branch, x-exponent): c}
+    with exponents in [-depth, depth]; with t = 1/x the x-exponent e is the
+    window exponent -e."""
+    wcols = []
+    for bp in basis:
+        if any(not -depth <= e <= depth for _, e in bp):
+            raise ValueError("vector outside window")
+        wcols.append({(b, -e): c for (b, e), c in bp.items()})
     total = branches * (2 * depth + 1)
     nonneg = [{(b, e): ONE} for b in range(branches) for e in range(0, depth + 1)]
     geq_m1 = [{(b, e): ONE} for b in range(branches) for e in range(-1, depth + 1)]
@@ -373,7 +394,11 @@ def window_from_vectors(vectors, branches, depth):
     inter = r_w + len(nonneg) - r_w_nonneg
     codim = total - r_w_nonneg
     filled = rank_of_columns(wcols + geq_m1) == total
-    return KricheverWindow(branches, depth, vectors, inter, codim, filled)
+    return KricheverWindow(branches, depth, basis, inter, codim, filled)
+
+
+class WindowUnderflowError(ValueError):
+    """A window is too shallow for the requested computation."""
 
 
 def _check_window_depth(depth, g):
@@ -388,43 +413,13 @@ def krichever_window(data, depth):
     """Window model for a special curve: basis monomials of weighted degree
     <= depth, re-expanded with x_i = 1/t_i."""
     _check_window_depth(depth, data.g)
-    pres = special_curve_algebra(data)
-    images = rho_generator_images(data)
-    vectors = []
-    for e in pres.claimed_basis_monomials(depth):
-        bp = rho_monomial(pres, e, images)
-        v = LaurentVector(data.n, -depth, depth)
-        for (b, ex), c in bp.items():
-            v.coeffs[(b, -ex)] = c
-        vectors.append(v)
-    win = window_from_vectors(vectors, data.n, depth)
+    win = window_from_vectors(branch_model(data, depth).basis, data.n, depth)
     win.verdicts["codim_matches"] = win.codim == data.g
     return win
 
 
 # ---------------------------------------------------------------------------
 # gluing
-
-
-class CurveModel:
-    """A curve presented by branch polynomials: a filtered basis of its
-    affine algebra inside a direct sum of polynomial rings."""
-
-    __slots__ = ("branches", "depth", "basis", "genus")
-
-    def __init__(self, branches, depth, basis, genus):
-        self.branches = branches
-        self.depth = depth
-        self.basis = basis
-        self.genus = genus
-
-
-def branch_model(data, depth) -> CurveModel:
-    pres = special_curve_algebra(data)
-    images = rho_generator_images(data)
-    basis = [rho_monomial(pres, e, images)
-             for e in pres.claimed_basis_monomials(depth)]
-    return CurveModel(data.n, depth, basis, data.g)
 
 
 def glue(left, q_left, right, q_right):
@@ -461,13 +456,7 @@ def glue(left, q_left, right, q_right):
                     accum(bp, (b + left.branches, e), c * x)
         glued.append(bp)
     model = CurveModel(branches, depth, glued, left.genus + right.genus)
-    vectors = []
-    for bp in glued:
-        v = LaurentVector(branches, -depth, depth)
-        for (b, ex), c in bp.items():
-            v.coeffs[(b, -ex)] = c
-        vectors.append(v)
-    win = window_from_vectors(vectors, branches, depth)
+    win = window_from_vectors(glued, branches, depth)
     report = {
         "genus": win.codim,
         "expected_genus": left.genus + right.genus,

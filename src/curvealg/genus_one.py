@@ -54,14 +54,15 @@ class U1Chart:
                 "s1": rat_str(self.s1)}
 
 
-def _chart_relations(ring, a, b, e, pi, s1):
-    """The three chart relations as ring elements; a, b, e, pi, s1 may be
-    rational constants or coefficient variables of the ring."""
-    h12, f1, h1 = (ring.var(n) for n in GEN_NAMES)
-    r1 = h1 * h1 - (f1 ** 3 + f1 * pi + ring.one() * s1)
-    r2 = f1 * h12 - (h1 * a + h12 * b + ring.one() * (a * e))
-    r3 = h1 * h12 - ((f1 ** 2) * a + h12 * e + f1 * (a * b)
-                     + ring.one() * (a * (pi + b * b)))
+def _chart_relations(gens, chart):
+    """The three chart relations in the generators gens = (h12, f1, h1); the
+    chart's coordinates may be rational constants or coefficient variables
+    of the generators' ring."""
+    h12, f1, h1 = gens
+    a, b, e, pi = chart.astuple()
+    r1 = h1 * h1 - (f1 ** 3 + f1 * pi + chart.s1)
+    r2 = f1 * h12 - (h1 * a + h12 * b + a * e)
+    r3 = h1 * h12 - (f1 ** 2 * a + h12 * e + f1 * a * b + a * (pi + b * b))
     return [r1, r2, r3]
 
 
@@ -75,8 +76,7 @@ def u1_relations(chart) -> RelationSystem:
             return exps[0] == 0 and exps[2] <= 1
         return exps[2] <= 1 if exps[2] else True
 
-    rels = _chart_relations(ring, chart.a12, chart.b12, chart.e12, chart.pi1,
-                            chart.s1)
+    rels = _chart_relations([ring.var(n) for n in GEN_NAMES], chart)
     return RelationSystem(ring, rels,
                           claimed_basis="h12^m, f1^m, f1^m h1",
                           is_claimed_basis_monomial=claimed)
@@ -107,32 +107,32 @@ def transition(chart) -> TransitionCertificate:
     a = chart.a12
     if not a:
         raise ValueError("transition needs a12 invertible")
-    rs = u1_relations(chart)
-    ring = rs.ring
-    h12, f1, h1 = (ring.var(n) for n in GEN_NAMES)
-    ainv = 1 / a
-    chart2 = U1Chart(ainv, a * a * chart.b12, a ** 3 * chart.e12,
-                     a ** 4 * chart.pi1)
-    f2 = h12 ** 2 - f1.scale(a * a) - ring.const(a * a * chart.b12)
-    h2 = h12 ** 3 - h1.scale(a ** 3) - h12.scale(3 * a * a * chart.b12) \
-        - ring.const(2 * a ** 3 * chart.e12)
-    h21 = h12.scale(ainv)
-    remainders = _certify(rs, ring, f2, h2, h21, chart2, bound=16)
-    s2 = a ** 6 * chart.s1
-    return TransitionCertificate(chart2, remainders, chart2.s1 == s2)
+    chart2, remainders = _certify(u1_relations(chart), chart, 1 / a, bound=16)
+    return TransitionCertificate(chart2, remainders, chart2.s1 == a ** 6 * chart.s1)
 
 
-def _certify(rs, ring, f2, h2, h21, chart2, bound):
-    a21, b21, e21, pi2 = chart2.a12, chart2.b12, chart2.e12, chart2.pi1
-    s2 = chart2.s1
-    c1 = h2 * h2 - (f2 ** 3 + f2.scale(pi2) + ring.const(s2))
-    c2 = f2 * h21 - (h2.scale(a21) + h21.scale(b21) + ring.const(a21 * e21))
-    c3 = h2 * h21 - ((f2 ** 2).scale(a21) + h21.scale(e21) + f2.scale(a21 * b21)
-                     + ring.const(a21 * (pi2 + b21 * b21)))
-    return {"h2^2 = f2^3 + pi2 f2 + s2": rs.normal_form(c1, bound),
-            "f2 h21 = a21 h2 + b21 h21 + a21 e21": rs.normal_form(c2, bound),
-            "h2 h21 = a21 f2^2 + e21 h21 + a21 b21 f2 + a21(pi2+b21^2)":
-                rs.normal_form(c3, bound)}
+def _second_chart(chart, ainv):
+    """(a21, b21, e21, pi2) = (1/a12, a12^2 b12, a12^3 e12, a12^4 pi1)."""
+    a, b, e, pi = chart.astuple()
+    return U1Chart(ainv, a * a * b, a ** 3 * e, a ** 4 * pi)
+
+
+def _certify(rs, chart, ainv, bound):
+    """The second chart, and the normal forms in rs of its three relations
+    in the transformed generators
+        f2 = h12^2 - a^2 f1 - a^2 b,
+        h2 = h12^3 - a^3 h1 - 3 a^2 b h12 - 2 a^3 e,   h21 = h12 / a;
+    ainv stands for 1/a in rs's ring."""
+    h12, f1, h1 = (rs.ring.var(n) for n in GEN_NAMES)
+    a, b, e, _ = chart.astuple()
+    f2 = h12 ** 2 - f1 * a * a - a * a * b
+    h2 = h12 ** 3 - h1 * a ** 3 - h12 * (3 * a * a * b) - 2 * a ** 3 * e
+    chart2 = _second_chart(chart, ainv)
+    labels = ("h2^2 = f2^3 + pi2 f2 + s2", "f2 h21 = a21 h2 + b21 h21 + a21 e21",
+              "h2 h21 = a21 f2^2 + e21 h21 + a21 b21 f2 + a21(pi2+b21^2)")
+    certificate = _chart_relations((h12 * ainv, f2, h2), chart2)
+    return chart2, {label: rs.normal_form(c, bound)
+                    for label, c in zip(labels, certificate)}
 
 
 def transition_symbolic():
@@ -145,61 +145,39 @@ def transition_symbolic():
     order_w = GEN_ORDER_W + (0, 0, 0, 0, 0)
     ring = PolyRing(names, weights, order_w)
     h12, f1, h1, a, ai, b, e, pi = (ring.var(n) for n in names)
-    s1 = e * e - b * (pi + b * b)
-    rels = _chart_relations(ring, a, b, e, pi, s1)
-    rels.append(a * ai - 1)
+    chart = U1Chart(a, b, e, pi)
+    rels = _chart_relations((h12, f1, h1), chart) + [a * ai - 1]
     rs = RelationSystem(ring, rels, claimed_basis="chart basis over Q(a,b,e,pi)")
-
-    a21, b21, e21, pi2 = ai, a * a * b, a ** 3 * e, a ** 4 * pi
-    s2 = e21 * e21 - b21 * (pi2 + b21 * b21)
-    f2 = h12 ** 2 - f1 * a * a - a * a * b
-    h2 = h12 ** 3 - h1 * a ** 3 - h12 * (3 * a * a * b) - 2 * a ** 3 * e
-    h21 = h12 * ai
-
-    c1 = h2 * h2 - (f2 ** 3 + f2 * pi2 + s2)
-    c2 = f2 * h21 - (h2 * a21 + h21 * b21 + a21 * e21)
-    c3 = h2 * h21 - (f2 ** 2 * a21 + h21 * e21 + f2 * a21 * b21
-                     + a21 * (pi2 + b21 * b21))
-    c4 = a ** 6 * s1 - s2  # the two evaluations of s2 agree identically
-    remainders = {
-        "h2^2 = f2^3 + pi2 f2 + s2": rs.normal_form(c1, 20),
-        "f2 h21 = a21 h2 + b21 h21 + a21 e21": rs.normal_form(c2, 20),
-        "h2 h21 = a21 f2^2 + e21 h21 + a21 b21 f2 + a21(pi2+b21^2)":
-            rs.normal_form(c3, 20),
-        "s2 = a^6 s1": rs.normal_form(c4, 20),
-    }
-    chart2 = U1Chart(a21, b21, e21, pi2)
+    chart2, remainders = _certify(rs, chart, ai, bound=20)
+    # the two evaluations of s2 agree identically
+    remainders["s2 = a^6 s1"] = rs.normal_form(a ** 6 * chart.s1 - chart2.s1, 20)
     return TransitionCertificate(chart2, remainders, True)
 
 
 def bundle_glue_check(chart, symbolic=False):
     """The three cocycle identities t1^2 b21 = t2^2 b12, t1^3 e21 = t2^3 e12,
-    t1^4 pi2 = t2^4 pi1 at (t1 : t2) = (1 : a12)."""
+    t1^4 pi2 = t2^4 pi1 at (t1 : t2) = (1 : a12); symbolically over
+    Q[a, b, e, pi], or at a chart point together with its transition
+    certificate."""
     if symbolic:
-        names = ("a", "b", "e", "pi")
-        ring = PolyRing(names, (1, 1, 1, 1))
-        a, b, e, pi = (ring.var(n) for n in names)
-        b21, e21, pi2 = a * a * b, a ** 3 * e, a ** 4 * pi
-        checks = {
-            "t1^2 b21 = t2^2 b12": b21 - a * a * b,
-            "t1^3 e21 = t2^3 e12": e21 - a ** 3 * e,
-            "t1^4 pi2 = t2^4 pi1": pi2 - a ** 4 * pi,
-        }
-        return {"verdict": "PASS" if all(not v for v in checks.values()) else "FAIL",
-                "identities": {k: str(v) for k, v in checks.items()}}
+        ring = PolyRing(("a", "b", "e", "pi"), (1, 1, 1, 1))
+        chart = U1Chart(*(ring.var(n) for n in ("a", "b", "e", "pi")))
+        # no inverse of a here; the identities do not read a21
+        chart2, passed, show = _second_chart(chart, None), True, str
+    else:
+        if not chart.a12:
+            raise ValueError("bundle gluing needs a12 nonzero")
+        cert = transition(chart)
+        chart2, passed, show = cert.chart2, cert.passed, rat_str
     a = chart.a12
-    if not a:
-        raise ValueError("bundle gluing needs a12 nonzero")
-    cert = transition(chart)
-    c2 = cert.chart2
     checks = {
-        "t1^2 b21 = t2^2 b12": c2.b12 - a * a * chart.b12,
-        "t1^3 e21 = t2^3 e12": c2.e12 - a ** 3 * chart.e12,
-        "t1^4 pi2 = t2^4 pi1": c2.pi1 - a ** 4 * chart.pi1,
+        "t1^2 b21 = t2^2 b12": chart2.b12 - a * a * chart.b12,
+        "t1^3 e21 = t2^3 e12": chart2.e12 - a ** 3 * chart.e12,
+        "t1^4 pi2 = t2^4 pi1": chart2.pi1 - a ** 4 * chart.pi1,
     }
-    ok = all(not v for v in checks.values()) and cert.passed
-    return {"verdict": "PASS" if ok else "FAIL",
-            "identities": {k: rat_str(v) for k, v in checks.items()}}
+    passed = passed and all(not v for v in checks.values())
+    return {"verdict": "PASS" if passed else "FAIL",
+            "identities": {k: show(v) for k, v in checks.items()}}
 
 
 # ---------------------------------------------------------------------------

@@ -607,6 +607,4 @@ class UnnormalizedComplex(HochschildComplex):
 
 
 def unnormalized_complex(E) -> UnnormalizedComplex:
-    if E._unnormalized_complex is None:
-        E._unnormalized_complex = UnnormalizedComplex(E)
-    return E._unnormalized_complex
+    return UnnormalizedComplex(E)

@@ -1,5 +1,4 @@
-"""Sparse multivariate polynomials over Q, bounded-degree rewriting, and
-truncated Laurent vectors.
+"""Sparse multivariate polynomials over Q and bounded-degree rewriting.
 
 A PolyRing fixes the variable names, a positive grading weight per variable
 (the weighted degree used everywhere for truncation), and a separate list of
@@ -18,8 +17,6 @@ while computing each one, so that degree bounds are still enforced.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .linalg import ZERO, ONE, accum, rat, rat_str, vec_addmul
 
@@ -497,137 +494,3 @@ def _tokenize(text):
         else:
             raise ValueError("bad character %r in %r" % (ch, text))
     return out
-
-
-# ---------------------------------------------------------------------------
-# truncated Laurent vectors on n branches
-
-
-class WindowUnderflowError(ValueError):
-    """A coefficient outside the trusted window was requested, or a window
-    is too shallow for the requested computation."""
-
-
-class LaurentVector:
-    """Element of a direct sum of n Laurent series fields, known exactly on a
-    window of exponents.
-
-    window_low is a hard pole bound (there are no terms below it at all);
-    window_high is the trusted bound: coefficients above it are unknown.
-    window_high=None means the element is known entirely (a Laurent
-    polynomial).  Products are branchwise and shrink the trusted bound so
-    that no unknown tail can contaminate a reported coefficient.
-    """
-
-    __slots__ = ("branches", "window_low", "window_high", "coeffs")
-
-    def __init__(self, branches, window_low, window_high, coeffs=None):
-        self.branches = branches
-        self.window_low = window_low
-        self.window_high = window_high
-        self.coeffs = {}
-        if coeffs:
-            for (b, e), c in coeffs.items():
-                c = rat(c)
-                if not c:
-                    continue
-                if not 0 <= b < branches:
-                    raise ValueError("branch out of range")
-                if e < window_low or (window_high is not None and e > window_high):
-                    raise ValueError("exponent %d outside window" % e)
-                self.coeffs[(b, e)] = c
-
-    @classmethod
-    def constant(cls, branches, value=1):
-        v = cls(branches, 0, None)
-        for b in range(branches):
-            c = rat(value)
-            if c:
-                v.coeffs[(b, 0)] = c
-        return v
-
-    @classmethod
-    def monomial(cls, branch, exponent, branches, coeff=1):
-        v = cls(branches, min(exponent, 0), None)
-        c = rat(coeff)
-        if c:
-            v.coeffs[(branch, exponent)] = c
-        return v
-
-    def get(self, branch, exponent):
-        if exponent < self.window_low:
-            return ZERO
-        if self.window_high is not None and exponent > self.window_high:
-            raise WindowUnderflowError(
-                "exponent %d beyond trusted bound %d" % (exponent, self.window_high))
-        return self.coeffs.get((branch, exponent), ZERO)
-
-    def _match(self, other):
-        if self.branches != other.branches:
-            raise ValueError("branch count mismatch")
-
-    def add(self, other):
-        self._match(other)
-        lo = min(self.window_low, other.window_low)
-        his = [h for h in (self.window_high, other.window_high) if h is not None]
-        hi = min(his) if his else None
-        out = LaurentVector(self.branches, lo, hi)
-        for (b, e), c in itertools.chain(self.coeffs.items(), other.coeffs.items()):
-            if hi is None or e <= hi:
-                accum(out.coeffs, (b, e), c)
-        return out
-
-    def scale(self, c):
-        c = rat(c)
-        out = LaurentVector(self.branches, self.window_low, self.window_high)
-        if c:
-            out.coeffs = {k: c * v for k, v in self.coeffs.items()}
-        return out
-
-    def mul(self, other):
-        """Branchwise product.  Trusted bound: an exponent e is kept only if
-        every decomposition e = i + j with i, j above the pole bounds has
-        both factors inside their trusted windows."""
-        self._match(other)
-        lo = self.window_low + other.window_low
-        if self.window_high is None and other.window_high is None:
-            hi = None
-        elif self.window_high is None:
-            hi = other.window_high + self.window_low
-        elif other.window_high is None:
-            hi = self.window_high + other.window_low
-        else:
-            hi = min(self.window_high + other.window_low,
-                     other.window_high + self.window_low)
-        out = LaurentVector(self.branches, lo, hi)
-        for (b1, e1), c1 in self.coeffs.items():
-            for (b2, e2), c2 in other.coeffs.items():
-                if b1 != b2:
-                    continue
-                e = e1 + e2
-                if hi is None or e <= hi:
-                    accum(out.coeffs, (b1, e), c1 * c2)
-        return out
-
-    def truncate(self, low, high):
-        """Narrow to [low, high].  Raises if high is beyond the trusted bound;
-        dropping known low-order terms tightens the pole bound instead."""
-        if self.window_high is not None and high > self.window_high:
-            raise WindowUnderflowError(
-                "cannot widen trusted bound %s to %d" % (self.window_high, high))
-        out = LaurentVector(self.branches, max(low, self.window_low), high)
-        out.coeffs = {(b, e): c for (b, e), c in self.coeffs.items()
-                      if low <= e <= high}
-        return out
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentVector) and self.branches == other.branches
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        hi = "inf" if self.window_high is None else str(self.window_high)
-        return "LaurentVector(n=%d, window=[%d,%s], %d terms)" % (
-            self.branches, self.window_low, hi, len(self.coeffs))

@@ -137,10 +137,9 @@ class EWAlgebra:
             self.right_products[k].append((m, prod))
             self.left_products[m].append((k, prod))
 
-        # caches filled on first use by hochschild.reduced_complex,
-        # hochschild.unnormalized_complex and ainfinity.complement_data
+        # caches filled on first use by hochschild.reduced_complex and
+        # ainfinity.complement_data
         self._hochschild_complex = None
-        self._unnormalized_complex = None
         self._complements = {}
 
     # -- multiplication -----------------------------------------------------

@@ -135,8 +135,7 @@ def test_criterion_03_reduced_vs_unreduced():
                 b = ucx.hh_dim(i, t)
                 assert a == b, (key, i, t, a, b)
                 cells += 1
-        # the high-arity oracle caches of the big cases are hundreds of MB
-        E._unnormalized_complex = None
+        # the high-arity caches of the (2,2) case are hundreds of MB
         if key == "22":
             cx._tuples.clear()
             cx._basis.clear()

@@ -10,7 +10,8 @@ from curvealg.linalg import ONE, rank_of_columns, rat
 from curvealg.curves import (SpecialCurveData, branch_model, bp_eval, bp_mul,
                              component_type, glue, grassmannian_point,
                              krichever_window, rho_embed, rho_generator_images,
-                             rho_monomial, special_curve_algebra, verify_basis)
+                             rho_monomial, special_curve_algebra, verify_basis,
+                             window_from_vectors, WindowUnderflowError)
 from curvealg.quiver import build_ew
 
 
@@ -237,10 +238,10 @@ def test_krichever_cuspidal():
     assert win.verdicts["intersection_is_constants"]
     assert win.codim == 1 and win.verdicts["codim_matches"]
     assert win.verdicts["complement_condition"]
-    # the window span contains 1, and pole orders 2 and 3 but not 1
-    supports = {tuple(v.support()) for v in win.subspace}
-    assert ((0, 0),) in supports
-    assert ((0, -2),) in supports and ((0, -3),) in supports
+    # the window span contains 1, and pole orders 2 and 3 (x^2 = t^-2 and
+    # x^3 = t^-3) but not 1
+    assert {(0, 0): ONE} in win.subspace
+    assert {(0, 2): ONE} in win.subspace and {(0, 3): ONE} in win.subspace
 
 
 def test_krichever_two_point_and_lines():
@@ -254,7 +255,6 @@ def test_krichever_two_point_and_lines():
 
 
 def test_krichever_depth_guard_and_stability():
-    from curvealg.poly import WindowUnderflowError
     with pytest.raises(WindowUnderflowError):
         krichever_window(SpecialCurveData(1, [1]), 5)
     rng = random.Random(6)
@@ -335,24 +335,26 @@ def test_glued_algebra_is_the_fiber_product():
 
 def test_window_negative_controls():
     # verdicts must fail on corrupted window subspaces
-    from curvealg.curves import window_from_vectors
-    from curvealg.poly import LaurentVector
     d = SpecialCurveData(2, [1], {(1, 2): 2})
     win = krichever_window(d, 8)
     # dropping the constant vector breaks the intersection verdict
-    no_const = [v for v in win.subspace
-                if v.coeffs != {(b, 0): ONE for b in range(2)}]
+    no_const = [bp for bp in win.subspace
+                if bp != {(b, 0): ONE for b in range(2)}]
     assert len(no_const) == len(win.subspace) - 1
     broken = window_from_vectors(no_const, 2, 8)
     assert broken.intersection_dim != 1
-    # adding a stray regular vector breaks it in the other direction
-    stray = LaurentVector(2, -8, 8, {(0, 1): 1})
+    # adding a stray regular vector, t^1 = x^-1, breaks it in the other direction
+    stray = {(0, -1): ONE}
     padded = window_from_vectors(win.subspace + [stray], 2, 8)
     assert not padded.verdicts["intersection_is_constants"]
     # a genus-starved subspace reports codim > g
-    half = [v for v in win.subspace][: len(win.subspace) // 2]
+    half = win.subspace[: len(win.subspace) // 2]
     starved = window_from_vectors(half, 2, 8)
     assert starved.codim > d.g
+    # an exponent beyond the depth has no place in the window
+    for e in (9, -9):
+        with pytest.raises(ValueError, match="outside window"):
+            window_from_vectors(win.subspace + [{(1, e): ONE}], 2, 8)
 
 
 def test_basis_count_matches_embedding_rank():

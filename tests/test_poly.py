@@ -1,4 +1,4 @@
-"""Polynomials, bounded rewriting, closure checks, Laurent windows."""
+"""Polynomials, bounded rewriting, closure checks."""
 
 import itertools
 import random
@@ -6,8 +6,7 @@ import random
 import pytest
 
 from curvealg.linalg import rat
-from curvealg.poly import (BoundExceededError, LaurentVector, PolyRing,
-                           RelationSystem, WindowUnderflowError, parse_poly)
+from curvealg.poly import BoundExceededError, PolyRing, RelationSystem, parse_poly
 from curvealg.curves import SpecialCurveData, special_curve_algebra
 from curvealg import genus_one
 
@@ -285,74 +284,3 @@ def test_parser_and_json_roundtrip():
     assert rs2.relations[0] == parse_poly(rs2.ring, str(p))
     assert rs2.ring.weights == ring.weights
 
-
-# -- Laurent windows ----------------------------------------------------------
-
-
-def test_laurent_monomial_product():
-    a = LaurentVector.monomial(0, -2, branches=2)
-    b = LaurentVector.monomial(0, -3, branches=2)
-    p = a.mul(b)
-    assert p.coeffs == {(0, -5): rat(1)}
-    assert p.window_high is None
-
-
-def test_laurent_windowed_product_trust():
-    # (1 + t)(1 - t) known on [-4, 4]: product trusted only where no unknown
-    # tail can contribute
-    one_plus = LaurentVector(1, -4, 4, {(0, 0): 1, (0, 1): 1})
-    one_minus = LaurentVector(1, -4, 4, {(0, 0): 1, (0, 1): -1})
-    p = one_plus.mul(one_minus)
-    assert p.window_low == -8
-    assert p.window_high == 0  # min(4 + (-4), 4 + (-4))
-    assert p.get(0, 0) == 1
-    with pytest.raises(WindowUnderflowError):
-        p.get(0, 1)
-
-
-def test_laurent_truncate():
-    v = LaurentVector(1, -2, None, {(0, -1): 1, (0, 5): 1})
-    t = v.truncate(-2, 2)
-    assert t.coeffs == {(0, -1): rat(1)}
-    assert t.window_high == 2
-    with pytest.raises(WindowUnderflowError):
-        t.get(0, 3)
-    with pytest.raises(WindowUnderflowError):
-        t.truncate(-2, 4)
-
-
-def test_laurent_ring_laws_on_trusted_windows():
-    rng = random.Random(4)
-
-    def rand_vec():
-        v = LaurentVector(2, -3, 3)
-        for _ in range(4):
-            b = rng.randint(0, 1)
-            e = rng.randint(-3, 3)
-            c = rng.randint(-2, 2)
-            if c:
-                v.coeffs[(b, e)] = v.coeffs.get((b, e), rat(0)) + rat(c)
-                if not v.coeffs[(b, e)]:
-                    del v.coeffs[(b, e)]
-        return v
-
-    for _ in range(20):
-        a, b, c = rand_vec(), rand_vec(), rand_vec()
-        ab_c = a.mul(b).mul(c)
-        a_bc = a.mul(b.mul(c))
-        lo = max(ab_c.window_low, a_bc.window_low)
-        hi = min(ab_c.window_high, a_bc.window_high)
-        for br in range(2):
-            for e in range(lo, hi + 1):
-                assert ab_c.get(br, e) == a_bc.get(br, e)
-        ab = a.mul(b)
-        ba = b.mul(a)
-        for br in range(2):
-            for e in range(ab.window_low, ab.window_high + 1):
-                assert ab.get(br, e) == ba.get(br, e)
-        assert a.add(b).coeffs == b.add(a).coeffs
-
-
-def test_branch_mismatch():
-    with pytest.raises(ValueError):
-        LaurentVector.constant(1).mul(LaurentVector.constant(2))
