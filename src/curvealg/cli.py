@@ -57,8 +57,9 @@ def _curve_data(args, suffix=""):
     S = _parse_ints(getattr(args, "s" + suffix))
     rows = _parse_rows(getattr(args, "a" + suffix, None) or "")
     if rows:
-        return SpecialCurveData.from_rows(n, S, rows, name="--a" + suffix)
-    return SpecialCurveData(n, S)
+        return SpecialCurveData.from_rows(n, S, rows, name="--a" + suffix,
+                                          s_name="--s" + suffix)
+    return SpecialCurveData(n, S, s_name="--s" + suffix)
 
 
 def _gluing_point(text, flag):

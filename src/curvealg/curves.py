@@ -19,7 +19,7 @@ import itertools
 
 from .linalg import (Echelon, ONE, ZERO, accum, kernel_basis, rank_of_columns,
                      rat, rat_str, vec_addmul)
-from .poly import PolyRing, RelationSystem
+from .poly import MultiPoly, PolyRing, RelationSystem
 from .quiver import SubspaceW
 
 # order weights making every relation template's left side leading:
@@ -34,11 +34,13 @@ class SpecialCurveData:
 
     __slots__ = ("n", "S", "a")
 
-    def __init__(self, n, S, a=None):
+    def __init__(self, n, S, a=None, s_name="S"):
         if n < 1:
             raise ValueError("n must be at least 1, got %d" % n)
         self.n = n
         self.S = tuple(sorted(set(S)))
+        if len(self.S) != len(S):
+            raise ValueError("%s repeats an index: %s" % (s_name, list(S)))
         if any(not 1 <= i <= n for i in self.S):
             raise ValueError("S must be a subset of 1..n")
         self.a = {}
@@ -63,10 +65,15 @@ class SpecialCurveData:
         return self.a.get((i, j), ZERO)
 
     @classmethod
-    def from_rows(cls, n, S, rows, name="a"):
-        """a given as a dense matrix, rows over sorted S, columns over the
-        sorted complement; a shape error calls the matrix `name`."""
-        d = cls(n, S)
+    def from_rows(cls, n, S, rows, name="a", s_name="S"):
+        """a given as a dense matrix, rows over S, columns over the sorted
+        complement; S must be strictly increasing, so that the rows follow
+        it.  A shape error calls the matrix `name`, an error in S calls it
+        `s_name`."""
+        d = cls(n, S, s_name=s_name)
+        if list(S) != list(d.S):
+            raise ValueError("%s must be increasing, since the rows of %s follow it: %s"
+                             % (s_name, name, list(S)))
         comp = d.complement()
         if [len(row) for row in rows] != [len(comp)] * d.g:
             raise ValueError("%s must be a %d x %d matrix (|S| x (n - |S|))"
@@ -257,12 +264,14 @@ def verify_basis(data, degree_bound, corrupt=None):
     Images are built once each, in degree order: rho(e) is
     rho(e - unit_k) times the image of generator k, for the last generator
     k that e uses.  The claimed monomials of each degree go into one
-    echelon basis, which gives the independence verdict, and each
-    monomial's image is then reduced against it once.
+    echelon basis, which gives the independence verdict.  Each monomial is
+    then reduced once by the relations, and its image is reduced against
+    the echelon basis only when the normal form does not already prove it
+    lies in the span.
     """
     pres = special_curve_algebra(data)
     images = rho_generator_images(data, corrupt)
-    ring = pres.ring
+    ring, system = pres.ring, pres.system
     factors = [images[name] for name in ring.names]
     by_deg_all = {}
     for e in ring.monomials_up_to(degree_bound):
@@ -278,18 +287,27 @@ def verify_basis(data, degree_bound, corrupt=None):
             k = used[-1]
             rho[e] = bp_mul(rho[e[:k] + (e[k] - 1,) + e[k + 1:]], factors[k])
         span = Echelon()
+        claimed = set()
         for e in monomials:
-            if pres.system.is_claimed_basis_monomial(e) and not span.add(rho[e]):
-                return BasisReport(False, "degree %d: claimed monomials dependent" % d)
+            if system.is_claimed_basis_monomial(e):
+                if not span.add(rho[e]):
+                    return BasisReport(False, "degree %d: claimed monomials dependent" % d)
+                claimed.add(e)
         for e in monomials:
-            if not span.contains(rho[e]):
-                return BasisReport(False, "degree %d: image of %s escapes the span"
-                                   % (d, e))
-            nf = pres.system.normal_form(ring.monomial(e), degree_bound)
+            # Every relation of the presentation is homogeneous, so this
+            # cannot raise BoundExceededError at d <= degree_bound, and
+            # reducing before the span test changes no verdict.
+            nf = system.normal_form(MultiPoly(ring, {e: ONE}), degree_bound)
             image = {}
             for t, c in nf.terms.items():
                 vec_addmul(image, c, rho[t])
-            if image != rho[e]:
+            kept = image == rho[e]
+            # a kept image with every normal-form term claimed is a
+            # combination of claimed images, so it lies in the span
+            if not (kept and claimed.issuperset(nf.terms)) and not span.contains(rho[e]):
+                return BasisReport(False, "degree %d: image of %s escapes the span"
+                                   % (d, e))
+            if not kept:
                 return BasisReport(False, "degree %d: reduction of %s changes the image"
                                    % (d, e))
     return BasisReport(True)

@@ -18,6 +18,8 @@ while computing each one, so that degree bounds are still enforced.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .linalg import ZERO, ONE, accum, rat, rat_str, vec_addmul
 
 
@@ -47,7 +49,7 @@ class PolyRing:
         return len(self.names)
 
     def wdeg(self, exps):
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def order_key(self, exps):
         return (sum(w * e for w, e in zip(self.order_weights, exps)), exps)
@@ -227,10 +229,6 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 class RelationSystem:
     """Rewrite system: relations in a PolyRing, each used as lead -> tail.
 
@@ -251,10 +249,26 @@ class RelationSystem:
             lead_e, lead_c = r.lead()
             tail = self.ring.monomial(lead_e, lead_c) - r  # lead_c*x^lead - r
             self.rules.append((lead_e, lead_c, tail))
-        # each rule as lead -> [(t, c_t / lead_c)], and the memo of N(e)
-        self._scaled_tails = [(lead_e, [(t, c / lead_c) for t, c in tail.terms.items()])
-                              for lead_e, lead_c, tail in self.rules]
+        # each rule as its lead's support, the (index, exponent) pairs where
+        # the lead is nonzero, with the tail as [(t - lead, c_t / lead_c)];
+        # and the memo of N(e)
+        self._scaled_tails = [
+            ([(i, k) for i, k in enumerate(lead_e) if k],
+             [(tuple(a - b for a, b in zip(t, lead_e)), c / lead_c)
+              for t, c in tail.terms.items()])
+            for lead_e, lead_c, tail in self.rules]
         self._normal_forms = {}
+
+    def _first_rule(self, e):
+        """The scaled tail of the first rule whose lead divides e, matched on
+        the lead's support; None if e is irreducible."""
+        for support, tail in self._scaled_tails:
+            for i, k in support:
+                if e[i] < k:
+                    break
+            else:
+                return tail
+        return None
 
     def normal_form(self, p, degree_bound):
         """Reduce p until no lead monomial divides any term.
@@ -281,7 +295,11 @@ class RelationSystem:
             if top > degree_bound:
                 raise BoundExceededError(
                     "term of degree %d exceeds bound %d" % (top, degree_bound))
-            vec_addmul(out, c, terms)
+            if c == 1:
+                for t, x in terms.items():
+                    accum(out, t, x)
+            else:
+                vec_addmul(out, c, terms)
         return MultiPoly(self.ring, out)
 
     def _reduce_monomial(self, e, degree_bound):
@@ -295,18 +313,16 @@ class RelationSystem:
         if top > degree_bound:
             raise BoundExceededError(
                 "term of degree %d exceeds bound %d" % (top, degree_bound))
-        for lead_e, tail in self._scaled_tails:
-            if _divides(lead_e, e):
-                shift = tuple(a - b for a, b in zip(e, lead_e))
-                terms = {}
-                for t, c in tail:
-                    sub, sub_top = self._reduce_monomial(
-                        tuple(a + b for a, b in zip(t, shift)), degree_bound)
-                    top = max(top, sub_top)
-                    vec_addmul(terms, c, sub)
-                break
-        else:
+        tail = self._first_rule(e)
+        if tail is None:
             terms = {e: ONE}
+        else:
+            terms = {}
+            for shift, c in tail:
+                sub, sub_top = self._reduce_monomial(
+                    tuple(a + b for a, b in zip(e, shift)), degree_bound)
+                top = max(top, sub_top)
+                vec_addmul(terms, c, sub)
         hit = self._normal_forms[e] = (terms, top)
         return hit
 
@@ -338,7 +354,7 @@ class RelationSystem:
         return ClosureReport(not failures, failures)
 
     def is_irreducible(self, exps):
-        return all(not _divides(lead_e, exps) for lead_e, _, _ in self.rules)
+        return self._first_rule(exps) is None
 
     def irreducible_monomials(self, degree_bound):
         return [e for e in self.ring.monomials_up_to(degree_bound)

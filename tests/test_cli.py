@@ -543,6 +543,29 @@ def test_misshaped_a_matrix_is_usage_error():
     assert code == 0, err
 
 
+def test_repeated_or_unordered_s_is_usage_error():
+    # the rows of --a follow S in increasing order, so --s 3,1 --a "5;7"
+    # would put 5 on branch 1; a repeated index would be read as a smaller S
+    runs = [("--s", ["curve", "component", "--n", "3", "--s", "3,1", "--a", "5;7"]),
+            ("--s", ["curve", "component", "--n", "3", "--s", "1,1"]),
+            ("--s", ["curve", "basis", "--n", "3", "--s", "1,1", "--a", "1",
+                     "--deg-bound", "4"]),
+            ("--s2", ["curve", "glue", "--n", "1", "--s", "1", "--q", "0,1",
+                      "--n2", "3", "--s2", "3,1", "--a2", "5;7", "--q2", "0,2",
+                      "--depth", "8"]),
+            ("--s2", ["curve", "glue", "--n", "1", "--s", "1", "--q", "0,1",
+                      "--n2", "3", "--s2", "2,2", "--q2", "0,2", "--depth", "8"])]
+    for flag, argv in runs:
+        code, out, err = run_in_process(argv)
+        assert code == 2, (argv, err)
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: %s " % flag), (argv, err)
+    code, _, err = run_in_process(["curve", "component", "--n", "3", "--s", "1,3",
+                                   "--a", "5;7"])
+    assert code == 0, err
+
+
 _flag_runs = st.one_of(
     st.tuples(st.just(("ainf", "random", "--n", "1", "--g", "1", "--w", "", "--order")),
               st.integers(-3, 4)),

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from curvealg.linalg import ONE, rank_of_columns, rat
+from curvealg import curves
+from curvealg.linalg import Echelon, ONE, rank_of_columns, rat
+from curvealg.poly import RelationSystem
 from curvealg.curves import (SpecialCurveData, branch_model, bp_eval, bp_mul,
                              component_type, glue, grassmannian_point,
                              krichever_window, rho_embed, rho_generator_images,
@@ -117,8 +119,10 @@ def test_verify_basis_detects_corruption():
 
 def _verify_basis_reference(data, degree_bound, corrupt=None):
     """verify_basis rebuilding every image from 1 and re-ranking the
-    claimed images plus one column for every monomial."""
-    pres = special_curve_algebra(data)
+    claimed images plus one column for every monomial.  It reads the
+    presentation through the module, as verify_basis does, so a test that
+    patches curves.special_curve_algebra patches both."""
+    pres = curves.special_curve_algebra(data)
     images = rho_generator_images(data, corrupt)
     ring = pres.ring
     by_deg_basis = {}
@@ -167,6 +171,79 @@ def test_verify_basis_matches_reference_on_every_small_curve():
             for S in itertools.combinations(range(1, n + 1), size):
                 d = random_data(n, list(S), rng, dens=1.0)
                 assert assert_verify_basis_matches_reference(d, 8).passed, (n, S)
+
+
+def test_verify_basis_matches_reference_on_n4_curves():
+    # the benchmark's heaviest shapes are (4,1) and (4,2)
+    rng = random.Random(16)
+    for size in range(0, 5):
+        for S in itertools.combinations(range(1, 5), size):
+            d = random_data(4, list(S), rng, dens=1.0)
+            assert assert_verify_basis_matches_reference(d, 6).passed, S
+    d = random_data(4, [1, 3], rng, dens=1.0)
+    reasons = set()
+    for corrupt in _corruptions(rho_generator_images(d)):
+        rep = assert_verify_basis_matches_reference(d, 6, corrupt)
+        reasons.add(rep.reason.split(": ")[1].split(" ")[0] if rep.reason else "")
+    assert reasons == {"", "claimed", "image", "reduction"}
+
+
+def _drop_claimed(monkeypatch, name, power):
+    """Patch curves.special_curve_algebra so that the claimed-basis predicate
+    of every presentation it returns drops generator `name` to `power`."""
+    build = curves.special_curve_algebra
+
+    def patched(data):
+        pres = build(data)
+        e = tuple(power if x == name else 0 for x in pres.ring.names)
+        claimed = pres.system.is_claimed_basis_monomial
+        pres.system.is_claimed_basis_monomial = lambda m: m != e and claimed(m)
+        return pres
+
+    monkeypatch.setattr(curves, "special_curve_algebra", patched)
+
+
+def test_verify_basis_runs_the_span_test_when_a_normal_form_leaves_the_claimed_set(
+        monkeypatch):
+    # f_1^2 is irreducible, so it is its own normal form and reduction keeps
+    # its image; only the span test sees that it is no longer claimed
+    contains = Echelon.contains
+    seen = []
+
+    def counted(self, v):
+        seen.append(v)
+        return contains(self, v)
+
+    monkeypatch.setattr(Echelon, "contains", counted)
+    _drop_claimed(monkeypatch, "f_1", 2)
+    rng = random.Random(17)
+    for n, S in ((2, [1]), (4, [1, 2])):
+        d = random_data(n, S, rng, dens=1.0)
+        del seen[:]
+        rep = assert_verify_basis_matches_reference(d, 8)
+        assert (rep.passed, rep.reason) == (
+            False, "degree 4: image of %s escapes the span"
+            % (tuple(2 if x == "f_1" else 0
+                     for x in special_curve_algebra(d).ring.names),))
+        assert {(0, 4): ONE} in seen
+
+
+def test_verify_basis_reduces_each_monomial_once(monkeypatch):
+    # perfbench counts curves.monomials as the normal_form calls made inside
+    # verify_basis
+    normal_form = RelationSystem.normal_form
+    calls = []
+
+    def counted(self, p, degree_bound):
+        calls.append(p)
+        return normal_form(self, p, degree_bound)
+
+    monkeypatch.setattr(RelationSystem, "normal_form", counted)
+    d = random_data(3, [2], random.Random(18), dens=1.0)
+    assert verify_basis(d, 8)
+    monomials = special_curve_algebra(d).ring.monomials_up_to(8)
+    assert sorted(next(iter(p.terms)) for p in calls) == sorted(monomials)
+    assert all(list(p.terms.values()) == [ONE] for p in calls)
 
 
 def test_verify_basis_matches_reference_on_corrupted_images():

@@ -192,6 +192,28 @@ def test_normal_form_matches_reference_on_cancelling_inputs():
         assert all(not rs.normal_form(r, 16) for r in rs.relations)
 
 
+def test_irreducible_monomials_match_lead_divisibility():
+    # is_irreducible matches leads on their support; the reference zips the
+    # whole exponent tuple
+    rng = random.Random(19)
+    systems = [special_curve_algebra(_curve_data(4, [1, 3], rng)).system,
+               special_curve_algebra(_curve_data(3, [2], rng)).system,
+               genus_one.u1_relations(genus_one.U1Chart(2, rat(1, 2), 1, -1)),
+               cusp_system()[1]]
+    for rs in systems:
+        for e in rs.ring.monomials_up_to(8):
+            assert rs.is_irreducible(e) == (
+                not any(_divides(lead_e, e) for lead_e, _, _ in rs.rules)), e
+
+
+def test_monomials_up_to_is_every_monomial_in_lexicographic_order():
+    # verify_basis reports the first failing monomial of a degree in this order
+    ring = PolyRing(["a", "b", "c", "d"], [1, 2, 2, 3])
+    brute = [e for e in itertools.product(range(8), repeat=4) if ring.wdeg(e) <= 7]
+    assert ring.monomials_up_to(7) == brute
+    assert PolyRing(["x"], [2]).monomials_up_to(5) == [(0,), (1,), (2,)]
+
+
 def test_normal_form_matches_reference_on_non_confluent_system():
     # the perturbed system of test_closure_special_curve_and_perturbation:
     # h1 hS2 -> 3 f1^2 disagrees with the other rules, so the rule chosen
