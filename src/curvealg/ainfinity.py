@@ -18,14 +18,16 @@ gauge_act(f, gauge_act(g, m)) = gauge_act(compose(f, g), m) holds exactly.
 Only terms that can be nonzero are evaluated.  Block compositions are
 enumerated with block sizes in {1} and the support of the gauge, once per
 (arity, support), and one block evaluator applies a cochain to the F-blocks
-of a tuple, multiplying only the gauge-valued slots.  gauge_act solves the
-morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
-minus the F o D' terms whose inner m' has lower arity, so it needs neither
-the inverse gauge nor any product over outer blocks.  Arities below the
-lowest gauge component are copied unchanged, in gauge_act and gauge_compose
-alike, which covers every step gauge f_{k-1} of normalize.  normalize
-makes one exact elimination per arity, cached per algebra, and no solves,
-and checks flatness once, on the normal form.
+of a tuple, multiplying only the gauge-valued slots.  One F-block sum, over
+the compositions of an arity, serves gauge_act, gauge_compose and
+gauge_inverse; the inverse is compose's arity step solved for its unknown
+h_r.  gauge_act solves the morphism equation arity by arity: the new m'_r
+on a tuple T is D o F on T minus the F o D' terms whose inner m' has lower
+arity, so it needs neither the inverse gauge nor any product over outer
+blocks.  Arities below the lowest gauge component are copied unchanged, in
+gauge_act and gauge_compose alike, which covers every step gauge f_{k-1}
+of normalize.  normalize makes one exact elimination per arity, cached per
+algebra, and no solves, and checks flatness once, on the normal form.
 """
 
 from __future__ import annotations
@@ -40,19 +42,10 @@ from .hochschild import (Cochain, compose as cochain_compose,
 from .poly import PolyRing
 
 
-def _order_from_json(obj):
-    order = obj["order"]
-    if type(order) is not int:
-        raise ValueError("order must be an integer, not %r" % (order,))
-    return order
-
-
-def _comps_from_json(E, obj):
-    return {int(k): Cochain.from_json(E, v) for k, v in obj["components"].items()}
-
-
-class AnStructure:
-    """Minimal A_N-structure data: components m_k for 3 <= k <= N."""
+class _Components:
+    """Components c_k of arity k and internal degree SHIFT - k, for the
+    arities whose degrees run from -1 down to 2 - N: SHIFT + 1 <= k <=
+    N + SHIFT - 2.  Zero components are not stored."""
 
     __slots__ = ("E", "N", "comps")
 
@@ -62,85 +55,68 @@ class AnStructure:
         self.E = E
         self.N = N
         self.comps = {}
+        name, shift = self.LETTER, self.SHIFT
         for k, c in (comps or {}).items():
-            if not 3 <= k <= N:
-                raise ValueError("component m_%d out of range" % k)
-            if (c.s, c.t) != (k, 2 - k):
-                raise ValueError("m_%d must have arity %d and degree %d" % (k, k, 2 - k))
+            if not shift + 1 <= k <= N + shift - 2:
+                raise ValueError("component %s_%d out of range" % (name, k))
+            if (c.s, c.t) != (k, shift - k):
+                raise ValueError("%s_%d must have arity %d and degree %d"
+                                 % (name, k, k, shift - k))
             if not c.is_zero():
                 self.comps[k] = c
+
+    def component(self, k):
+        got = self.comps.get(k)
+        return got if got is not None else Cochain(self.E, k, self.SHIFT - k)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.E is other.E
+                and self.N == other.N and self.comps == other.comps)
+
+    def to_json(self):
+        return {"order": self.N,
+                "components": {str(k): self.comps[k].to_json()
+                               for k in sorted(self.comps)}}
+
+    @classmethod
+    def from_json(cls, E, obj):
+        order = obj["order"]
+        if type(order) is not int:
+            raise ValueError("order must be an integer, not %r" % (order,))
+        return cls(E, order, {int(k): Cochain.from_json(E, v)
+                              for k, v in obj["components"].items()})
+
+    def __repr__(self):
+        return "%s(N=%d, nonzero at %s)" % (type(self).__name__, self.N,
+                                            sorted(self.comps))
+
+
+class AnStructure(_Components):
+    """Minimal A_N-structure data: components m_k for 3 <= k <= N."""
+
+    __slots__ = ()
+    LETTER, SHIFT = "m", 2
 
     @classmethod
     def trivial(cls, E, N):
         return cls(E, N)
 
-    def component(self, k):
-        got = self.comps.get(k)
-        return got if got is not None else Cochain(self.E, k, 2 - k)
-
     def is_trivial(self):
         return not self.comps
 
-    def __eq__(self, other):
-        return (isinstance(other, AnStructure) and self.E is other.E
-                and self.N == other.N and self.comps == other.comps)
 
-    def to_json(self):
-        return {"order": self.N,
-                "components": {str(k): self.comps[k].to_json()
-                               for k in sorted(self.comps)}}
-
-    @classmethod
-    def from_json(cls, E, obj):
-        return cls(E, _order_from_json(obj), _comps_from_json(E, obj))
-
-    def __repr__(self):
-        return "AnStructure(N=%d, nonzero at %s)" % (self.N, sorted(self.comps))
-
-
-class GaugeTransform:
+class GaugeTransform(_Components):
     """Gauge transform data: components f_k for 2 <= k <= N-1, f_1 = id."""
 
-    __slots__ = ("E", "N", "comps")
-
-    def __init__(self, E, N, comps=None):
-        self.E = E
-        self.N = N
-        self.comps = {}
-        for k, c in (comps or {}).items():
-            if not 2 <= k <= N - 1:
-                raise ValueError("component f_%d out of range" % k)
-            if (c.s, c.t) != (k, 1 - k):
-                raise ValueError("f_%d must have arity %d and degree %d" % (k, k, 1 - k))
-            if not c.is_zero():
-                self.comps[k] = c
+    __slots__ = ()
+    LETTER, SHIFT = "f", 1
 
     @classmethod
     def identity(cls, E, N):
         return cls(E, N)
 
-    def component(self, k):
-        got = self.comps.get(k)
-        return got if got is not None else Cochain(self.E, k, 1 - k)
-
     def is_identity(self):
         return not self.comps
-
-    def __eq__(self, other):
-        return (isinstance(other, GaugeTransform) and self.E is other.E
-                and self.N == other.N and self.comps == other.comps)
-
-    def to_json(self):
-        return {"order": self.N,
-                "components": {str(k): self.comps[k].to_json()
-                               for k in sorted(self.comps)}}
-
-    @classmethod
-    def from_json(cls, E, obj):
-        return cls(E, _order_from_json(obj), _comps_from_json(E, obj))
-
-    def __repr__(self):
-        return "GaugeTransform(N=%d, nonzero at %s)" % (self.N, sorted(self.comps))
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +150,9 @@ def _block_sizes(f):
     return (1,) + tuple(sorted(f.comps))
 
 
-def _layer_values(f, T, parts):
-    """Apply gauge components to consecutive blocks of a basis tuple.
-
-    Every part must be 1 or in the support of f.  Returns None if some
-    block evaluates to zero, else the list of E-vectors (the arguments of
-    b2, which keeps idempotent components)."""
-    ys = []
-    pos = 0
-    for j in parts:
-        if j == 1:
-            ys.append({T[pos]: ONE})
-        else:
-            val = f.comps[j].values.get(T[pos:pos + j])
-            if not val:
-                return None
-            ys.append(val)
-        pos += j
-    return ys
+def _block(f, B):
+    """The F-block value of a block B of a tuple, of size 1 or in supp f."""
+    return {B[0]: ONE} if len(B) == 1 else f.comps[len(B)].values.get(B)
 
 
 def _add_on_blocks(out, c, f, T, parts):
@@ -228,6 +189,30 @@ def _add_on_blocks(out, c, f, T, parts):
                 accum(out, k, x if coef is None else coef * x)
 
 
+def _add_block_sum(out, family, f, T, sizes):
+    """out += sum of family[len(parts)](F-blocks of T) over the compositions
+    `parts` of len(T) into sizes = _block_sizes(f), for the lengths family
+    has."""
+    for parts in _compositions_in(len(T), sizes):
+        c = family.get(len(parts))
+        if c is not None:
+            _add_on_blocks(out, c, f, T, parts)
+
+
+def _compose_values(f, family, r):
+    """The values of f_r + sum_{p >= 2} family[p](F-blocks): the arity-r
+    component of G o F for the gauge G with components family."""
+    fr = f.comps.get(r)
+    sizes = _block_sizes(f)
+    values = {}
+    for T in reduced_complex(f.E).tuple_keys(r, 1 - r):
+        val = dict(fr.values.get(T, {})) if fr else {}
+        _add_block_sum(val, family, f, T, sizes)
+        if val:
+            values[T] = val
+    return values
+
+
 def gauge_compose(f, g):
     """Product of gauge transforms: the components of the coalgebra morphism
     G o F, so that gauge_act(f, gauge_act(g, m)) = gauge_act(compose, m).
@@ -239,48 +224,22 @@ def gauge_compose(f, g):
     E, N = f.E, f.N
     low = min(f.comps, default=N)
     comps = {r: c for r, c in g.comps.items() if r < low}
-    cx = reduced_complex(E)
-    sizes = _block_sizes(f)
     for r in range(max(low, 2), N):
-        t = 1 - r
-        values = {}
-        for T in cx.tuple_keys(r, t):
-            val = {}
-            for parts in _compositions_in(r, sizes):
-                p = len(parts)
-                if p == 1:
-                    for k, c in f.comps[r].values.get(T, {}).items():
-                        accum(val, k, c)
-                elif p in g.comps:
-                    _add_on_blocks(val, g.comps[p], f, T, parts)
-            if val:
-                values[T] = val
-        if values:
-            comps[r] = Cochain(E, r, t, values)
+        comps[r] = Cochain(E, r, 1 - r, _compose_values(f, g.comps, r))
     return GaugeTransform(E, N, comps)
 
 
 def gauge_inverse(f):
-    """The inverse gauge: compose(f, inverse(f)) = identity."""
+    """The inverse gauge h, compose(f, h) = identity: compose's arity step
+    solved for its unknown, h_r = -(f_r + sum_{2 <= q < r} h_q(F-blocks)).
+    The all-ones composition reads h_r, which is not yet set."""
     E, N = f.E, f.N
-    cx = reduced_complex(E)
-    sizes = _block_sizes(f)
-    inv_comps = {}
+    inv = {}
     for r in range(2, N):
-        t = 1 - r
-        values = {}
-        fr = f.comps.get(r)
-        for T in cx.tuple_keys(r, t):
-            val = dict(fr.values.get(T, {})) if fr else {}
-            for parts in _compositions_in(r, sizes):
-                hp = inv_comps.get(len(parts))
-                if hp is not None:
-                    _add_on_blocks(val, hp, f, T, parts)
-            if val:
-                values[T] = {k: -c for k, c in val.items()}
-        if values:
-            inv_comps[r] = Cochain(E, r, t, values)
-    return GaugeTransform(E, N, inv_comps)
+        h = Cochain(E, r, 1 - r, _compose_values(f, inv, r)).scale(-1)
+        if not h.is_zero():
+            inv[r] = h
+    return GaugeTransform(E, N, inv)
 
 
 def gauge_act(f, m):
@@ -293,12 +252,12 @@ def gauge_act(f, m):
         m'_r(T) = P(T) - sum (-1)^{|T[:i]|} f_k(T[:i], m'_{j-i}(T[i:j]), T[j:])
     over 0 <= i < j <= r, j - i >= 2, k = r - (j - i) + 1 in supp f (so
     (i, j) = (0, r), where k = 1, is the left side).  P(T) sums m_q
-    (b2 for q = 2) over the splits of T into q >= 2 F-blocks, m'_{j-i} is
-    b2 or an arity already computed, and f_k is fed only the radical
-    components of m'_{j-i}.  No flatness is needed, and neither the inverse
-    gauge nor any product over outer blocks.  Arities up to the lowest
-    gauge component are unchanged: there every F-block has size 1 and no
-    f_k term fits."""
+    over the splits of T into q >= 2 F-blocks: b2 on the two-block splits,
+    and the F-block sum of m for q > 2.  m'_{j-i} is b2 or an arity already
+    computed, and f_k is fed only the radical components of m'_{j-i}.  No
+    flatness is needed, and neither the inverse gauge nor any product over
+    outer blocks.  Arities up to the lowest gauge component are unchanged:
+    there every F-block has size 1 and no f_k term fits."""
     if f.E is not m.E or f.N != m.N:
         raise ValueError("gauge and structure must share algebra and order")
     E, N = m.E, m.N
@@ -318,18 +277,17 @@ def gauge_act(f, m):
                 feeds.append((fk.values, s, None))
             elif s > 2 and s in comps:
                 feeds.append((fk.values, s, comps[s].values))
+        splits = [j for j in sizes if r - j in sizes]
         values = {}
         for T in cx.tuple_keys(r, t):
             val = {}
-            for parts in _compositions_in(r, sizes):
-                q = len(parts)
-                if q == 2:
-                    ys = _layer_values(f, T, parts)
-                    if ys is not None:
-                        for k, c in eval_b2(E, ys[0], ys[1]).items():
-                            accum(val, k, c)
-                elif q > 2 and q in m.comps:
-                    _add_on_blocks(val, m.comps[q], f, T, parts)
+            for j in splits:
+                left = _block(f, T[:j])
+                right = left and _block(f, T[j:])
+                if right:
+                    for k, c in eval_b2(E, left, right).items():
+                        accum(val, k, c)
+            _add_block_sum(val, m.comps, f, T, sizes)
             signs = [-1]  # -(-1)^{|T[:i]|}
             for x in T[:-2]:
                 signs.append(signs[-1] if deg[x] == 1 else -signs[-1])
@@ -363,28 +321,24 @@ def gauge_act(f, m):
 # the A_N equations
 
 
+def _residual(m, r):
+    """The arity-r residual of the structure equations: the sum of all
+    insertions m_i o m_j with i + j = r + 1, m_2 = b2 included."""
+    total = Cochain(m.E, r, 3 - r)
+    for i in range(2, r):
+        j = r + 1 - i
+        mi = Cochain.mul2(m.E) if i == 2 else m.comps.get(i)
+        mj = Cochain.mul2(m.E) if j == 2 else m.comps.get(j)
+        if mi is not None and mj is not None:
+            total = total.add(cochain_compose(mi, mj))
+    return total
+
+
 def defect(m):
     """Residual cochains of the truncated structure equations, indexed by
-    arity r = 3..N+1.  The r-th residual is the sum of all insertions
-    m_i o m_j with i + j = r + 1 (m_2 included); m is a valid structure iff
-    all of them vanish.  The r = 3 residual is associativity and is always
-    zero."""
-    E, N = m.E, m.N
-    out = {}
-    for r in range(3, N + 2):
-        t = 3 - r
-        total = Cochain(E, r, t)
-        for i in range(2, r):
-            j = r + 1 - i
-            if j < 2 or i > N or j > N:
-                continue
-            mi = Cochain.mul2(E) if i == 2 else m.comps.get(i)
-            mj = Cochain.mul2(E) if j == 2 else m.comps.get(j)
-            if mi is None or mj is None:
-                continue
-            total = total.add(cochain_compose(mi, mj))
-        out[r] = total
-    return out
+    arity r = 3..N+1; m is a valid structure iff all of them vanish.  The
+    r = 3 residual is associativity and is always zero."""
+    return {r: _residual(m, r) for r in range(3, m.N + 2)}
 
 
 def is_flat(m):
@@ -519,22 +473,12 @@ class ExtensionResult:
 
 def extension_residual(m):
     """The arity-(N+2) residual of an order-N structure: the obstruction
-    cocycle o with delta(m_{N+1}) + o = 0 for any extension."""
-    E, N = m.E, m.N
-    total = Cochain(E, N + 2, 1 - N)
-    for i in range(3, N + 1):
-        j = N + 3 - i
-        if not 3 <= j <= N:
-            continue
-        mi = m.comps.get(i)
-        mj = m.comps.get(j)
-        if mi is None or mj is None:
-            continue
-        total = total.add(cochain_compose(mi, mj))
-    return total
+    cocycle o with delta(m_{N+1}) + o = 0 for any extension.  Its b2 terms
+    drop out, since m_{N+1} = 0."""
+    return _residual(m, m.N + 2)
 
 
-def extend_step(m, check_cocycle=True):
+def extend_step(m):
     """Extend a defect-free order-N structure by one order, or report the
     obstruction class in HH^3(E)_{1-N}."""
     if not is_flat(m):
@@ -542,7 +486,7 @@ def extend_step(m, check_cocycle=True):
     E, N = m.E, m.N
     cx = reduced_complex(E)
     o = extension_residual(m)
-    if check_cocycle and not differential_apply(o).is_zero():
+    if not differential_apply(o).is_zero():
         raise AssertionError("extension residual is not a cocycle")
     t = 1 - N
     c = solve(cx.delta_columns(N + 1, t), cx.cochain_to_vector(o))

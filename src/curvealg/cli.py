@@ -41,6 +41,10 @@ def _parse_ints(text):
 
 def _subspace(args):
     n = args.n
+    # a negative n is SubspaceW's error
+    if args.g is not None and n >= 0 and not 0 <= args.g <= n:
+        raise ValueError("--g must be at least 0 and at most n=%d, got %d"
+                         % (n, args.g))
     if args.w is not None:
         rows = _parse_rows(args.w)
     else:

@@ -213,13 +213,12 @@ def bp_eval(u, branch, value):
     return total
 
 
-def rho_monomial(pres, exps, images=None, branches=None):
+def rho_monomial(pres, exps, images=None):
     """rho of a monomial in the generators, by multiplicative substitution."""
     data = pres.data
-    n = branches if branches is not None else data.n
     if images is None:
         images = rho_generator_images(data)
-    out = {(b, 0): ONE for b in range(n)}
+    out = {(b, 0): ONE for b in range(data.n)}
     for name, e in zip(pres.ring.names, exps):
         img = images[name]
         for _ in range(e):

@@ -89,9 +89,6 @@ class Cochain:
                        {key: {k: c * x for k, x in vec.items()}
                         for key, vec in self.values.items()})
 
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.s == other.s
                 and self.t == other.t and self.is_mul == other.is_mul

@@ -777,3 +777,29 @@ def test_component_bidegree_validation():
         AnStructure(E, 4, {3: Cochain(E, 3, -2, {})})
     with pytest.raises(ValueError):
         GaugeTransform(E, 4, {5: Cochain(E, 5, -4, {})})
+
+
+def test_order_below_two_rejected():
+    # structures and gauges share one constructor: both need N >= 2, built
+    # directly or read from a file
+    E = E11()
+    for cls in (AnStructure, GaugeTransform):
+        with pytest.raises(ValueError, match="order must be at least 2"):
+            cls(E, -3)
+        with pytest.raises(ValueError, match="order must be at least 2"):
+            cls.from_json(E, {"order": 0, "components": {}})
+        with pytest.raises(ValueError, match="order must be an integer"):
+            cls.from_json(E, {"order": 4.0, "components": {}})
+        assert cls.from_json(E, {"order": 2, "components": {}}) == cls(E, 2)
+
+
+def test_component_errors_and_repr_name_their_family():
+    E = E11()
+    with pytest.raises(ValueError, match="component m_2 out of range"):
+        AnStructure(E, 4, {2: Cochain(E, 2, 0)})
+    with pytest.raises(ValueError, match="f_3 must have arity 3 and degree -2"):
+        GaugeTransform(E, 4, {3: Cochain(E, 3, -1)})
+    m = random_structure(E, 5, random.Random(3))
+    assert repr(m) == "AnStructure(N=5, nonzero at %s)" % sorted(m.comps)
+    assert repr(GaugeTransform.identity(E, 5)) == "GaugeTransform(N=5, nonzero at [])"
+    assert m != GaugeTransform(E, 5) and AnStructure(E, 5) != GaugeTransform(E, 5)

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -229,6 +230,12 @@ def test_out_of_range_flags_rejected():
         out = run_cli(*args)
         assert out.returncode == 2, args
         assert "must be at least" in out.stderr
+    # --g outside 0..n, with no --w given
+    for g, n in (("-1", "1"), ("5", "2")):
+        out = run_cli("hh", "--n", n, "--g", g)
+        assert out.returncode == 2, (n, g)
+        assert [line for line in out.stderr.splitlines() if "error:" in line] == \
+            ["error: --g must be at least 0 and at most n=%s, got %s" % (n, g)]
     assert run_cli("genus1", "hilbert", "--u", "1", "--v", "1",
                    "--nmax", "0").returncode == 0
     assert run_cli("ainf", "tangent", "--n", "1", "--g", "1", "--w", "",
@@ -411,6 +418,32 @@ def test_window_json_is_pinned(argv, expected):
     code, out, _ = run_in_process(argv)
     assert code == 0
     assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["--n", "1", "--g", "1", "--w", "", "--order", "5", "--seed", "3"],
+     {"random": "a6ded847324652b93bed1ad1c3eff0e189c17b8bdb670b6cf70dd5dae58928d3",
+      "normalize": "37630c697cc1cff6c68cb1737e2699ef746040969a6c4cbe295c8cd408ea0c6f",
+      "extend": "29cdaa89372307cb5279df4a2d70a0350ccdd01a5a6fe839c71b60235eb6fed3"}),
+    (["--n", "2", "--g", "1", "--w", "1,1", "--order", "5", "--seed", "4"],
+     {"random": "9238899c0f7b8b8e32c1a41d41891f9ee00b8b60bef053b93b5e8b8953fcbb4e",
+      "normalize": "ab69a80796640fe078550af5ae4115beb596e993703f32f1c51c8ebf3b325685",
+      "extend": "29782f73b6c2796bed1b1e471f9cc221bc46474b3e3bdc6a467c27e178d7c83d"}),
+], ids=["E11", "E21"])
+def test_ainf_stdout_is_pinned(tmp_path, argv, digests):
+    # the whole stdout of a seeded random structure, its normal form with
+    # witness and its extension, byte for byte: the gauge action, compose
+    # and the structure residual all feed these
+    code, out, _ = run_in_process(["ainf", "random"] + argv)
+    assert code == 0
+    got = {"random": hashlib.sha256(out.encode()).hexdigest()}
+    path = tmp_path / "m.json"
+    path.write_text(out)
+    for cmd in ("normalize", "extend"):
+        code, out, _ = run_in_process(["ainf", cmd, "--input", str(path)])
+        assert code == 0
+        got[cmd] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == digests
 
 
 def test_internal_error_exit_3(tmp_path, monkeypatch):

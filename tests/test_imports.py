@@ -1,5 +1,6 @@
-"""No dead imports in the package: every name a module imports at its top
-level is read somewhere in that module.  Every package name the benchmark
+"""No dead imports or private helpers in the package: every name a module
+imports at its top level, and every private function or class it defines
+there, is read somewhere in that module.  Every package name the benchmark
 hooks by getattr exists."""
 
 import ast
@@ -12,6 +13,11 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "curvealg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def _read_names(tree):
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def unused_imports(source):
     """Names bound by module-level imports of source that are never read."""
     tree = ast.parse(source)
@@ -21,9 +27,19 @@ def unused_imports(source):
             bound += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [a.asname or a.name for a in node.names if a.name != "*"]
-    read = {n.id for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read = _read_names(tree)
     return [name for name in bound if name not in read]
+
+
+def unused_private_helpers(source):
+    """Module-level functions and classes of source named _x (not dunder)
+    that source never reads."""
+    tree = ast.parse(source)
+    read = _read_names(tree)
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in read]
 
 
 def test_modules_found():
@@ -41,6 +57,22 @@ def test_unused_import_is_reported():
               "from .linalg import ONE, ZERO as Z, rat\n"
               "def f():\n    return rat(ONE) + len(os.path.sep)\n")
     assert unused_imports(source) == ["itertools", "Z"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_dead_private_helpers(path):
+    assert unused_private_helpers(path.read_text()) == []
+
+
+def test_dead_private_helper_is_reported():
+    source = ("import functools\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"
+              "def _left(T):\n    return T\n"
+              "@functools.lru_cache(maxsize=None)\ndef _cached(r):\n    return r\n"
+              "class _Base:\n    pass\n"
+              "class Family(_Base):\n    pass\n"
+              "def run(T):\n    return _cached(len(T))\n")
+    assert unused_private_helpers(source) == ["_left"]
 
 
 def test_benchmark_hooks_resolve():
