@@ -26,8 +26,10 @@ on a tuple T is D o F on T minus the F o D' terms whose inner m' has lower
 arity, so it needs neither the inverse gauge nor any product over outer
 blocks.  Arities below the lowest gauge component are copied unchanged, in
 gauge_act and gauge_compose alike, which covers every step gauge f_{k-1}
-of normalize.  normalize makes one exact elimination per arity, cached per
-algebra, and no solves, and checks flatness once, on the normal form.
+of normalize.  normalize reads one exact elimination per arity, which the
+Hochschild complex keeps per cell (HochschildComplex.echelon) and
+extend_step shares, makes no solves, and checks flatness once, on the
+normal form.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .linalg import (Echelon, ONE, Subspace, accum, rank_of_columns, rat,
-                     solve, vec_addmul)
+from .linalg import ONE, accum, rank_of_columns, rat, solve, vec_addmul
 from .hochschild import (Cochain, compose as cochain_compose,
                          differential_apply, eval_b2, reduced_complex)
 from .poly import PolyRing
@@ -349,36 +350,16 @@ def is_flat(m):
 # canonical normalization
 
 
-class ComplementData(Echelon):
-    """Splitting of the arity-k cochain space as K + im(delta) with
-    delta = delta^1: C^{k-1} -> C^k: the Echelon of delta's columns, added
-    in order.
-
-    `pivots` are the columns of delta that enlarge the span of the columns
-    before them (the pivot columns of the reduced row echelon form of
-    delta).  `rows` maps each pivot index q of the RREF basis of im(delta)
-    to (R_q, X_q) with R_q = delta(X_q) and X_q supported on `pivots`, and
-    `split(v)` returns (kappa, x) with v = kappa + delta(x).  K is spanned
-    by the standard vectors off the pivot indices, the pivot-rule
-    complement of im(delta), and holds kappa."""
-
-    __slots__ = ("pivots", "K")
-
-    def __init__(self, columns, dim):
-        super().__init__()
-        self.pivots = [j for j, col in enumerate(columns) if self.add(col)]
-        self.K = Subspace(dim, [{i: ONE} for i in range(dim) if i not in self.rows])
-
-
 def complement_data(E, k):
-    """Pivot-rule complement K_{2-k} to im(delta^1) inside the arity-k
-    cochain space, cached per algebra and k."""
-    got = E._complements.get(k)
-    if got is None:
-        cx = reduced_complex(E)
-        got = ComplementData(cx.delta_columns(k - 1, 2 - k), cx.dim(k, 2 - k))
-        E._complements[k] = got
-    return got
+    """Splitting of the arity-k cochain space as K_{2-k} + im(delta) with
+    delta = delta^1: C^{k-1} -> C^k: the complex's Echelon of delta.
+
+    Its `rows` map each pivot index q of the RREF basis of im(delta) to
+    (R_q, X_q) with R_q = delta(X_q), and `split(v)` returns (kappa, x)
+    with v = kappa + delta(x).  K_{2-k}, the pivot-rule complement of
+    im(delta), is spanned by the standard vectors off `rows` and holds
+    kappa."""
+    return reduced_complex(E).echelon(k - 1, 2 - k)
 
 
 def in_complement(m):
@@ -397,11 +378,11 @@ def normalize(m):
     kappa in K_{2-k} and gauge by f_{k-1} = -x.  Returns (normal form,
     gauge witness) with gauge_act(witness, m) equal to the normal form.
 
-    Each step is a sparse combination of the rows stored on
-    ComplementData: no solve and no elimination.  A step gauge f_{k-1}
-    leaves the arities below k alone and changes m_k by exactly
-    delta(f_{k-1}) = -delta(x), whether or not m is flat, so each step
-    checks that the gauged m_k equals kappa.
+    Each step is a sparse combination of the rows of complement_data, the
+    complex's Echelon of delta: no solve and no new elimination.  A step
+    gauge f_{k-1} leaves the arities below k alone and changes m_k by
+    exactly delta(f_{k-1}) = -delta(x), whether or not m is flat, so each
+    step checks that the gauged m_k equals kappa.
 
     Flatness is checked once, on the normal form.  The action is
     conjugation by the invertible coalgebra morphism F of the witness
@@ -489,7 +470,7 @@ def extend_step(m):
     if not differential_apply(o).is_zero():
         raise AssertionError("extension residual is not a cocycle")
     t = 1 - N
-    c = solve(cx.delta_columns(N + 1, t), cx.cochain_to_vector(o))
+    c = solve(cx.echelon(N + 1, t), cx.cochain_to_vector(o))
     if c is None:
         return ExtensionResult(None, o, False)
     cand = cx.vector_to_cochain(N + 1, t, {i: -x for i, x in c.items()})
@@ -543,30 +524,20 @@ class ModuliEquations:
 
 def emit_moduli_equations(E, N):
     """Polynomial equations for A_N structures with every component in the
-    canonical complement, in coordinates on those complements."""
-    unknowns = []
-    kbases = {}
+    canonical complement, in coordinates on those complements: unknown
+    u_k_a is the coefficient at the a-th index off the pivots of im(delta)
+    in the arity-k cochain space."""
+    cx = reduced_complex(E)
+    free = {}
     for k in range(3, N + 1):
-        data = complement_data(E, k)
-        kbases[k] = data.K.basis
-        for a in range(len(data.K.basis)):
-            unknowns.append((k, a))
+        rows = complement_data(E, k).rows
+        free[k] = [i for i in range(cx.dim(k, 2 - k)) if i not in rows]
+    unknowns = [(k, a) for k, idx in free.items() for a in range(len(idx))]
     names = ["u_%d_%d" % (k, a) for k, a in unknowns]
     ring = PolyRing(names, [1] * len(names))
-    cx = reduced_complex(E)
-    comps = {}
-    pos = 0
-    for k in range(3, N + 1):
-        vec = {}
-        for a, bvec in enumerate(kbases[k]):
-            u = ring.var(names[pos + a])
-            for j, c in bvec.items():
-                cur = vec.get(j, ring.zero()) + u.scale(c)
-                vec[j] = cur
-        pos += len(kbases[k])
-        if vec:
-            comps[k] = cx.vector_to_cochain(k, 2 - k, vec)
-    m = AnStructure(E, N, comps)
+    m = AnStructure(E, N, {k: cx.vector_to_cochain(
+        k, 2 - k, {i: ring.var("u_%d_%d" % (k, a)) for a, i in enumerate(idx)})
+        for k, idx in free.items()})
     equations = []
     for r, res in defect(m).items():
         if r == 3:

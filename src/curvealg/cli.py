@@ -1,7 +1,8 @@
-"""Command-line driver: every computation as a subcommand with JSON/CSV
-output, reproducible run manifests, and exit codes that gate on verdicts
-(0 = PASS, 1 = FAIL, 2 = usage error, 3 = internal invariant violated) so
-the acceptance suite can be run as a shell script.
+"""Command-line driver: every computation as a subcommand with JSON output
+(and CSV for the tables of hh and genus1 hilbert), reproducible run
+manifests, and exit codes that gate on verdicts (0 = PASS, 1 = FAIL,
+2 = usage error, 3 = internal invariant violated) so the acceptance suite
+can be run as a shell script.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ def _parse_ints(text):
 
 def _subspace(args):
     n = args.n
-    # a negative n is SubspaceW's error
-    if args.g is not None and n >= 0 and not 0 <= args.g <= n:
+    if n < 0:
+        raise ValueError("--n must be at least 0, got %d" % n)
+    if args.g is not None and not 0 <= args.g <= n:
         raise ValueError("--g must be at least 0 and at most n=%d, got %d"
                          % (n, args.g))
     if args.w is not None:
@@ -113,10 +115,7 @@ class Run:
 
     def emit(self, payload, csv_text=None, ok=True):
         args = self.args
-        fmt = getattr(args, "format", "json")
-        if fmt == "csv":
-            if csv_text is None:
-                raise ValueError("this subcommand has no CSV form")
+        if getattr(args, "format", "json") == "csv":
             text = csv_text
         else:
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -350,8 +349,6 @@ def _int_at_least(low):
 
 def _add_common(p):
     p.add_argument("--out", help="write output to this path (manifest beside it)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_subspace(p):
@@ -393,6 +390,7 @@ def build_parser():
     p.add_argument("--i-max", type=_int_at_least(0), default=2)
     p.add_argument("--t-min", type=int, default=-6)
     _add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_hh)
 
     ap = sub.add_parser("ainf", help="A_n structure computations")
@@ -429,6 +427,7 @@ def build_parser():
     p = asub.add_parser("random")
     _add_subspace(p)
     p.add_argument("--order", type=_int_at_least(3), default=6)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_ainf_random)
 
@@ -487,6 +486,7 @@ def build_parser():
     p.add_argument("--v", required=True)
     p.add_argument("--nmax", type=_int_at_least(0), default=40)
     _add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_genus1_hilbert)
 
     p = gsub.add_parser("compare")

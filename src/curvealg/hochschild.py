@@ -22,14 +22,16 @@ Both read products from the algebra's neighbour lists and fix each sign
 once per table entry and bidegree, not once per matrix entry.  Their
 ranks come from the shared delta_rank, which assembles only the columns
 of D*delta (D = E.denominator) that clearing leaves; delta_columns(s, t)
-with no further arguments gives the whole Fraction delta.
+with no further arguments gives the whole Fraction delta, and echelon(s, t)
+its one Fraction elimination, kept per cell for the A-infinity layer.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .linalg import ONE, accum, rank_of_columns, rat, rat_str, vec_addmul
+from .linalg import (ONE, Echelon, accum, rank_of_columns, rat, rat_str,
+                     vec_addmul)
 
 
 def _sign(k):
@@ -262,6 +264,7 @@ class HochschildComplex:
         self._index = {}
         self._rank = {}
         self._pivots = {}  # t -> (last s swept, pivot rows of delta^s)
+        self._echelon = {}
         self._fact = None
 
     # -- tuple and basis enumeration ----------------------------------------
@@ -411,6 +414,16 @@ class HochschildComplex:
                 parity += deg[T[a]] - 1
             cols.append(col)
         return cols
+
+    def echelon(self, s, t):
+        """The Echelon of delta: C^s -> C^{s+1} at internal degree t, its
+        columns added in basis order, built once per (s, t).  Its rows are
+        the RREF basis of im delta, each with its coordinates on C^s, so
+        split and solve against im delta need no further elimination."""
+        got = self._echelon.get((s, t))
+        if got is None:
+            got = self._echelon[(s, t)] = Echelon(self.delta_columns(s, t))
+        return got
 
     def delta_rank(self, s, t):
         """Rank of delta: C^s -> C^{s+1} at internal degree t.

@@ -11,10 +11,11 @@ and go.
 
 Echelon is the one Fraction elimination: it keeps the reduced row echelon
 basis of a span together with each row's coordinates on the added
-vectors, and kernel_basis, solve, the pivot-rule complements of
-ainfinity, the loop classes of quiver and the curve-basis checks all read
-it.  The textbook reduced row echelon form is kept in the tests, as the
-reference.
+vectors, and kernel_basis, solve, the loop classes of quiver and the
+curve-basis checks all read it.  The Hochschild complex keeps one per
+cell of delta (HochschildComplex.echelon), which the pivot-rule
+complements and the extension solves of ainfinity share.  The textbook
+reduced row echelon form is kept in the tests, as the reference.
 
 rank_of_columns, which the Hochschild and Laurent-window ranks run on,
 eliminates fraction-free on Python ints instead (Bareiss, "Sylvester's
@@ -176,11 +177,12 @@ def kernel_basis(columns):
     return Subspace(len(columns), basis)
 
 
-def solve(columns, b):
-    """Some x with sum_j x_j columns[j] = b, or None.  x is supported on
-    the pivot columns (free variables are zero), which makes it unique,
-    and its keys are in increasing order."""
-    kappa, x = Echelon(columns).split(b)
+def solve(echelon, b):
+    """Some x with sum_j x_j v_j = b over the vectors v_j added to the
+    Echelon, or None.  x is supported on the vectors that enlarged the
+    span (free variables are zero), which makes it unique, and its keys
+    are in increasing order."""
+    kappa, x = echelon.split(b)
     if kappa:
         return None
     return {j: x[j] for j in sorted(x)}

@@ -137,10 +137,8 @@ class EWAlgebra:
             self.right_products[k].append((m, prod))
             self.left_products[m].append((k, prod))
 
-        # caches filled on first use by hochschild.reduced_complex and
-        # ainfinity.complement_data
+        # filled on first use by hochschild.reduced_complex
         self._hochschild_complex = None
-        self._complements = {}
 
     # -- multiplication -----------------------------------------------------
 

@@ -9,8 +9,8 @@ import pytest
 
 from curvealg.linalg import ONE, Subspace, accum, kernel_basis, rank_of_columns, rat
 from curvealg.quiver import SubspaceW, build_ew
-from curvealg.hochschild import (Cochain, _sign, differential_apply, eval_b2,
-                                 reduced_complex)
+from curvealg.hochschild import (Cochain, HochschildComplex, _sign,
+                                 differential_apply, eval_b2, reduced_complex)
 from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 defect, emit_moduli_equations, equivalent,
                                 extend_step, extension_residual, gauge_act,
@@ -331,6 +331,14 @@ def _parent_complement(E, k):
     return pivots, im, K, K.basis + im.basis
 
 
+def _complement_basis(E, k):
+    """The basis of K_{2-k}: the standard vectors off the pivot indices of
+    complement_data(E, k), in increasing order."""
+    rows = complement_data(E, k).rows
+    return [{i: ONE} for i in range(reduced_complex(E).dim(k, 2 - k))
+            if i not in rows]
+
+
 def _normalize_reference(m):
     """Two solves per step on the two-rref splitting: coordinates on
     K + im for kappa, then a preimage of the image part under delta with
@@ -386,8 +394,9 @@ def test_complement_data_matches_two_rref_construction(E):
     for k in range(3, 8):
         data = complement_data(E, k)
         pivots, im, K, _ = _parent_complement(E, k)
-        assert data.pivots == pivots, k
-        assert data.K.basis == K.basis
+        # delta's pivot columns are those the rows' coordinates use
+        assert sorted(set().union(*(x for _, x in data.rows.values()))) == pivots, k
+        assert _complement_basis(E, k) == K.basis
         R, qs = rref(im.basis, im.ambient_dim)
         assert sorted(data.rows) == qs
         D = cx.delta_columns(k - 1, 2 - k)
@@ -475,14 +484,14 @@ def _section_cocycle(E, k):
     """A nonzero element of K_{2-k} that is also a cocycle (exists whenever
     HH^2_{2-k} is nonzero)."""
     cx = reduced_complex(E)
-    data = complement_data(E, k)
+    K = _complement_basis(E, k)
     D2 = cx.delta_columns(k, 2 - k)
-    ker = kernel_basis([apply(D2, v) for v in data.K.basis])
+    ker = kernel_basis([apply(D2, v) for v in K])
     assert ker.dim == cx.hh_dim(2, 2 - k)
     coeffs = ker.basis[0]
     kappa = {}
     for i, c in coeffs.items():
-        for j, b in data.K.basis[i].items():
+        for j, b in K[i].items():
             cur = kappa.get(j, rat(0)) + c * b
             if cur:
                 kappa[j] = cur
@@ -621,6 +630,28 @@ def test_extension_residual_is_cocycle():
             assert differential_apply(o).is_zero()
 
 
+def test_second_extension_assembles_no_delta(monkeypatch):
+    # extend_step solves against the complex's one elimination of delta at
+    # (N + 1, 1 - N): a second extension at the same (E, N) assembles none
+    E = E21()
+    m = random_structure(E, 5, random.Random(4))
+    calls = []
+    assemble = HochschildComplex.delta_columns
+
+    def counted(cx, *args, **kwargs):
+        calls.append(args)
+        return assemble(cx, *args, **kwargs)
+
+    monkeypatch.setattr(HochschildComplex, "delta_columns", counted)
+    first = extend_step(m)
+    assert calls
+    calls.clear()
+    second = extend_step(m)
+    assert calls == []
+    assert (second.solvable, second.candidate, second.obstruction) == \
+        (first.solvable, first.candidate, first.obstruction)
+
+
 def test_cuspidal_structures_extend():
     # the moduli here is a smooth plane, so obstruction classes vanish even
     # though the ambient HH^3 groups do not
@@ -666,12 +697,12 @@ def test_tangent_dims_golden_22():
 # -- moduli equations ----------------------------------------------------------------------
 
 
-def test_moduli_equations_empty_when_complements_vanish():
+def test_moduli_equations_empty_when_every_complement_vanishes():
     # engineered case: orders where K = 0 give no unknowns and no equations
     E = E11()
     found = False
     for k in (3, 4, 5):
-        if not complement_data(E, k).K.basis:
+        if not _complement_basis(E, k):
             found = True
     eqs = emit_moduli_equations(E, 5)
     if found and not eqs.unknowns:

@@ -236,10 +236,24 @@ def test_out_of_range_flags_rejected():
         assert out.returncode == 2, (n, g)
         assert [line for line in out.stderr.splitlines() if "error:" in line] == \
             ["error: --g must be at least 0 and at most n=%s, got %s" % (n, g)]
+    for args in (("hh", "--n", "-1", "--g", "0"), ("ew", "--n", "-1"),
+                 ("ainf", "tangent", "--n", "-1")):
+        out = run_cli(*args)
+        assert out.returncode == 2, args
+        assert [line for line in out.stderr.splitlines() if "error:" in line] == \
+            ["error: --n must be at least 0, got -1"]
     assert run_cli("genus1", "hilbert", "--u", "1", "--v", "1",
                    "--nmax", "0").returncode == 0
     assert run_cli("ainf", "tangent", "--n", "1", "--g", "1", "--w", "",
                    "--order", "3").returncode == 0
+
+
+def test_seed_and_format_only_where_read():
+    # only ainf random draws from a seed, and only hh and genus1 hilbert
+    # print a CSV table
+    assert run_cli("ew", "--n", "1", "--seed", "3").returncode == 2
+    assert run_cli("ew", "--n", "1", "--format", "csv").returncode == 2
+    assert run_cli("ew", "--n", "1").returncode == 0
 
 
 def test_negative_bounds_and_short_random_order_rejected():
@@ -444,6 +458,20 @@ def test_ainf_stdout_is_pinned(tmp_path, argv, digests):
         assert code == 0
         got[cmd] = hashlib.sha256(out.encode()).hexdigest()
     assert got == digests
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "1", "--g", "1", "--w", "", "--order", "6"],
+     "ab1524125d86a29208d1e49b4060f0956ea9c8afa9a338dac020112be7ed788c"),
+    (["--n", "2", "--g", "1", "--w", "1,1", "--order", "5"],
+     "52fb5aa1d2d35a38eeda1e4dab75e70c8dd58b16fac63830de218817322a44a4"),
+], ids=["E11", "E21"])
+def test_ainf_equations_stdout_is_pinned(argv, digest):
+    # the whole stdout of the moduli equations on the canonical section,
+    # byte for byte: the complements' free indices name the unknowns
+    code, out, _ = run_in_process(["ainf", "equations"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_internal_error_exit_3(tmp_path, monkeypatch):

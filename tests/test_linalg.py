@@ -121,7 +121,7 @@ def solve_reference(columns, b):
 def canonical_complement(sub):
     """Span of the standard basis vectors at the non-pivot columns of
     rref(basis-as-rows): the reference for the pivot-rule complements that
-    ainfinity.ComplementData reads off its Echelon.
+    ainfinity.complement_data reads off the complex's Echelon of delta.
 
     Depends only on the subspace, not on its presented basis, and satisfies
     sub + complement = ambient with zero intersection.
@@ -192,10 +192,10 @@ def test_complement_examples():
 
 def test_solve_examples():
     b = {0: rat(3), 2: rat(-1)}
-    assert solve(identity(3), b) == b
-    assert solve([{}, {}], {0: ONE}) is None
-    assert solve(M([[1, 2], [2, 4]]), {0: ONE}) is None  # inconsistent
-    assert solve(M([[1, 1]]), {0: rat(3)}) == {0: rat(3)}  # free var set to 0
+    assert solve(Echelon(identity(3)), b) == b
+    assert solve(Echelon([{}, {}]), {0: ONE}) is None
+    assert solve(Echelon(M([[1, 2], [2, 4]])), {0: ONE}) is None  # inconsistent
+    assert solve(Echelon(M([[1, 1]])), {0: rat(3)}) == {0: rat(3)}  # free var set to 0
 
 
 def test_rank_nullity_random():
@@ -535,10 +535,11 @@ def test_kernel_basis_and_solve_match_rref_references(vectors, b, coeffs):
         [list(v.items()) for v in kernel_basis_reference(vectors).basis]
     # a consistent right-hand side, one that may not be, and one that is
     # not: no column reaches row NROWS
+    ech = Echelon(vectors)
     for rhs in (combination(vectors, coeffs), b, {}, {NROWS: ONE}):
-        got, want = solve(vectors, rhs), solve_reference(vectors, rhs)
+        got, want = solve(ech, rhs), solve_reference(vectors, rhs)
         assert (got is None) == (want is None)
         if want is not None:
             assert list(got.items()) == list(want.items())
             assert apply(vectors, got) == rhs
-    assert solve(vectors, {NROWS: ONE}) is None
+    assert solve(ech, {NROWS: ONE}) is None
