@@ -15,31 +15,43 @@ composition convention is fixed so that a gauge with only an f_2 component
 sends m_3 to m_3 + delta(f_2), and the action law
 gauge_act(f, gauge_act(g, m)) = gauge_act(compose(f, g), m) holds exactly.
 
-Only terms that can be nonzero are evaluated.  Block compositions are
-enumerated with block sizes in {1} and the support of the gauge, once per
-(arity, support), and one block evaluator applies a cochain to the F-blocks
-of a tuple, multiplying only the gauge-valued slots.  One F-block sum, over
-the compositions of an arity, serves gauge_act, gauge_compose and
-gauge_inverse; the inverse is compose's arity step solved for its unknown
-h_r.  gauge_act solves the morphism equation arity by arity: the new m'_r
-on a tuple T is D o F on T minus the F o D' terms whose inner m' has lower
-arity, so it needs neither the inverse gauge nor any product over outer
-blocks.  Arities below the lowest gauge component are copied unchanged, in
-gauge_act and gauge_compose alike, which covers every step gauge f_{k-1}
-of normalize.  normalize reads one exact elimination per arity, which the
-Hochschild complex keeps per cell (HochschildComplex.echelon) and
-extend_step shares, makes no solves, and checks flatness once, on the
-normal form.
+Only terms that can be nonzero are evaluated.  One F-block sum
+(_block_sum) serves gauge_act, gauge_compose and gauge_inverse; the inverse
+is compose's arity step solved for its unknown h_r.  gauge_act solves the
+morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
+minus the F o D' terms whose inner m' has lower arity, so it needs neither
+the inverse gauge nor any product over outer blocks.  Arities below the
+lowest gauge component are copied unchanged, in gauge_act and
+gauge_compose alike.
+
+The gauge layer computes on Python ints.  Give f_k weight k-1, m_q and
+m'_q weight q-2 and a table constant weight 0, and let L be the lcm of
+E.denominator and of every denominator of the gauges and structures at
+hand.  A gauge component of weight w is scaled by L^(2w); a structure
+component or a table constant by L^(2w+1).  Each term of the action's
+recurrence has one factor of the second kind and weights add, so every
+term of m'_r scales by L^(2r-3), and every term of a composed or inverse
+gauge by L^(2r-2); all scaled values are ints.  Each operation converts
+its inputs once (_Components.scaled: exponent 2k-1-SHIFT), runs on ints
+and divides each output entry once.
+
+normalize sweeps the arities once.  By the action law the structure after
+its steps below k is gauge_act(witness, m), whose arities below k are the
+kappas found, so its m_k is the one arity of the action's recurrence on
+the witness, m and those kappas.  It reads one exact elimination per
+arity, which the Hochschild complex keeps per cell
+(HochschildComplex.echelon) and extend_step shares, makes no solves, and
+checks flatness once, on the normal form.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
+from fractions import Fraction
+from math import lcm
 
-from .linalg import ONE, accum, rank_of_columns, rat, solve, vec_addmul
+from .linalg import rank_of_columns, rat, solve, vec_addmul
 from .hochschild import (Cochain, compose as cochain_compose,
-                         differential_apply, eval_b2, reduced_complex)
+                         differential_apply, reduced_complex)
 from .poly import PolyRing
 
 
@@ -69,6 +81,12 @@ class _Components:
     def component(self, k):
         got = self.comps.get(k)
         return got if got is not None else Cochain(self.E, k, self.SHIFT - k)
+
+    def scaled(self, L, top=None):
+        """The values of c_k times L^(2k-1-SHIFT), as ints, for k <= top:
+        with L from _scale, the weight argument of the module docstring."""
+        return {k: _scaled_values(c.values, L ** (2 * k - 1 - self.SHIFT))
+                for k, c in self.comps.items() if top is None or k <= top}
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.E is other.E
@@ -121,94 +139,76 @@ class GaugeTransform(_Components):
 
 
 # ---------------------------------------------------------------------------
-# coalgebra-morphism calculus (componentwise, truncated at tensor length N)
+# coalgebra-morphism calculus (componentwise, truncated at tensor length N,
+# on ints at scale L; see the module docstring)
 
 
-@functools.lru_cache(maxsize=None)
-def _compositions_in(r, sizes):
-    """All compositions of r with parts in `sizes` (ascending, starting at
-    1), in lexicographic order."""
-    out = []
-    acc = []
+def _scale(E, *families):
+    """L: the lcm of E.denominator and of every denominator in families."""
+    return lcm(E.denominator, *{x.denominator for fam in families
+                                for c in fam.comps.values()
+                                for vec in c.values.values() for x in vec.values()})
 
-    def rec(rest):
-        if rest == 0:
-            out.append(tuple(acc))
+
+def _scaled_values(values, S):
+    """Cochain values times S, a multiple of every denominator, as ints."""
+    return {T: {z: c.numerator * (S // c.denominator) for z, c in vec.items()}
+            for T, vec in values.items()}
+
+
+def _unscaled(E, s, t, values, S):
+    """The cochain of the int values divided by S, as Fractions."""
+    return Cochain(E, s, t, {T: {z: Fraction(c, S) for z, c in vec.items()}
+                             for T, vec in values.items()})
+
+
+def _block_sum(F, radset):
+    """add(out, family, T) adds the sum of family[p](F-blocks of T) over the
+    splits of T into p blocks of size 1 or in supp F.  A size-1 block is
+    T's own element; a larger one is expanded over the radical components
+    of its gauge value (the normalized extension drops idempotent parts).
+    heads[p] holds the keys and coefficients of the splits of T[:p], built
+    from shorter heads, so a block F does not feed cuts off every split
+    through it; tuples come in lexicographic order, and the heads of the
+    prefix T shares with the tuple before are kept."""
+    blocks = {j: {key: [(z, c) for z, c in vec.items() if z in radset]
+                  for key, vec in fj.items()} for j, fj in F.items()}
+    last, heads = (), [[((), 1)]]
+
+    def add(out, family, T):
+        nonlocal last
+        if not family:
             return
-        for j in sizes:
-            if j > rest:
-                break
-            acc.append(j)
-            rec(rest - j)
-            acc.pop()
+        c = 0
+        while c < len(last) and last[c] == T[c]:
+            c += 1
+        del heads[c + 1:]
+        for p in range(c + 1, len(T) + 1):
+            row = [(key + (T[p - 1],), coef) for key, coef in heads[p - 1]]
+            for j, bj in blocks.items():
+                items = j <= p and bj.get(T[p - j:p])
+                if items:
+                    row += [(key + (z,), coef * cz) for key, coef in heads[p - j]
+                            for z, cz in items]
+            heads.append(row)
+        last = T
+        for key, coef in heads[-1]:
+            val = family.get(len(key), {}).get(key)
+            if val:
+                vec_addmul(out, coef, val)
 
-    rec(r)
-    return tuple(out)
-
-
-def _block_sizes(f):
-    """The block sizes a gauge can feed: 1 (f_1 = id) and its support."""
-    return (1,) + tuple(sorted(f.comps))
-
-
-def _block(f, B):
-    """The F-block value of a block B of a tuple, of size 1 or in supp f."""
-    return {B[0]: ONE} if len(B) == 1 else f.comps[len(B)].values.get(B)
-
-
-def _add_on_blocks(out, c, f, T, parts):
-    """out += c(F-blocks of T), for a normalized cochain c.
-
-    Every part must be 1 or in the support of f.  A size-1 slot is T's own
-    basis element and goes straight into the key; the product runs over the
-    gauge-valued slots only, expanded over their radical components (the
-    normalized extension drops idempotent parts)."""
-    radset = c.E.radical_set
-    key = []
-    slots = []  # (slot index, radical components of the gauge value)
-    pos = 0
-    for j in parts:
-        if j == 1:
-            key.append(T[pos])
-        else:
-            val = f.comps[j].values.get(T[pos:pos + j])
-            items = [(z, cz) for z, cz in val.items() if z in radset] if val else ()
-            if not items:
-                return
-            slots.append((len(key), items))
-            key.append(None)
-        pos += j
-    values = c.values
-    for pick in itertools.product(*(items for _, items in slots)):
-        coef = None
-        for (a, _), (z, cz) in zip(slots, pick):
-            key[a] = z
-            coef = cz if coef is None else coef * cz
-        val = values.get(tuple(key))
-        if val:
-            for k, x in val.items():
-                accum(out, k, x if coef is None else coef * x)
+    return add
 
 
-def _add_block_sum(out, family, f, T, sizes):
-    """out += sum of family[len(parts)](F-blocks of T) over the compositions
-    `parts` of len(T) into sizes = _block_sizes(f), for the lengths family
-    has."""
-    for parts in _compositions_in(len(T), sizes):
-        c = family.get(len(parts))
-        if c is not None:
-            _add_on_blocks(out, c, f, T, parts)
-
-
-def _compose_values(f, family, r):
-    """The values of f_r + sum_{p >= 2} family[p](F-blocks): the arity-r
-    component of G o F for the gauge G with components family."""
-    fr = f.comps.get(r)
-    sizes = _block_sizes(f)
+def _compose_values(E, F, family, r):
+    """F_r + sum_{p >= 2} family[p](F-blocks) on each tuple of arity r: the
+    arity-r component of G o F for the gauge G with components family."""
+    fr = F.get(r, {})
+    add_block_sum = _block_sum(F, E.radical_set)
     values = {}
-    for T in reduced_complex(f.E).tuple_keys(r, 1 - r):
-        val = dict(fr.values.get(T, {})) if fr else {}
-        _add_block_sum(val, family, f, T, sizes)
+    for T in reduced_complex(E).tuple_keys(r, 1 - r):
+        val = dict(fr.get(T, ()))
+        add_block_sum(val, family, T)
         if val:
             values[T] = val
     return values
@@ -225,8 +225,11 @@ def gauge_compose(f, g):
     E, N = f.E, f.N
     low = min(f.comps, default=N)
     comps = {r: c for r, c in g.comps.items() if r < low}
+    L = _scale(E, f, g)
+    F, G = f.scaled(L), g.scaled(L)
     for r in range(max(low, 2), N):
-        comps[r] = Cochain(E, r, 1 - r, _compose_values(f, g.comps, r))
+        comps[r] = _unscaled(E, r, 1 - r, _compose_values(E, F, G, r),
+                             L ** (2 * r - 2))
     return GaugeTransform(E, N, comps)
 
 
@@ -235,12 +238,70 @@ def gauge_inverse(f):
     solved for its unknown, h_r = -(f_r + sum_{2 <= q < r} h_q(F-blocks)).
     The all-ones composition reads h_r, which is not yet set."""
     E, N = f.E, f.N
-    inv = {}
+    L = _scale(E, f)
+    F = f.scaled(L)
+    inv, comps = {}, {}
     for r in range(2, N):
-        h = Cochain(E, r, 1 - r, _compose_values(f, inv, r)).scale(-1)
-        if not h.is_zero():
+        h = {T: {z: -c for z, c in vec.items()}
+             for T, vec in _compose_values(E, F, inv, r).items()}
+        if h:
             inv[r] = h
-    return GaugeTransform(E, N, inv)
+            comps[r] = _unscaled(E, r, 1 - r, h, L ** (2 * r - 2))
+    return GaugeTransform(E, N, comps)
+
+
+def _act_arity(E, F, M, lower, r, ratio):
+    """L^(2r-3) m'_r, the arity r of gauge_act's recurrence on ints, from
+    the gauge F and structure M at scale L and the scaled m'_s, s < r, that
+    `lower` holds; ratio = L / E.denominator brings E.int_table to scale L."""
+    cx = reduced_complex(E)
+    sizes = {1, *F}
+    radset = E.radical_set
+    table, deg = E.int_table, E.deg
+    # (F_k values, inner width s = j - i, N_s values or None for b2)
+    feeds = [(fk, r + 1 - k, lower.get(r + 1 - k)) for k, fk in F.items()
+             if k == r - 1 or r + 1 - k in lower]
+    splits = [j for j in sizes if r - j in sizes]
+    add_block_sum = _block_sum(F, radset)
+    values = {}
+    for T in cx.tuple_keys(r, 2 - r):
+        val = {}
+        for j in splits:  # the F-blocks: T's own element or an F_j value
+            left = {T[0]: 1} if j == 1 else F[j].get(T[:j])
+            right = left and ({T[-1]: 1} if j == r - 1 else F[r - j].get(T[j:]))
+            if right:
+                # b2(x, y) = (-1)^{|x|} x y
+                for x, cl in left.items():
+                    c = ratio * cl if deg[x] == 1 else -ratio * cl
+                    for y, cr in right.items():
+                        prod = table.get((x, y))
+                        if prod:
+                            vec_addmul(val, c * cr, prod)
+        add_block_sum(val, M, T)
+        signs = [-1]  # -(-1)^{|T[:i]|}
+        for x in T[:-2]:
+            signs.append(signs[-1] if deg[x] == 1 else -signs[-1])
+        for fvals, s, inner in feeds:
+            for i in range(r - s + 1):
+                j = i + s
+                if inner is None:
+                    mid = table.get((T[i], T[i + 1]))
+                    sgn = ratio * (signs[i] if deg[T[i]] == 1 else -signs[i])
+                else:
+                    mid = inner.get(T[i:j])
+                    sgn = signs[i]
+                if not mid:
+                    continue
+                head, tail = T[:i], T[j:]
+                for z, cz in mid.items():
+                    if z not in radset:
+                        continue
+                    fv = fvals.get(head + (z,) + tail)
+                    if fv:
+                        vec_addmul(val, sgn * cz, fv)
+        if val:
+            values[T] = val
+    return values
 
 
 def gauge_act(f, m):
@@ -264,57 +325,14 @@ def gauge_act(f, m):
     E, N = m.E, m.N
     low = min(f.comps, default=N)
     comps = {r: c for r, c in m.comps.items() if r <= low}
-    cx = reduced_complex(E)
-    sizes = _block_sizes(f)
-    radset = E.radical_set
-    table, deg = E.table, E.deg
+    L = _scale(E, f, m)
+    F, M = f.scaled(L), m.scaled(L)
+    lower = {r: M[r] for r in comps}
     for r in range(low + 1, N + 1):
-        t = 2 - r
-        # (f_k values, inner width s = j - i, m'_s values or None for b2)
-        feeds = []
-        for k, fk in f.comps.items():
-            s = r + 1 - k
-            if s == 2:
-                feeds.append((fk.values, s, None))
-            elif s > 2 and s in comps:
-                feeds.append((fk.values, s, comps[s].values))
-        splits = [j for j in sizes if r - j in sizes]
-        values = {}
-        for T in cx.tuple_keys(r, t):
-            val = {}
-            for j in splits:
-                left = _block(f, T[:j])
-                right = left and _block(f, T[j:])
-                if right:
-                    for k, c in eval_b2(E, left, right).items():
-                        accum(val, k, c)
-            _add_block_sum(val, m.comps, f, T, sizes)
-            signs = [-1]  # -(-1)^{|T[:i]|}
-            for x in T[:-2]:
-                signs.append(signs[-1] if deg[x] == 1 else -signs[-1])
-            for fvals, s, inner in feeds:
-                for i in range(r - s + 1):
-                    j = i + s
-                    if inner is None:
-                        # b2(x, y) = (-1)^{|x|} x y
-                        mid = table.get((T[i], T[i + 1]))
-                        sgn = signs[i] if deg[T[i]] == 1 else -signs[i]
-                    else:
-                        mid = inner.get(T[i:j])
-                        sgn = signs[i]
-                    if not mid:
-                        continue
-                    head, tail = T[:i], T[j:]
-                    for z, cz in mid.items():
-                        if z not in radset:
-                            continue
-                        fv = fvals.get(head + (z,) + tail)
-                        if fv:
-                            vec_addmul(val, sgn * cz, fv)
-            if val:
-                values[T] = val
+        values = _act_arity(E, F, M, lower, r, L // E.denominator)
         if values:
-            comps[r] = Cochain(E, r, t, values)
+            lower[r] = values
+            comps[r] = _unscaled(E, r, 2 - r, values, L ** (2 * r - 3))
     return AnStructure(E, N, comps)
 
 
@@ -378,38 +396,49 @@ def normalize(m):
     kappa in K_{2-k} and gauge by f_{k-1} = -x.  Returns (normal form,
     gauge witness) with gauge_act(witness, m) equal to the normal form.
 
-    Each step is a sparse combination of the rows of complement_data, the
-    complex's Echelon of delta: no solve and no new elimination.  A step
-    gauge f_{k-1} leaves the arities below k alone and changes m_k by
-    exactly delta(f_{k-1}) = -delta(x), whether or not m is flat, so each
-    step checks that the gauged m_k equals kappa.
+    One sweep: m_k after the steps below k is one arity of the action's
+    recurrence (see the module docstring).  Each split is a sparse
+    combination of the rows of complement_data, the complex's Echelon of
+    delta: no solve and no new elimination.  A step gauge f_{k-1} leaves
+    the arities below k alone and changes m_k by exactly
+    delta(f_{k-1}) = -delta(x), whether or not m is flat, so each step
+    checks, on the arity-k pass of the step gauge alone, that the gauged
+    m_k equals kappa.
 
-    Flatness is checked once, on the normal form.  The action is
+    Flatness is checked once, on the normal form: the action is
     conjugation by the invertible coalgebra morphism F of the witness
-    (Lefevre-Hasegawa 2003): D' = F^-1 D F, hence D'^2 = F^-1 D^2 F, and
-    m is flat iff its normal form is.  The normal form lies in the sparse
-    complements, so its defect is cheap; a non-flat m raises ValueError
-    after the steps, which never fail on it."""
+    (Lefevre-Hasegawa 2003), D' = F^-1 D F, so m is flat iff its normal
+    form is.  The normal form lies in the sparse complements, so its
+    defect is cheap; a non-flat m raises ValueError after the steps, which
+    never fail on it."""
     E, N = m.E, m.N
     cx = reduced_complex(E)
     witness = GaugeTransform.identity(E, N)
-    current = m
+    nf = AnStructure(E, N)
     for k in range(3, N + 1):
-        mk = current.comps.get(k)
-        if mk is None:
+        L = _scale(E, witness, m, nf)
+        values = _act_arity(E, witness.scaled(L, k - 1), m.scaled(L, k),
+                            nf.scaled(L), k, L // E.denominator)
+        if not values:
             continue
-        kappa, x = complement_data(E, k).split(cx.cochain_to_vector(mk))
-        if not x:
-            continue
-        step = GaugeTransform(E, N, {k - 1: cx.vector_to_cochain(
-            k - 1, 2 - k, {p: -c for p, c in x.items()})})
-        current = gauge_act(step, current)
-        witness = gauge_compose(step, witness)
-        if cx.cochain_to_vector(current.component(k)) != kappa:
-            raise AssertionError("gauge step did not land on the complement")
-    if not is_flat(current):
+        mk = cx.cochain_to_vector(_unscaled(E, k, 2 - k, values, L ** (2 * k - 3)))
+        kappa, x = complement_data(E, k).split(mk)
+        if x:
+            step = GaugeTransform(E, N, {k - 1: cx.vector_to_cochain(
+                k - 1, 2 - k, {p: -c for p, c in x.items()})})
+            # the step's own terms at arity k, m left out, are kappa - m_k
+            change = AnStructure(E, N, {k: cx.vector_to_cochain(
+                k, 2 - k, vec_addmul(dict(kappa), -1, mk))})
+            L = _scale(E, step, change)
+            if _act_arity(E, step.scaled(L), {}, {}, k, L // E.denominator) \
+                    != change.scaled(L).get(k, {}):
+                raise AssertionError("gauge step did not land on the complement")
+            witness = gauge_compose(step, witness)
+        if kappa:
+            nf.comps[k] = cx.vector_to_cochain(k, 2 - k, kappa)
+    if not is_flat(nf):
         raise ValueError("normalize requires a defect-free structure")
-    return current, witness
+    return nf, witness
 
 
 class EquivalenceResult:

@@ -191,12 +191,14 @@ def rho_generator_images(data, corrupt=None):
 
 
 def bp_mul(u, v):
-    """Branchwise product of branch polynomials."""
+    """Branchwise product of branch polynomials.  A coefficient 1 on either
+    side, as on the images of f_i and h_i, is not multiplied."""
     out = {}
     for (b1, e1), c1 in u.items():
+        one = c1 == 1
         for (b2, e2), c2 in v.items():
             if b1 == b2:
-                accum(out, (b1, e1 + e2), c1 * c2)
+                accum(out, (b1, e1 + e2), c2 if one else c1 if c2 == 1 else c1 * c2)
     return out
 
 

@@ -126,9 +126,12 @@ class EWAlgebra:
 
         self.table = self._build_table()
         # lcm of the structure constants' denominators: denominator * c is
-        # an integer for every constant c of the table
+        # an integer for every constant c of the table, kept in int_table
         self.denominator = lcm(*[c.denominator for prod in self.table.values()
                                  for c in prod.values()])
+        self.int_table = {km: {z: c.numerator * (self.denominator // c.denominator)
+                               for z, c in prod.items()}
+                          for km, prod in self.table.items()}
         # right_products[k] = [(m, k*m)], left_products[m] = [(k, k*m)] over
         # nonzero products, ascending because the table is built in (k, m) order
         self.right_products = [[] for _ in range(self.dim)]

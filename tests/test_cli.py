@@ -5,12 +5,14 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -470,6 +472,49 @@ def test_ainf_equations_stdout_is_pinned(argv, digest):
     # the whole stdout of the moduli equations on the canonical section,
     # byte for byte: the complements' free indices name the unknowns
     code, out, _ = run_in_process(["ainf", "equations"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _non_dyadic_structure(E, N):
+    """The trivial structure gauged by a gauge on every other cochain basis
+    element, with the denominators 3, 5 and 7 in turn."""
+    cx = reduced_complex(E)
+    comps = {}
+    for k in range(2, N):
+        values = {}
+        for i, (key, w) in enumerate(cx.basis(k, 1 - k)):
+            if i % 2 == 0:
+                values.setdefault(key, {})[w] = Fraction((-1) ** (i // 2) * (i % 4 + 1),
+                                                         (3, 5, 7)[i // 2 % 3])
+        comps[k] = Cochain(E, k, 1 - k, values)
+    f = ainfinity.GaugeTransform(E, N, comps)
+    return ainfinity.gauge_act(f, ainfinity.AnStructure.trivial(E, N))
+
+
+def _denominator(fam):
+    return math.lcm(*(x.denominator for c in fam.comps.values()
+                      for vec in c.values.values() for x in vec.values()))
+
+
+@pytest.mark.parametrize("n, rows, order, digest", [
+    (1, [], 6, "1872111bf9a1e92bf0a3ba175215a568ba1b1d54ac0cb3acacab92d0e6c0abee"),
+    (2, [[Fraction(1, 2), Fraction(-2, 3)]], 5,
+     "492e22a5192ee3faf21219399fbe9bbc3350ec59516c981398d38ed54cfae22e"),
+], ids=["E11", "E21-nonintegral"])
+def test_ainf_normalize_stdout_is_pinned_with_non_dyadic_steps(tmp_path, n, rows,
+                                                                order, digest):
+    # the step gauges bring denominators the structure does not have, so
+    # the common denominator of witness and structure grows along the sweep
+    E = build_ew(SubspaceW(n, rows))
+    m = _non_dyadic_structure(E, order)
+    _, wit = ainfinity.normalize(m)
+    assert _denominator(wit) % 3 == 0 and _denominator(wit) % 7 == 0
+    assert math.lcm(E.denominator, _denominator(m), _denominator(wit)) != \
+        math.lcm(E.denominator, _denominator(m))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cli.structure_file_json(E, m)))
+    code, out, _ = run_in_process(["ainf", "normalize", "--input", str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

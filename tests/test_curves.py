@@ -79,6 +79,33 @@ def test_rho_is_ring_homomorphism_on_products():
                                                 rho_embed(pres, q))
 
 
+class _NoMul(type(ONE)):
+    """A rational that fails when multiplied."""
+
+    def __mul__(self, other):
+        raise AssertionError("a unit coefficient was multiplied")
+
+    __rmul__ = __mul__
+
+
+def test_bp_mul_skips_unit_coefficients_and_matches_the_product():
+    # a coefficient 1 on either side is taken as is; every other pair is
+    # multiplied, and the result equals the termwise product exactly
+    u = {(0, 1): _NoMul(1), (0, 2): rat(3, 2), (1, 0): rat(-2)}
+    v = {(0, 3): rat(5, 7), (1, 1): _NoMul(1), (1, 4): rat(1, 3)}
+    got = bp_mul(u, v)
+    want = {}
+    for (b1, e1), c1 in u.items():
+        for (b2, e2), c2 in v.items():
+            if b1 == b2:
+                key = (b1, e1 + e2)
+                want[key] = want.get(key, 0) + type(ONE)(c1) * type(ONE)(c2)
+    assert got == {k: c for k, c in want.items() if c}
+    assert all(type(c) is type(ONE) for c in got.values())
+    with pytest.raises(AssertionError, match="unit coefficient was multiplied"):
+        bp_mul({(0, 1): _NoMul(2)}, {(0, 1): rat(3)})
+
+
 def test_rho_kills_the_relations():
     rng = random.Random(3)
     for n, S in [(1, [1]), (2, [1]), (3, [1, 2]), (4, [2, 4])]:
