@@ -24,6 +24,14 @@ ranks come from the shared delta_rank, which assembles only the columns
 of D*delta (D = E.denominator) that clearing leaves; delta_columns(s, t)
 with no further arguments gives the whole Fraction delta, and echelon(s, t)
 its one Fraction elimination, kept per cell for the A-infinity layer.
+
+The rows of delta are labelled by codes, not basis positions: the basis
+element (T, w) of arity s has the code whose base-B digits (B = E.dim)
+are T_1, ..., T_s and then w (at arity 0 the vertex stands for T).
+Within one (s, t) cell the codes sort exactly as the basis positions do,
+so a term's row is found by arithmetic on its column's code, and a rank
+never enumerates the target basis C^{s+1}.  echelon(s, t) turns codes into
+positions once, through positions().
 """
 
 from __future__ import annotations
@@ -334,7 +342,6 @@ class HochschildComplex:
                 for w in ws:
                     out.append((T, w))
         self._basis[key] = out
-        self._index[key] = {bk: i for i, bk in enumerate(out)}
         return out
 
     def dim(self, s, t):
@@ -343,8 +350,29 @@ class HochschildComplex:
         return len(self.basis(s, t))
 
     def index(self, s, t):
-        self.basis(s, t)
-        return self._index[(s, t)]
+        """(argument key, target) -> position in basis(s, t), built on
+        first use."""
+        got = self._index.get((s, t))
+        if got is None:
+            got = self._index[(s, t)] = {bk: i for i, bk in enumerate(self.basis(s, t))}
+        return got
+
+    def code(self, s, key, w):
+        """The row code of the (s, t) basis element (key, w): the digits
+        of key (a vertex at arity 0) and then w, in base E.dim.  Every
+        digit is below E.dim, so codes sort as the basis does,
+        lexicographically in the tuple and then in the target."""
+        B = self.E.dim
+        c = 0
+        for x in key if s else (key,):
+            c = c * B + x
+        return c * B + w
+
+    def positions(self, cols, s, t):
+        """cols with each row code of the (s, t) cell replaced by its
+        position in basis(s, t), keys in the same order."""
+        pos = {self.code(s, key, w): i for i, (key, w) in enumerate(self.basis(s, t))}
+        return [{pos[r]: c for r, c in col.items()} for col in cols]
 
     def factorizations(self):
         """fact[z] = [(x, y, c)] over pairs of elements() with (x*y)_z = c."""
@@ -363,54 +391,72 @@ class HochschildComplex:
     # -- the differential ----------------------------------------------------
 
     def delta_columns(self, s, t, skip=(), scale=None):
-        """Columns of delta: C^{s} -> C^{s+1} at internal degree t, indexed
-        by the (s, t) basis, rows indexed by the (s+1, t) basis.
+        """Columns of delta: C^{s} -> C^{s+1} at internal degree t, one per
+        (s, t) basis element in basis order, each a dict from row code to
+        coefficient.
 
-        The columns whose basis index is in skip are left out.  With scale
-        a common multiple of the table's denominators, each structure
+        A row is labelled by the code of its (s+1, t) basis element, found
+        by arithmetic on the column's code (see code).  With B = E.dim and
+        ct the code of T alone (0 at arity 0), a right product w.x -> w'
+        lands on row (ct*B + x)*B + w', a left product x.w -> w' on
+        x*B^{s+1} + ct*B + w', and a contraction of T[a] to x y on the
+        column's code with the two digits x, y in place of the digit T[a].
+        So C^{s+1} is never enumerated; positions() turns codes into
+        basis positions where those are needed.
+
+        The columns whose code is in skip are left out.  With scale a
+        common multiple of the table's denominators, each structure
         constant c enters as the int scale*c: every term of delta carries
         exactly one constant, so the columns are those of scale*delta, with
         the same keys in the same order."""
         E = self.E
         deg, rad = E.deg, E.radical_set
-        rindex = self.index(s + 1, t)
+        B = E.dim
+        power = [B ** k for k in range(s + 3)]
         sus = s + t - 1
         num = _numbers(scale)
         # signs fixed once per table entry: (-1)^{|w|} on w.x,
-        # (-1)^{(sus+1)|x|} on x.w
-        right = [[(x, [(wp, -num(c) if (deg[w] - 1) % 2 else num(c))
-                       for wp, c in prod.items()])
-                  for x, prod in E.right_products[w] if x in rad]
+        # (-1)^{(sus+1)|x|} on x.w; rows less the part read from T
+        right = [[(x * B + wp, -num(c) if (deg[w] - 1) % 2 else num(c))
+                  for x, prod in E.right_products[w] if x in rad
+                  for wp, c in prod.items()]
                  for w in range(E.dim)]
-        left = [[(x, [(wp, -num(c) if (sus + 1) * (deg[x] - 1) % 2 else num(c))
-                      for wp, c in prod.items()])
-                 for x, prod in E.left_products[w] if x in rad]
+        left = [[(x * power[s + 1] + wp,
+                  -num(c) if (sus + 1) * (deg[x] - 1) % 2 else num(c))
+                 for x, prod in E.left_products[w] if x in rad
+                 for wp, c in prod.items()]
                 for w in range(E.dim)]
         # contraction sign -(-1)^{sus + |T[:a]| + |x|}, by the parity of
-        # sus + 1 + |T[:a]|
-        even = {z: [(x, y, -num(cf) if (deg[x] - 1) % 2 else num(cf))
+        # sus + 1 + |T[:a]|; per slot, the digits x y at their place
+        even = {z: [(x * B + y, -num(cf) if (deg[x] - 1) % 2 else num(cf))
                     for x, y, cf in xs]
                 for z, xs in self.factorizations().items()}
-        odd = {z: [(x, y, -cf) for x, y, cf in xs] for z, xs in even.items()}
+        slots = []
+        for a in range(s):
+            plus = {z: [(xy * power[s - a], cf) for xy, cf in xs]
+                    for z, xs in even.items()}
+            slots.append((plus, {z: [(r, -cf) for r, cf in xs]
+                                 for z, xs in plus.items()}))
         cols = []
-        for j, (key, w) in enumerate(self.basis(s, t)):
-            if j in skip:
+        for key, w in self.basis(s, t):
+            code = self.code(s, key, w)
+            if code in skip:
                 continue
-            T = key if s else ()  # arity 0: keyed by vertex, no arguments
+            T, ct = (key, code // B) if s else ((), 0)
             col = {}
-            for x, prod in right[w]:
-                Tx = T + (x,)
-                for wp, c in prod:
-                    accum(col, rindex[(Tx, wp)], c)
-            for x, prod in left[w]:
-                xT = (x,) + T
-                for wp, c in prod:
-                    accum(col, rindex[(xT, wp)], c)
+            at = ct * B * B
+            for r, c in right[w]:
+                accum(col, at + r, c)
+            at = ct * B
+            for r, c in left[w]:
+                accum(col, at + r, c)
             parity = sus + 1
             for a in range(s):
-                head, tail = T[:a], T[a + 1:]
-                for x, y, cf in (odd if parity % 2 else even).get(T[a], ()):
-                    accum(col, rindex[(head + (x, y) + tail, w)], cf)
+                # the a head digits move up one place; the tail and w stay
+                head, low = divmod(code, power[s - a + 1])
+                at = head * power[s - a + 2] + low % power[s - a]
+                for r, cf in slots[a][parity % 2].get(T[a], ()):
+                    accum(col, at + r, cf)
                 parity += deg[T[a]] - 1
             cols.append(col)
         return cols
@@ -419,10 +465,13 @@ class HochschildComplex:
         """The Echelon of delta: C^s -> C^{s+1} at internal degree t, its
         columns added in basis order, built once per (s, t).  Its rows are
         the RREF basis of im delta, each with its coordinates on C^s, so
-        split and solve against im delta need no further elimination."""
+        split and solve against im delta need no further elimination.
+        Row codes become (s+1, t) basis positions first; codes sort as
+        positions do, so the pivots are those of the coded columns."""
         got = self._echelon.get((s, t))
         if got is None:
-            got = self._echelon[(s, t)] = Echelon(self.delta_columns(s, t))
+            got = self._echelon[(s, t)] = Echelon(
+                self.positions(self.delta_columns(s, t), s + 1, t))
         return got
 
     def delta_rank(self, s, t):
@@ -432,17 +481,22 @@ class HochschildComplex:
         and Kerber, "Persistent homology computation with a twist", 2011;
         Bauer, Kerber and Reininghaus, "Clear and compress", 2014).  Let P
         be the pivot rows of the elimination of delta^{s-1}, a set of
-        (s, t) basis indices.  The image of delta^{s-1} projects
+        (s, t) row codes.  The image of delta^{s-1} projects
         bijectively onto the coordinates in P (linalg.rank_of_columns), so
         C^s = span{e_j : j not in P} + im delta^{s-1}, a direct sum by
         dimension.  As im delta^{s-1} lies in ker delta^s, the image of
         delta^s is spanned by its columns outside P, so only those are
         assembled; they span all of im delta^s, so their pivot rows serve
         the next s in the same way.  The columns are those of the integer
-        matrix E.denominator * delta, which has the same rank.  Ranks are
-        cached; the pivot set is kept only for the last s swept at each t,
-        and every lower s has its rank cached, so any order of calls gives
-        the same sweeps.
+        matrix E.denominator * delta, which has the same rank.
+
+        P and the skipped columns are row codes, so no sweep enumerates
+        the (s+1, t) basis.  rank_of_columns breaks ties by row label, and
+        codes sort as basis positions do, so it picks the pivots it would
+        pick on positions: every rank and cleared set is that of the
+        basis-indexed matrix.  Ranks are cached; the pivot set is kept
+        only for the last s swept at each t, and every lower s has its
+        rank cached, so any order of calls gives the same sweeps.
         """
         if s < 0:
             return 0
@@ -575,43 +629,46 @@ class UnnormalizedComplex(HochschildComplex):
         return range(self.E.dim)
 
     def delta_columns(self, s, t, skip=(), scale=None):
-        """As HochschildComplex.delta_columns, skip and scale included."""
+        """As HochschildComplex.delta_columns, skip, scale and row codes
+        included."""
         E = self.E
-        rindex = self.index(s + 1, t)
+        B = E.dim
+        power = [B ** k for k in range(s + 3)]
         num = _numbers(scale)
         # signs fixed once per table entry: (-1)^{deg(a_1) t} on a_1 . f,
-        # (-1)^{s+1} on f . a_{s+1}, (-1)^{a+1} on the a-th contraction
-        left = [[(x, [(wp, -num(c) if E.deg[x] * t % 2 else num(c))
-                      for wp, c in prod.items()])
-                 for x, prod in E.left_products[w]]
+        # (-1)^{s+1} on f . a_{s+1}, (-1)^{a+1} on the a-th contraction;
+        # rows less the part read from T
+        left = [[(x * power[s + 1] + wp, -num(c) if E.deg[x] * t % 2 else num(c))
+                 for x, prod in E.left_products[w] for wp, c in prod.items()]
                 for w in range(E.dim)]
-        right = [[(x, [(wp, num(c) if s % 2 else -num(c)) for wp, c in prod.items()])
-                  for x, prod in E.right_products[w]]
+        right = [[(x * B + wp, num(c) if s % 2 else -num(c))
+                  for x, prod in E.right_products[w] for wp, c in prod.items()]
                  for w in range(E.dim)]
-        fact = {z: [(x, y, num(cf)) for x, y, cf in xs]
-                for z, xs in self.factorizations().items()}
-        negfact = {z: [(x, y, -cf) for x, y, cf in xs] for z, xs in fact.items()}
+        slots = [{z: [((x * B + y) * power[s - a], num(cf) if a % 2 else -num(cf))
+                      for x, y, cf in xs]
+                  for z, xs in self.factorizations().items()}
+                 for a in range(s)]
         cols = []
-        for j, (key, w) in enumerate(self.basis(s, t)):
-            if j in skip:
+        for key, w in self.basis(s, t):
+            code = self.code(s, key, w)
+            if code in skip:
                 continue
-            T = key if s else ()  # arity 0: keyed by vertex, no arguments
+            T, ct = (key, code // B) if s else ((), 0)
             col = {}
             # a_1 . f(a_2 ... a_{s+1})
-            for x, prod in left[w]:
-                xT = (x,) + T
-                for wp, c in prod:
-                    accum(col, rindex[(xT, wp)], c)
+            at = ct * B
+            for r, c in left[w]:
+                accum(col, at + r, c)
             # contractions
             for a in range(s):
-                head, tail = T[:a], T[a + 1:]
-                for x, y, cf in (fact if a % 2 else negfact).get(T[a], ()):
-                    accum(col, rindex[(head + (x, y) + tail, w)], cf)
+                head, low = divmod(code, power[s - a + 1])
+                at = head * power[s - a + 2] + low % power[s - a]
+                for r, cf in slots[a].get(T[a], ()):
+                    accum(col, at + r, cf)
             # f(a_1 ... a_s) . a_{s+1}
-            for x, prod in right[w]:
-                Tx = T + (x,)
-                for wp, c in prod:
-                    accum(col, rindex[(Tx, wp)], c)
+            at = ct * B * B
+            for r, c in right[w]:
+                accum(col, at + r, c)
             cols.append(col)
         return cols
 

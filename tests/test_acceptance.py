@@ -296,7 +296,8 @@ def test_criterion_10_infrastructure_identities():
         for t in range(-6, 1):
             for s in range(0, smax):
                 d2 = cx.delta_columns(s + 1, t)
-                assert not any(apply(d2, col) for col in cx.delta_columns(s, t)), \
+                assert not any(apply(d2, col) for col in
+                               cx.positions(cx.delta_columns(s, t), s + 1, t)), \
                     (key, s, t)
                 cells += 1
     jacobi = 0

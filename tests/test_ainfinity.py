@@ -383,7 +383,7 @@ def _parent_complement(E, k):
     the square matrix `mix` with the K basis and then the im basis as its
     columns."""
     cx = reduced_complex(E)
-    D = cx.delta_columns(k - 1, 2 - k)
+    D = cx.positions(cx.delta_columns(k - 1, 2 - k), k, 2 - k)
     _, pivots = rref(transpose(D), len(D))
     im = Subspace(cx.dim(k, 2 - k), [D[j] for j in pivots])
     K = canonical_complement(im)
@@ -423,7 +423,8 @@ def _normalize_reference(m):
             accum(w_im, j, -c)
         if not w_im:
             continue
-        x = solve_reference(cx.delta_columns(k - 1, 2 - k), w_im)
+        x = solve_reference(cx.positions(cx.delta_columns(k - 1, 2 - k), k, 2 - k),
+                            w_im)
         step = GaugeTransform(E, N, {
             k - 1: cx.vector_to_cochain(k - 1, 2 - k, {i: -c for i, c in x.items()})})
         current = gauge_act(step, current)
@@ -458,7 +459,7 @@ def test_complement_data_matches_two_rref_construction(E):
         assert _complement_basis(E, k) == K.basis
         R, qs = rref(im.basis, im.ambient_dim)
         assert sorted(data.rows) == qs
-        D = cx.delta_columns(k - 1, 2 - k)
+        D = cx.positions(cx.delta_columns(k - 1, 2 - k), k, 2 - k)
         for i, q in enumerate(qs):
             row, coords = data.rows[q]
             assert row == R[i]

@@ -244,6 +244,14 @@ def test_out_of_range_flags_rejected():
         assert out.returncode == 2, args
         assert [line for line in out.stderr.splitlines() if "error:" in line] == \
             ["error: --n must be at least 0, got -1"]
+    # --w rows of the wrong length or dependent
+    for args, err in ((("--n", "1", "--w", "1,2"),
+                       "error: --w row 1 has 2 entries, expected n=1"),
+                      (("--n", "2", "--w", "1,1;2,2"),
+                       "error: --w rows are not linearly independent")):
+        out = run_cli("hh", *args)
+        assert out.returncode == 2, args
+        assert [line for line in out.stderr.splitlines() if "error:" in line] == [err]
     assert run_cli("genus1", "hilbert", "--u", "1", "--v", "1",
                    "--nmax", "0").returncode == 0
     assert run_cli("ainf", "tangent", "--n", "1", "--g", "1", "--w", "",
@@ -474,6 +482,25 @@ def test_ainf_equations_stdout_is_pinned(argv, digest):
     code, out, _ = run_in_process(["ainf", "equations"] + argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["--n", "1", "--g", "1", "--i-max", "3", "--t-min", "-6"],
+     {"json": "6cb3c7c08cc6e50576934d5ced5b7cf8c6645a885d0aec69a4fdf5a35c0e4d10",
+      "csv": "d26f9a87812e36e2ae342132d70abe65da3da9700b14c73842cfb2a96b769775"}),
+    (["--n", "2", "--g", "1", "--w", "1/2,-2/3", "--i-max", "3", "--t-min", "-5"],
+     {"json": "3ac9e540cabd73a19cc2068c4eeccc401a14b53ac49cb6e78565e6d3fbf0c27e",
+      "csv": "25cb5856220560e5e57ad049c55f6393ccd47b9d046757165f99a92b28d338be"}),
+], ids=["E11", "E21-nonintegral"])
+def test_hh_stdout_is_pinned(argv, digests):
+    # the whole stdout of the HH table, as JSON and as CSV, byte for byte:
+    # every cleared rank of the reduced complex feeds it
+    got = {}
+    for fmt in ("json", "csv"):
+        code, out, _ = run_in_process(["hh"] + argv + ["--format", fmt])
+        assert code == 0
+        got[fmt] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == digests
 
 
 def _non_dyadic_structure(E, N):

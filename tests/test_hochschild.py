@@ -93,6 +93,37 @@ def test_basis_is_sorted():
     assert b == sorted(b)
 
 
+def _decode(E, s, code):
+    """(key, w) from a row code: its base-E.dim digits, the last one w and
+    the others the argument tuple (one vertex at arity 0)."""
+    digits = []
+    for _ in range(max(s, 1) + 1):
+        code, d = divmod(code, E.dim)
+        digits.append(d)
+    assert code == 0
+    w, *key = digits
+    key = tuple(reversed(key))
+    return (key if s else key[0]), w
+
+
+def test_codes_sort_as_basis_and_decode():
+    # delta names its rows by code, and clearing reads pivots by code, so
+    # within a cell codes must order the basis exactly as positions do
+    for w in (SubspaceW.zero(1), SubspaceW(2, [["1/2", "-2/3"]]), SubspaceW.full(2),
+              SubspaceW.zero(2)):
+        E = build_ew(w)
+        for cx in (HochschildComplex(E), UnnormalizedComplex(E)):
+            checked = 0
+            for s in range(6):
+                for t in range(-s, 2):
+                    basis = cx.basis(s, t)
+                    codes = [cx.code(s, key, v) for key, v in basis]
+                    assert all(a < b for a, b in zip(codes, codes[1:])), (s, t)
+                    assert [_decode(E, s, c) for c in codes] == basis, (s, t)
+                    checked += len(codes)
+            assert checked > 100
+
+
 # -- differential ---------------------------------------------------------------
 
 
@@ -112,7 +143,8 @@ def test_delta_squared_zero_grid():
         for t in range(-4, 1):
             for s in range(0, 6 - max(0, -t)):
                 d2 = cx.delta_columns(s + 1, t)
-                assert not any(apply(d2, col) for col in cx.delta_columns(s, t))
+                assert not any(apply(d2, col) for col in
+                               cx.positions(cx.delta_columns(s, t), s + 1, t))
 
 
 def test_bracket_equals_matrix_differential():
@@ -125,7 +157,8 @@ def test_bracket_equals_matrix_differential():
         for _ in range(3):
             phi = random_cochain(E, s, t, rng)
             lhs = cx.cochain_to_vector(differential_apply(phi))
-            rhs = apply(cx.delta_columns(s, t), cx.cochain_to_vector(phi))
+            rhs = apply(cx.positions(cx.delta_columns(s, t), s + 1, t),
+                        cx.cochain_to_vector(phi))
             assert lhs == rhs
             done += 1
     assert done >= 20
@@ -152,7 +185,8 @@ def test_delta_rank_matches_unnormalized_complex():
     # and the unnormalized differential squares to zero too
     for s in range(0, 4):
         d2 = ucx.delta_columns(s + 1, t)
-        assert not any(apply(d2, col) for col in ucx.delta_columns(s, t))
+        assert not any(apply(d2, col) for col in
+                       ucx.positions(ucx.delta_columns(s, t), s + 1, t))
 
 
 # -- bracket identities ----------------------------------------------------------
@@ -410,8 +444,7 @@ def reduced_delta_reference(cx, s, t):
 def unnormalized_delta_reference(ucx, s, t):
     """UnnormalizedComplex.delta_columns as first written."""
     E = ucx.E
-    ucx.basis(s + 1, t)
-    rindex = ucx._index[(s + 1, t)]
+    rindex = ucx.index(s + 1, t)
     cols = []
     for key, w in ucx.basis(s, t):
         col = {}
@@ -498,7 +531,7 @@ def test_delta_columns_match_reference_exactly():
                               (unnormalized_complex(E), unnormalized_delta_reference)):
             nnz = 0
             for s, t in cases:
-                got = cx.delta_columns(s, t)
+                got = cx.positions(cx.delta_columns(s, t), s + 1, t)
                 want = reference(cx, s, t)
                 # same keys in the same order, same values of the same type
                 assert [list(c.items()) for c in got] == [list(c.items()) for c in want], \
@@ -543,6 +576,20 @@ def test_cleared_ranks_match_full_delta_in_any_call_order():
             assert sum(want.values()) > 100
 
 
+def test_hh_sweep_never_enumerates_its_target():
+    # an i <= 3 table reads delta^{3-t} at each t, whose rows lie in the
+    # (4 - t, t) cell; the rows are codes, so that cell is never built
+    E = build_ew(SubspaceW(2, [["1/2", "-2/3"]]))
+    for cls in (HochschildComplex, UnnormalizedComplex):
+        cx = cls(E)
+        for t in range(-3, 1):
+            for i in range(4):
+                cx.hh_dim(i, t)
+        assert all((3 - t, t) in cx._basis for t in range(-3, 1)), cls.__name__
+        assert not any((4 - t, t) in cx._basis for t in range(-3, 1)), cls.__name__
+        assert not cx._index, cls.__name__
+
+
 def test_integer_delta_is_denominator_times_fraction_delta():
     E = build_ew(SubspaceW(2, [["1/2", "-2/3"]]))
     D = E.denominator
@@ -559,10 +606,12 @@ def test_integer_delta_is_denominator_times_fraction_delta():
                 [[(i, D * x) for i, x in c.items()] for c in frac], (s, t)
             assert all(type(x) is int for c in ints for x in c.values())
             nnz += sum(len(c) for c in ints)
-            # skipped columns are left out, the others kept in order
-            skip = {j for j in range(len(frac)) if rng.random() < 0.5}
+            # skipped columns, named by code, are left out, the others
+            # kept in order
+            codes = [cx.code(s, key, w) for key, w in cx.basis(s, t)]
+            skip = {codes[j] for j in range(len(frac)) if rng.random() < 0.5}
             kept = cx.delta_columns(s, t, skip=skip, scale=D)
-            assert kept == [c for j, c in enumerate(ints) if j not in skip]
+            assert kept == [c for j, c in enumerate(ints) if codes[j] not in skip]
         # some entry of delta has denominator 3, so the scaling shows
         assert any(x % D for c in cx.delta_columns(2, -1, scale=D)
                    for x in c.values())
