@@ -41,7 +41,8 @@ kappas found, so its m_k is the one arity of the action's recurrence on
 the witness, m and those kappas.  It reads one exact elimination per
 arity, which the Hochschild complex keeps per cell
 (HochschildComplex.echelon) and extend_step shares, makes no solves, and
-checks flatness once, on the normal form.
+checks flatness once, on the normal form.  Like the gauge layer, that
+elimination and its splits run on ints.
 """
 
 from __future__ import annotations

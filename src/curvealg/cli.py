@@ -28,10 +28,17 @@ from .genus_one import (U1Chart, u1_relations, transition, transition_symbolic,
 from .poly import BoundExceededError, RelationSystem
 
 
-def _parse_rows(text):
-    if text is None or text.strip() == "":
-        return []
-    return [[rat(x) for x in row.split(",")] for row in text.split(";") if row.strip()]
+def _rat(text, flag):
+    """rat(text); a malformed value is a ValueError naming the flag."""
+    try:
+        return rat(text)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (flag, exc)) from None
+
+
+def _parse_rows(text, flag):
+    return [[_rat(x, flag) for x in row.split(",")]
+            for row in (text or "").split(";") if row.strip()]
 
 
 def _parse_ints(text):
@@ -48,7 +55,7 @@ def _subspace(args):
         raise ValueError("--g must be at least 0 and at most n=%d, got %d"
                          % (n, args.g))
     if args.w is not None:
-        rows = _parse_rows(args.w)
+        rows = _parse_rows(args.w, "--w")
         for i, row in enumerate(rows, 1):
             if len(row) != n:
                 raise ValueError("--w row %d has %d entries, expected n=%d"
@@ -68,11 +75,17 @@ def _subspace(args):
 def _curve_data(args, suffix=""):
     n = getattr(args, "n" + suffix)
     S = _parse_ints(getattr(args, "s" + suffix))
-    rows = _parse_rows(getattr(args, "a" + suffix, None) or "")
+    rows = _parse_rows(getattr(args, "a" + suffix, None), "--a" + suffix)
     if rows:
         return SpecialCurveData.from_rows(n, S, rows, name="--a" + suffix,
                                           s_name="--s" + suffix)
     return SpecialCurveData(n, S, s_name="--s" + suffix)
+
+
+def _chart(args):
+    """The U1Chart of the --a12, --b12, --e12 and --pi1 flags."""
+    return U1Chart(*(_rat(getattr(args, f), "--" + f)
+                     for f in ("a12", "b12", "e12", "pi1")))
 
 
 def _gluing_point(text, flag):
@@ -285,7 +298,7 @@ def cmd_curve_glue(args):
 
 def cmd_genus1_relations(args):
     run = Run(args, "genus1 relations")
-    chart = U1Chart(args.a12, args.b12, args.e12, args.pi1)
+    chart = _chart(args)
     rs = u1_relations(chart)
     rep = rs.closure_check(args.deg_bound)
     payload = {"chart": chart.to_json(), "relations": rs.to_json(),
@@ -299,7 +312,7 @@ def cmd_genus1_transition(args):
         cert = transition_symbolic()
         payload = {"symbolic": True, "certificate": cert.to_json()}
         return run.emit(payload, ok=cert.passed)
-    chart = U1Chart(args.a12, args.b12, args.e12, args.pi1)
+    chart = _chart(args)
     cert = transition(chart)
     back = transition(cert.chart2)
     payload = {"chart": chart.to_json(), "chart2": cert.chart2.to_json(),
@@ -310,7 +323,7 @@ def cmd_genus1_transition(args):
 
 def cmd_genus1_hilbert(args):
     run = Run(args, "genus1 hilbert")
-    spec = HilbertSpec(rat(args.u), rat(args.v), args.nmax)
+    spec = HilbertSpec(_rat(args.u, "--u"), _rat(args.v, "--v"), args.nmax)
     dims = hilbert_A(spec)
     csv_text = "n,dim\n" + "".join("%d,%d\n" % (n, d) for n, d in enumerate(dims))
     return run.emit({"u": rat_str(spec.u), "v": rat_str(spec.v), "dims": dims},
@@ -319,7 +332,7 @@ def cmd_genus1_hilbert(args):
 
 def cmd_genus1_compare(args):
     run = Run(args, "genus1 compare")
-    spec = HilbertSpec(rat(args.u), rat(args.v), args.nmax)
+    spec = HilbertSpec(_rat(args.u, "--u"), _rat(args.v, "--v"), args.nmax)
     rep = weighted_proj_compare(spec)
     return run.emit(rep.to_json(), ok=rep.passed)
 
@@ -329,7 +342,7 @@ def cmd_genus1_bundle(args):
     if args.symbolic:
         rep = bundle_glue_check(None, symbolic=True)
     else:
-        rep = bundle_glue_check(U1Chart(args.a12, args.b12, args.e12, args.pi1))
+        rep = bundle_glue_check(_chart(args))
     return run.emit(rep, ok=rep["verdict"] == "PASS")
 
 

@@ -23,7 +23,7 @@ once per table entry and bidegree, not once per matrix entry.  Their
 ranks come from the shared delta_rank, which assembles only the columns
 of D*delta (D = E.denominator) that clearing leaves; delta_columns(s, t)
 with no further arguments gives the whole Fraction delta, and echelon(s, t)
-its one Fraction elimination, kept per cell for the A-infinity layer.
+its one exact elimination, on ints, kept per cell for the A-infinity layer.
 
 The rows of delta are labelled by codes, not basis positions: the basis
 element (T, w) of arity s has the code whose base-B digits (B = E.dim)
@@ -467,11 +467,14 @@ class HochschildComplex:
         the RREF basis of im delta, each with its coordinates on C^s, so
         split and solve against im delta need no further elimination.
         Row codes become (s+1, t) basis positions first; codes sort as
-        positions do, so the pivots are those of the coded columns."""
+        positions do, so the pivots are those of the coded columns.  The
+        int columns of D*delta (D = E.denominator) go in; X is scaled by D."""
         got = self._echelon.get((s, t))
         if got is None:
+            D = self.E.denominator
             got = self._echelon[(s, t)] = Echelon(
-                self.positions(self.delta_columns(s, t), s + 1, t))
+                self.positions(self.delta_columns(s, t, scale=D), s + 1, t))
+            got.scale_coordinates(D)
         return got
 
     def delta_rank(self, s, t):

@@ -9,24 +9,24 @@ sum in the package goes through it or vec_addmul, except the integer
 elimination in _component_pivot_rows, which tracks row use as keys come
 and go.
 
-Echelon is the one Fraction elimination: it keeps the reduced row echelon
-basis of a span together with each row's coordinates on the added
-vectors, and kernel_basis, solve, the loop classes of quiver and the
-curve-basis checks all read it.  The Hochschild complex keeps one per
-cell of delta (HochschildComplex.echelon), which the pivot-rule
+Both eliminations run fraction-free on Python ints (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968).  Echelon is the one exact elimination: it keeps the reduced
+row echelon basis of a span together with each row's coordinates on the
+added vectors, and kernel_basis, solve, the loop classes of quiver and
+the curve-basis checks all read it.  The Hochschild complex keeps one
+per cell of delta (HochschildComplex.echelon), which the pivot-rule
 complements and the extension solves of ainfinity share.  The textbook
 reduced row echelon form is kept in the tests, as the reference.
 
 rank_of_columns, which the Hochschild and Laurent-window ranks run on,
-eliminates fraction-free on Python ints instead (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968): each column is scaled to coprime integers, and a column is
-reduced against a pivot column by integer combination followed by
-division by its content.  Both steps are rank-preserving column
-operations, so the rank is exact without any rational division.  It
-can also report its pivot rows, onto which the span projects
-bijectively; the Hochschild ranks use them to clear columns of the next
-differential.
+keeps no coordinates and pivots greedily: each column is scaled to
+coprime integers, and a column is reduced against a pivot column by
+integer combination followed by division by its content.  Both steps are
+rank-preserving column operations, so the rank is exact without any
+rational division.  It can also report its pivot rows, onto which the
+span projects bijectively; the Hochschild ranks use them to clear
+columns of the next differential.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ ONE = Fraction(1)
 
 def rat(a, b=None):
     """Exact rational from ints, strings like "p/q", or another rational.
-    Input naming no rational (a zero denominator, an infinite float)
-    raises ValueError, like a malformed string."""
+    Input naming no rational (a malformed string, a zero denominator, an
+    infinite float) raises one ValueError, "... is not a rational number"."""
     try:
         if b is None:
             return Fraction(a.strip() if isinstance(a, str) else a)
         return Fraction(a) / Fraction(b)
-    except (ZeroDivisionError, OverflowError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError("%r is not a rational number"
                          % (a if b is None else "%s/%s" % (a, b))) from None
 
@@ -76,12 +76,6 @@ def accum(u, i, c):
             del u[i]
 
 
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {i: c * x for i, x in u.items()}
-
-
 def vec_addmul(u, c, v):
     """u += c*v in place, dropping zeros."""
     if c:
@@ -98,12 +92,16 @@ class Echelon:
     """The reduced row echelon basis of the span of the sparse vectors added
     so far, with the coordinates of each row on those vectors.
 
-    `rows` maps each pivot q to (R_q, X_q).  R_q has entry 1 at q, which is
-    the least index of its support, and is zero at every other pivot;
-    X_q holds its coordinates on the added vectors, numbered in the order
-    they were added, so R_q = sum_j X_q[j] v_j.  The rows are the RREF basis
-    of the span whatever order the vectors came in, and X_q is supported
-    on the vectors that enlarged the span of those before them.
+    The row R_q has entry 1 at q, which is the least index of its support,
+    and is zero at every other pivot; X_q holds its coordinates on the
+    added vectors, numbered in the order they were added, so
+    R_q = sum_j X_q[j] v_j.  The rows are the RREF basis of the span
+    whatever order the vectors came in, and X_q is supported on the
+    vectors that enlarged the span of those before them.  `rows` maps q
+    to ints (r, x, d), d = r[q] > 0, with R_q = r/d, X_q = x/d and gcd 1;
+    row(q) gives (R_q, X_q).  A vector is scaled to ints once, the rows it
+    meets are combined over the lcm of their d, and every value that
+    leaves is a Fraction.
     """
 
     __slots__ = ("rows", "added")
@@ -117,46 +115,73 @@ class Echelon:
     def __len__(self):
         return len(self.rows)
 
+    def row(self, q):
+        """(R_q, X_q) as Fractions."""
+        r, x, d = self.rows[q]
+        return ({i: Fraction(c, d) for i, c in r.items()},
+                {j: Fraction(c, d) for j, c in x.items()})
+
+    def _reduce(self, v):
+        """Ints (k, y, S) with split(v) = (k/S, y/S)."""
+        rows = self.rows
+        S = lcm(*[c.denominator for c in v.values()]) \
+            * lcm(*[rows[q][2] for q in v if q in rows])
+        k = {i: c.numerator * (S // c.denominator) for i, c in v.items()}
+        y = {}
+        for q in v:
+            if q in rows:
+                # no other row meets q, so k[q] is still S v_q
+                r, x, d = rows[q]
+                c = k[q] // d
+                vec_addmul(k, -c, r)
+                vec_addmul(y, c, x)
+        return k, y, S
+
     def split(self, v):
         """(kappa, x) with v = kappa + sum_j x_j v_j and kappa zero at every
         pivot: kappa = v - sum_q v_q R_q and x = sum_q v_q X_q."""
-        kappa = dict(v)
-        x = {}
-        for q, c in v.items():
-            row = self.rows.get(q)
-            if row is not None:
-                vec_addmul(kappa, -c, row[0])
-                vec_addmul(x, c, row[1])
-        return kappa, x
+        kappa, x, S = self._reduce(v)
+        return ({i: Fraction(c, S) for i, c in kappa.items()},
+                {j: Fraction(c, S) for j, c in x.items()})
 
     def contains(self, v):
-        """v lies in the span: split's kappa is zero, found without
-        building x."""
-        kappa = dict(v)
-        for q, c in v.items():
-            row = self.rows.get(q)
-            if row is not None:
-                vec_addmul(kappa, -c, row[0])
-        return not kappa
+        """v lies in the span: split's kappa is zero."""
+        return not self._reduce(v)[0]
 
     def add(self, v):
         """Add v as the next vector; True iff it enlarged the span."""
         j = self.added
         self.added += 1
-        r, x = self.split(v)
+        r, x, S = self._reduce(v)
         if not r:
             return False
+        # R = r/r[q] and X = (S e_j - x)/r[q]
         q = min(r)
-        inv = ONE / r[q]
-        r, x = vec_scale(r, inv), {p: -c * inv for p, c in x.items()}
-        x[j] = inv
-        for rq, xq in self.rows.values():
-            c = rq.get(q)
+        r, x, d = _primitive(r, {p: -c for p, c in x.items()} | {j: S}, q)
+        for p, (rp, xp, dp) in self.rows.items():
+            c = rp.get(q)
             if c:
-                vec_addmul(rq, -c, r)
-                vec_addmul(xq, -c, x)
-        self.rows[q] = (r, x)
+                # R_p - (c/dp) R, over dp*d
+                self.rows[p] = _primitive(
+                    vec_addmul({i: a * d for i, a in rp.items()}, -c, r),
+                    vec_addmul({i: a * d for i, a in xp.items()}, -c, x), p)
+        self.rows[q] = (r, x, d)
         return True
+
+    def scale_coordinates(self, k):
+        """Multiply every X_q by the int k > 0: the coordinates on the
+        vectors meant, when k times them were added."""
+        for q, (r, x, d) in self.rows.items():
+            self.rows[q] = _primitive(r, {j: c * k for j, c in x.items()}, q)
+
+
+def _primitive(r, x, q):
+    """(r, x, r[q]) over the gcd of their entries, signed so that r[q] > 0."""
+    g = gcd(*r.values(), *x.values()) * (1 if r[q] > 0 else -1)
+    if g != 1:
+        r = {i: c // g for i, c in r.items()}
+        x = {j: c // g for j, c in x.items()}
+    return r, x, r[q]
 
 
 def kernel_basis(columns):
@@ -205,11 +230,9 @@ class Subspace:
         return Echelon(self.basis).contains(v)
 
     def __eq__(self, other):
-        if not isinstance(other, Subspace) or self.ambient_dim != other.ambient_dim:
-            return False
-        if self.dim != other.dim:
-            return False
-        return len(Echelon(self.basis + other.basis)) == self.dim
+        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
+                and self.dim == other.dim
+                and len(Echelon(self.basis + other.basis)) == self.dim)
 
 
 # ---------------------------------------------------------------------------

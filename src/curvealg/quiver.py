@@ -118,7 +118,7 @@ class EWAlgebra:
         coset = []
         for j in range(n):
             if j in reduced:
-                row = reduced[j][0]
+                row = w.echelon.row(j)[0]
                 coset.append({s: -row[c] for s, c in enumerate(nonpivots) if c in row})
             else:
                 coset.append({nonpivots.index(j): ONE})

@@ -4,6 +4,7 @@ tangent data, moduli equations."""
 import functools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,8 @@ from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 gauge_compose, gauge_inverse, in_complement,
                                 is_flat, normalize, random_gauge,
                                 random_structure, tangent_dims)
-from test_linalg import apply, canonical_complement, rref, solve_reference, transpose
+from test_linalg import (apply, assert_primitive_rows, canonical_complement, rref,
+                         solve_reference, transpose)
 
 
 def E11():
@@ -455,13 +457,13 @@ def test_complement_data_matches_two_rref_construction(E):
         data = complement_data(E, k)
         pivots, im, K, _ = _parent_complement(E, k)
         # delta's pivot columns are those the rows' coordinates use
-        assert sorted(set().union(*(x for _, x in data.rows.values()))) == pivots, k
+        assert sorted(set().union(*(data.row(q)[1] for q in data.rows))) == pivots, k
         assert _complement_basis(E, k) == K.basis
         R, qs = rref(im.basis, im.ambient_dim)
         assert sorted(data.rows) == qs
         D = cx.positions(cx.delta_columns(k - 1, 2 - k), k, 2 - k)
         for i, q in enumerate(qs):
-            row, coords = data.rows[q]
+            row, coords = data.row(q)
             assert row == R[i]
             assert set(coords) <= set(pivots)
             assert apply(D, coords) == row
@@ -710,6 +712,36 @@ def test_second_extension_assembles_no_delta(monkeypatch):
     assert calls == []
     assert (second.solvable, second.candidate, second.obstruction) == \
         (first.solvable, first.candidate, first.obstruction)
+
+
+def test_delta_echelon_and_its_splits_do_no_fraction_arithmetic(monkeypatch):
+    # the complex eliminates delta on ints, from the columns of D*delta:
+    # building a cell's echelon and splitting Fraction vectors against it
+    # adds, subtracts, multiplies and divides no Fraction, and every value
+    # that leaves is a Fraction
+    E = E21_nonintegral()
+    assert E.denominator > 1
+    cx = reduced_complex(E)
+    rng = random.Random(19)
+    dim = cx.dim(4, -2)
+    probes = [{i: rat(rng.randint(1, 5), rng.choice([1, 2, 3])) * rng.choice([1, -1])
+               for i in range(dim) if rng.random() < 0.3} for _ in range(5)]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(a, b, op=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return op(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    ech = cx.echelon(3, -2)
+    splits = [ech.split(v) for v in probes]
+    monkeypatch.undo()
+    assert calls == []
+    assert len(ech) == cx.delta_rank(3, -2) > 0
+    assert_primitive_rows(ech)
+    assert all(x for _, x in splits)
+    assert all(type(c) is Fraction
+               for kappa, x in splits for c in [*kappa.values(), *x.values()])
 
 
 def test_cuspidal_structures_extend():

@@ -252,6 +252,18 @@ def test_out_of_range_flags_rejected():
         out = run_cli("hh", *args)
         assert out.returncode == 2, args
         assert [line for line in out.stderr.splitlines() if "error:" in line] == [err]
+    # a malformed rational names its flag
+    for args, err in ((("ew", "--n", "2", "--w", "1,x"),
+                       "error: --w: 'x' is not a rational number"),
+                      (("curve", "special", "--n", "2", "--s", "1", "--a", "x"),
+                       "error: --a: 'x' is not a rational number"),
+                      (("genus1", "hilbert", "--u", "x", "--v", "1"),
+                       "error: --u: 'x' is not a rational number"),
+                      (("genus1", "transition", "--a12", "y"),
+                       "error: --a12: 'y' is not a rational number")):
+        out = run_cli(*args)
+        assert out.returncode == 2, args
+        assert [line for line in out.stderr.splitlines() if "error:" in line] == [err]
     assert run_cli("genus1", "hilbert", "--u", "1", "--v", "1",
                    "--nmax", "0").returncode == 0
     assert run_cli("ainf", "tangent", "--n", "1", "--g", "1", "--w", "",

@@ -1,6 +1,7 @@
 """Exact linear algebra: examples and randomized exact properties."""
 
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -502,29 +503,95 @@ def _vector_lists(draw):
     return draw(st.permutations(vectors))
 
 
-@given(_vector_lists(), st.lists(_columns, max_size=3))
-def test_echelon_rows_are_rref_of_span_with_exact_coordinates(vectors, probes):
-    ech = Echelon(vectors)
-    R, pivots = rref(vectors, NROWS)
-    assert sorted(ech.rows) == pivots
+def assert_primitive_rows(ech):
+    """Each row (r, x, d) at pivot q holds ints with d > 0, r[q] = d and
+    gcd 1: the guard on coefficient growth."""
+    for q, (r, x, d) in ech.rows.items():
+        assert type(d) is int and d > 0 and r[q] == d and min(r) == q
+        assert all(type(c) is int for c in [*r.values(), *x.values()])
+        assert math.gcd(*r.values(), *x.values()) == 1
+
+
+def assert_echelon_matches_rref(vectors, probes):
+    """Echelon(vectors), checked for primitive rows after every add, has
+    the rref rows of the span (keys of any sortable kind, in sorted
+    order) with exact coordinates on the vectors that grew the span, and
+    splits each probe exactly, every value a Fraction."""
+    ech = Echelon()
+    for v in vectors:
+        ech.add(v)
+        assert_primitive_rows(ech)
+    keys = sorted({i for v in vectors for i in v})
+    pos = {i: n for n, i in enumerate(keys)}
+    R, pivots = rref([{pos[i]: c for i, c in v.items()} for v in vectors], len(keys))
+    assert [pos[q] for q in sorted(ech.rows)] == pivots
     assert ech.added == len(vectors)
     independent = {j for j in range(len(vectors))
                    if rank_of_columns(vectors[:j + 1]) > rank_of_columns(vectors[:j])}
-    for i, q in enumerate(pivots):
-        row, coords = ech.rows[q]
-        assert row == R[i] and min(row) == q
+    for q, Rq in zip(sorted(ech.rows), R):
+        row, coords = ech.row(q)
+        assert row == {keys[n]: c for n, c in Rq.items()} and min(row) == q
         assert set(coords) <= independent
         assert combination([vectors[j] for j in coords], coords.values()) == row
     # split writes v as kappa plus a combination of the added vectors, with
     # kappa zero at every pivot; contains agrees with kappa
     for v in probes + [combination(vectors, [rat(j + 1, 2) for j in range(len(vectors))])]:
         kappa, x = ech.split(v)
-        assert not set(kappa) & set(pivots)
+        assert not set(kappa) & set(ech.rows)
+        assert all(type(c) is Fraction for c in [*kappa.values(), *x.values()])
         whole = combination([vectors[j] for j in x], x.values())
         for i, c in kappa.items():
             accum(whole, i, c)
         assert whole == v
         assert ech.contains(v) == (not kappa)
+    return ech
+
+
+@given(_vector_lists(), st.lists(_columns, max_size=3))
+def test_echelon_rows_are_rref_of_span_with_exact_coordinates(vectors, probes):
+    assert_echelon_matches_rref(vectors, probes)
+
+
+def test_echelon_on_vandermonde_rows_with_nodes_beyond_2_to_the_80():
+    # nodes (2^80 + 3^k)/p_k over distinct primes: the rows' d are large
+    # and coprime, and every later vector meets every earlier row
+    primes = [5, 7, 11, 13, 17]
+    nodes = [rat(2 ** 80 + 3 ** k, p) for k, p in enumerate(primes)]
+    vander = [{i: x ** i for i in range(5)} for x in nodes]
+    for vectors in (vander, vander[::-1], [{i: -c for i, c in v.items()} for v in vander]):
+        ech = assert_echelon_matches_rref(
+            vectors[:4], [vectors[4], {4: ONE}, {0: rat(1, 3), 4: -nodes[0]}])
+        assert len(ech) == 4 and not ech.contains({4: ONE})
+        assert len(assert_echelon_matches_rref(vectors, [])) == 5
+
+
+def test_echelon_with_negative_pivot_entries():
+    # every pivot entry met is negative, so each new row flips its sign
+    vectors = sparse([[-3, 2, 0, 1], [-6, 4, -5, 0], [0, -7, 1, rat(-1, 2)],
+                      [0, 0, rat(-2, 9), -4], [-3, -5, 1, 0]])
+    ech = assert_echelon_matches_rref(vectors, sparse([[-1, 0, 0, 0], [0, 0, 0, -5]]))
+    assert len(ech) == 4
+    assert_echelon_matches_rref([{0: rat(-2, 3)}, {0: rat(-4, 5), 1: rat(-1, 7)}], [])
+
+
+def test_echelon_split_that_cancels_only_over_both_rows_denominators():
+    # R_0 = e0 + e2/2 and R_1 = e1 + e2/3 have d = 2 and d = 3: v's last
+    # entry 5/6 cancels only over their common denominator 6
+    ech = assert_echelon_matches_rref(
+        [{0: rat(2), 2: ONE}, {1: rat(3), 2: ONE}],
+        [{0: ONE, 1: ONE, 2: rat(5, 6)}, {0: ONE, 1: ONE, 2: ONE}])
+    assert [ech.rows[q][2] for q in (0, 1)] == [2, 3]
+    assert ech.split({0: ONE, 1: ONE, 2: rat(5, 6)}) == ({}, {0: rat(1, 2), 1: rat(1, 3)})
+    assert ech.split({0: ONE, 1: ONE, 2: ONE}) == ({2: rat(1, 6)}, {0: rat(1, 2), 1: rat(1, 3)})
+
+
+def test_echelon_with_tuple_keys():
+    # verify_basis keys its vectors by (branch, exponent) pairs
+    vectors = [{(0, 2): rat(3), (1, 0): rat(-1, 2)}, {(0, 2): rat(-6), (0, 5): ONE},
+               {(0, 5): rat(2, 3), (1, 0): rat(4)}, {(1, 0): rat(-7, 5), (1, 3): ONE},
+               {(0, 2): ONE, (1, 3): rat(1, 9)}]
+    ech = assert_echelon_matches_rref(vectors, [{(0, 0): ONE, (1, 3): rat(2)}])
+    assert sorted(ech.rows) == [(0, 2), (0, 5), (1, 0), (1, 3)]
 
 
 @given(_vector_lists(), _columns, _coeffs)
