@@ -6,7 +6,7 @@ no stored zeros, and a matrix is a list of sparse columns.  accum is the
 one place that writes the accumulation rule for such dicts (store c
 itself for a new key, drop the key when the sum cancels); every sparse
 sum in the package goes through it or vec_addmul, except the integer
-elimination in _component_pivot_rows, which tracks row use as keys come
+elimination in _pivot_rows, which updates its row-use lists as keys come
 and go.
 
 Both eliminations run fraction-free on Python ints (Bareiss, "Sylvester's
@@ -20,13 +20,16 @@ complements and the extension solves of ainfinity share.  The textbook
 reduced row echelon form is kept in the tests, as the reference.
 
 rank_of_columns, which the Hochschild and Laurent-window ranks run on,
-keeps no coordinates and pivots greedily: each column is scaled to
-coprime integers, and a column is reduced against a pivot column by
-integer combination followed by division by its content.  Both steps are
-rank-preserving column operations, so the rank is exact without any
-rational division.  It can also report its pivot rows, onto which the
-span projects bijectively; the Hochschild ranks use them to clear
-columns of the next differential.
+keeps no coordinates and pivots greedily in one elimination over all the
+columns: an integer column (the Hochschild ranks pass E.denominator *
+delta) is copied as it is, a rational one is scaled to coprime integers,
+and a column is reduced against a pivot column by integer combination
+followed by division by its content.  These are rank-preserving column
+operations, so the rank is exact without any rational division.  Each
+row keeps a list of the live columns meeting it, which picks the pivot
+row.  It can also report its pivot rows, onto which the span projects
+bijectively; the Hochschild ranks use them to clear columns of the next
+differential.
 """
 
 from __future__ import annotations
@@ -150,9 +153,12 @@ class Echelon:
 
     def add(self, v):
         """Add v as the next vector; True iff it enlarged the span."""
+        return self._adjoin(*self._reduce(v))
+
+    def _adjoin(self, r, x, S):
+        """add, given _reduce(v) = (r, x, S)."""
         j = self.added
         self.added += 1
-        r, x, S = self._reduce(v)
         if not r:
             return False
         # R = r/r[q] and X = (S e_j - x)/r[q]
@@ -196,9 +202,10 @@ def kernel_basis(columns):
     ech = Echelon()
     basis = []
     for j, col in enumerate(columns):
-        if not ech.add(col):
-            x = ech.split(col)[1]
-            basis.append({j: ONE} | {p: -x[p] for p in sorted(x)})
+        # one reduction per column: its coordinates when it is dependent
+        k, x, S = ech._reduce(col)
+        if not ech._adjoin(k, x, S):
+            basis.append({j: ONE} | {p: Fraction(-x[p], S) for p in sorted(x)})
     return Subspace(len(columns), basis)
 
 
@@ -245,80 +252,52 @@ def rank_of_columns(columns, pivots=None):
     added to it: one row per unit of rank, and projecting the span onto
     the coordinates in those rows is injective, hence bijective.
 
-    Each column is scaled to coprime integers, which keeps the rank, and
-    the incidence graph is split into connected components.  Each
-    component is then eliminated fraction-free on Python ints: the
-    sparsest live column is the next pivot column (ties to the lower
-    index), its pivot row is the one used by the fewest other columns,
-    and every other column k meeting that row becomes a*k - b*pivot with
-    a/b the reduced ratio of the two pivot-row entries, divided by its
-    content.  Each step is an exact rank-preserving column operation, so
-    no fraction, modulus or certificate is needed.  A pivot column is
-    zero at every earlier pivot row, since it was live when that row was
-    cleared, so the pivot columns, which span the input, are triangular
-    with nonzero diagonal on the pivot rows.  Any pivot strategy yields
-    the same rank, so this path is free to be greedy while Echelon keeps
-    the canonical pivot rule.
+    Each column is copied to a dict of nonzero Python ints, as it is if
+    its values already are ints, else scaled to coprime integers; either
+    keeps the rank.  All columns are then eliminated fraction-free in one
+    pass: the sparsest live column is the next pivot column (ties to the
+    lower index), its pivot row is the one used by the fewest other live
+    columns (a Markowitz-style rule, "The elimination form of the inverse",
+    Management Sci. 1957), and every other column k meeting that row becomes
+    a*k - b*pivot with a/b the reduced ratio of the two pivot-row entries,
+    divided by its content.  Each step is an exact rank-preserving column
+    operation, so no fraction, modulus or certificate is needed.  A pivot
+    column is zero at every earlier pivot row, since it was live when that
+    row was cleared, so the pivot columns, which span the input, are
+    triangular with nonzero diagonal on the pivot rows.  Any pivot
+    strategy yields the same rank, so this path is free to be greedy while
+    Echelon keeps the canonical pivot rule.
     """
-    cols = [_integer_column(c) for c in columns if c]
-    if not cols:
-        return 0
-    # union-find over row indices
-    parent = {}
-
-    def find(x):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    for c in cols:
-        it = iter(c)
-        first = next(it)
-        if first not in parent:
-            parent[first] = first
-        rf = find(first)
-        for i in it:
-            if i not in parent:
-                parent[i] = i
-            ri = find(i)
-            if ri != rf:
-                parent[ri] = rf
-    groups = {}
-    for c in cols:
-        key = find(next(iter(c)))
-        groups.setdefault(key, []).append(c)
-    rank = 0
-    for g in groups.values():
-        rows = _component_pivot_rows(g)
-        rank += len(rows)
-        if pivots is not None:
-            pivots.update(rows)
-    return rank
+    rows = _pivot_rows([_integer_column(c) for c in columns if c])
+    if pivots is not None:
+        pivots.update(rows)
+    return len(rows)
 
 
 def _integer_column(col):
-    """The column times the lcm of its denominators, over the gcd of the
-    resulting integers: a new dict of coprime Python ints."""
-    den = lcm(*[c.denominator for c in col.values()])
-    ints = {i: c.numerator * (den // c.denominator) for i, c in col.items()}
+    """A new dict of the column's nonzero entries as Python ints: a copy
+    when they already are, else the column times the lcm of its
+    denominators over the gcd of the resulting integers."""
+    values = col.values()
+    if {*map(type, values)} == {int} and all(values):
+        return dict(col)
+    den = lcm(*[c.denominator for c in values])
+    ints = {i: c.numerator * (den // c.denominator) for i, c in col.items() if c}
     g = gcd(*ints.values())
     if g != 1:
         ints = {i: v // g for i, v in ints.items()}
     return ints
 
 
-def _component_pivot_rows(cols):
+def _pivot_rows(cols):
     """Fraction-free elimination of integer columns (modified in place);
     the pivot rows in the order they were chosen."""
     pivots = []
-    # row -> set of column indices still containing it
+    # row -> list of the live columns containing it, each index once
     row_use = {}
     for k, col in enumerate(cols):
         for i in col:
-            row_use.setdefault(i, set()).add(k)
+            row_use.setdefault(i, []).append(k)
     # lazy heap of (length, index); an entry whose length is out of date
     # or whose column is done is skipped
     heap = [(len(col), k) for k, col in enumerate(cols)]
@@ -333,14 +312,15 @@ def _component_pivot_rows(cols):
         if not col:
             continue
         for i in col:
-            row_use[i].discard(ci)
-        # pick pivot row used by fewest other columns
+            row_use[i].remove(ci)
+        # pick pivot row used by fewest other columns; every column
+        # meeting it is cleared there, so the row and its list retire
         pr = min(col, key=lambda i: (len(row_use[i]), i))
         pivots.append(pr)
-        pc = col[pr]
-        for k in list(row_use[pr]):
+        pc = col.pop(pr)
+        for k in row_use.pop(pr):
             other = cols[k]
-            x = other[pr]
+            x = other.pop(pr)
             g = gcd(pc, x)
             a, b = pc // g, x // g
             if a != 1:
@@ -352,11 +332,11 @@ def _component_pivot_rows(cols):
                 s = other.get(i, 0) - b * v
                 if s:
                     if i not in other:
-                        row_use[i].add(k)
+                        row_use[i].append(k)
                     other[i] = s
                 else:
                     del other[i]
-                    row_use[i].discard(k)
+                    row_use[i].remove(k)
             if other:
                 g = gcd(*other.values())
                 if g != 1:

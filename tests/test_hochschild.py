@@ -576,6 +576,31 @@ def test_cleared_ranks_match_full_delta_in_any_call_order():
             assert sum(want.values()) > 100
 
 
+def test_cleared_pivot_sets_are_those_of_the_basis_indexed_delta():
+    # the sweep of delta_rank on coded integer columns, and the same sweep
+    # on the Fraction delta indexed by basis position, clear the same
+    # columns and pick the same pivot rows
+    for w in CLEARING_ALGEBRAS:
+        E = build_ew(w)
+        for cls, i_max in ((HochschildComplex, 3), (UnnormalizedComplex, 2)):
+            cx = cls(E)
+            total = 0
+            for t in range(-4, 1):
+                coded, indexed = set(), set()
+                for s in range(i_max - t + 1):
+                    skip, coded = coded, set()
+                    rank_of_columns(cx.delta_columns(s, t, skip, E.denominator), coded)
+                    cleared, indexed = indexed, set()
+                    cols = cx.positions(cx.delta_columns(s, t), s + 1, t)
+                    rank_of_columns([c for j, c in enumerate(cols) if j not in cleared],
+                                    indexed)
+                    at = cx.positions([dict.fromkeys(coded)], s + 1, t)[0]
+                    assert set(at) == indexed, (w.rows, cls.__name__, s, t)
+                    assert len(indexed) == cx.delta_rank(s, t)
+                    total += len(indexed)
+            assert total > 100, (w.rows, cls.__name__)
+
+
 def test_hh_sweep_never_enumerates_its_target():
     # an i <= 3 table reads delta^{3-t} at each t, whose rows lie in the
     # (4 - t, t) cell; the rows are codes, so that cell is never built

@@ -329,6 +329,18 @@ def assert_rank_matches_rref(cols):
     return rk
 
 
+def integer_forms(cols):
+    """cols, each scaled by the lcm of its denominators, three ways: with
+    Fraction values, with Python ints, and alternating int and Fraction
+    within and across columns."""
+    scaled = [{i: c * math.lcm(*[x.denominator for x in col.values()])
+               for i, c in col.items()} for col in cols]
+    ints = [{i: int(c) for i, c in col.items()} for col in scaled]
+    mixed = [{i: int(c) if (j + k) % 2 else c for j, (i, c) in enumerate(col.items())}
+             for k, col in enumerate(scaled)]
+    return scaled, ints, mixed
+
+
 def combination(cols, coeffs):
     out = {}
     for c, col in zip(coeffs, cols):
@@ -355,7 +367,10 @@ def test_rank_of_sparse_rational_columns_matches_rref(base, mixes):
     # drop and make entries cancel during elimination
     cols = base + [combination(base, c) for c in mixes]
     cols = [c for c in cols if c]
-    assert_rank_matches_rref(cols) <= len(base)
+    rk = assert_rank_matches_rref(cols)
+    assert rk <= len(base)
+    # int columns go in as they are, and a mix of int and Fraction too
+    assert all(assert_rank_matches_rref(form) == rk for form in integer_forms(cols))
 
 
 def test_rank_of_hilbert_matrix_and_dependent_column():
@@ -375,7 +390,8 @@ def test_rank_with_columns_cancelling_mid_elimination():
     # c0 pivots first and leaves c1 and c2 proportional; c1 then clears c2
     cols = [{0: rat(1)}, {0: rat(2), 1: rat(3)}, {0: rat(1, 2), 1: rat(3, 4)}]
     assert assert_rank_matches_rref(cols) == 2
-    # a whole connected component that is rank deficient, next to a full one
+    # a rank-deficient block on rows 0..3 next to a full-rank block on rows
+    # 5 and 6; no column meets both
     u = {0: rat(2, 3), 1: rat(-1), 2: rat(5, 7)}
     v = {1: rat(4), 2: rat(-1, 2), 3: rat(9)}
     dependent = [combination([u, v], [rat(a), rat(b, 3)])
@@ -414,12 +430,79 @@ def assert_pivot_rows_project_injectively(cols):
 @example([{0: rat(1)}, {0: rat(2), 1: rat(3)}, {0: rat(1, 2), 1: rat(3, 4)}], [])
 @example([{0: rat(2, 3), 1: rat(-1), 2: rat(5, 7)}, {1: rat(4), 2: rat(-1, 2), 3: rat(9)}],
          [[rat(1), rat(1, 3)], [rat(-2), rat(5, 3)], [rat(3), rat(-7, 3)], [rat(1)]])
+@example([{0: ONE, 1: rat(2)}, {1: ONE}], [[rat(-2), rat(4)]])
 def test_pivot_rows_give_rank_and_an_injective_projection(base, mixes):
     # the appended combinations cancel part-way through the elimination,
     # as in test_rank_with_columns_cancelling_mid_elimination, whose
-    # inputs are the two examples
+    # inputs are the first two examples
     cols = [c for c in base + [combination(base, c) for c in mixes] if c]
-    assert len(assert_pivot_rows_project_injectively(cols)) <= len(base)
+    rows = assert_pivot_rows_project_injectively(cols)
+    assert len(rows) <= len(base)
+    # scaling a column changes no pivot decision, whatever type its
+    # values have (the last example mixes Fraction(1) with ints)
+    assert all(assert_pivot_rows_project_injectively(form) == rows
+               for form in integer_forms(cols))
+
+
+def test_rank_of_interleaved_blocks_is_the_sum_of_block_ranks():
+    # two blocks on disjoint rows, their columns shuffled together, the
+    # second rank deficient: the one elimination over all columns picks
+    # in each block the pivot rows it picks on that block alone
+    rng = random.Random(41)
+
+    def column(rows):
+        return {i: rat(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+                for i in rng.sample(rows, rng.randint(1, 4))}
+
+    for _ in range(30):
+        first = [column(range(6)) for _ in range(rng.randint(1, 6))]
+        base = [column(range(10, 16)) for _ in range(2)]
+        second = [c for c in base + [combination(base, [rat(rng.randint(1, 5)),
+                                                        rat(-rng.randint(1, 5), 3)])
+                                     for _ in range(3)] if c]
+        cols = first + second
+        rng.shuffle(cols)
+        rows = assert_pivot_rows_project_injectively(cols)
+        # each block alone, its columns in their order in cols
+        first = [c for c in cols if min(c) < 10]
+        second = [c for c in cols if min(c) >= 10]
+        block_rows = [set(), set()]
+        ranks = [rank_of_columns(b, r) for b, r in zip((first, second), block_rows)]
+        assert ranks == [assert_rank_matches_rref(first), assert_rank_matches_rref(second)]
+        assert ranks[1] < len(second)
+        assert len(rows) == sum(ranks) and rows == block_rows[0] | block_rows[1]
+
+
+def test_rank_with_a_dense_row_every_column_meets():
+    # row 0 is in every column, so its row-use list starts as long as the
+    # input and loses an entry at every pivot column
+    rng = random.Random(43)
+    for ncols in (1, 2, 30, 150):
+        cols = [{0: rat(rng.randint(1, 9))}
+                | {i: rat(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                   for i in rng.sample(range(1, 40), rng.randint(0, 3))}
+                for _ in range(ncols)]
+        rows = assert_pivot_rows_project_injectively(cols)
+        for form in integer_forms(cols):
+            assert assert_pivot_rows_project_injectively(form) == rows
+    # only the dense row: every column is a multiple of the first
+    cols = [{0: rat(k, 7)} for k in range(1, 60)]
+    assert assert_pivot_rows_project_injectively(cols) == {0}
+    assert assert_pivot_rows_project_injectively([{0: k} for k in range(1, 60)]) == {0}
+
+
+def test_rank_ignores_stored_zeros():
+    # a stored zero could become the pivot entry: the first input ranked 3,
+    # the second raised; neither path copies a zero
+    for cols, rk in (([{3: rat(-2)}, {1: rat(0), 0: rat(-2)},
+                       {3: rat(2), 0: rat(-2), 2: rat(0)}], 2),
+                     ([{0: Fraction(0)}], 0)):
+        assert assert_rank_matches_rref(cols) == rk
+        rows = assert_pivot_rows_project_injectively(cols)
+        assert len(rows) == rk
+        for form in integer_forms(cols)[1:]:
+            assert assert_rank_matches_rref(form) == rk
+            assert assert_pivot_rows_project_injectively(form) == rows
 
 
 def test_pivot_rows_of_no_columns_or_zero_columns_are_empty():
@@ -592,6 +675,23 @@ def test_echelon_with_tuple_keys():
                {(0, 2): ONE, (1, 3): rat(1, 9)}]
     ech = assert_echelon_matches_rref(vectors, [{(0, 0): ONE, (1, 3): rat(2)}])
     assert sorted(ech.rows) == [(0, 2), (0, 5), (1, 0), (1, 3)]
+
+
+def test_kernel_basis_reduces_each_column_once(monkeypatch):
+    reduced = []
+    reduce = Echelon._reduce
+
+    def counting(self, v):
+        reduced.append(v)
+        return reduce(self, v)
+
+    monkeypatch.setattr(Echelon, "_reduce", counting)
+    cols = M([[1, 2, 0, 3, 1], [2, 4, 1, 6, 0], [0, 0, 1, 0, -2]])
+    ker = kernel_basis(cols)
+    assert reduced == cols
+    assert [list(v.items()) for v in ker.basis] == \
+        [list(v.items()) for v in kernel_basis_reference(cols).basis]
+    assert ker.dim == 3
 
 
 @given(_vector_lists(), _columns, _coeffs)
