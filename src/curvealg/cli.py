@@ -2,7 +2,8 @@
 (and CSV for the tables of hh and genus1 hilbert), reproducible run
 manifests, and exit codes that gate on verdicts (0 = PASS, 1 = FAIL,
 2 = usage error, 3 = internal invariant violated) so the acceptance suite
-can be run as a shell script.
+can be run as a shell script.  Each cmd_* function returns its payload and
+verdict; `main` alone writes the output and the manifest.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import platform
 import random
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .linalg import ONE, Echelon, rat, rat_str
@@ -41,10 +43,15 @@ def _parse_rows(text, flag):
             for row in (text or "").split(";") if row.strip()]
 
 
-def _parse_ints(text):
+def _parse_ints(text, flag):
+    """The comma-separated integers of text; a malformed entry is a
+    ValueError naming the flag."""
     if text is None or text.strip() == "":
         return []
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (flag, exc)) from None
 
 
 def _subspace(args):
@@ -74,7 +81,7 @@ def _subspace(args):
 
 def _curve_data(args, suffix=""):
     n = getattr(args, "n" + suffix)
-    S = _parse_ints(getattr(args, "s" + suffix))
+    S = _parse_ints(getattr(args, "s" + suffix), "--s" + suffix)
     rows = _parse_rows(getattr(args, "a" + suffix, None), "--a" + suffix)
     if rows:
         return SpecialCurveData.from_rows(n, S, rows, name="--a" + suffix,
@@ -112,10 +119,13 @@ def _from_file(path, kind, parse):
                          % (kind, path, type(exc).__name__, exc)) from None
 
 
+def _parse_algebra(obj):
+    return build_ew(SubspaceW(obj["algebra"]["n"], [[rat(x) for x in row]
+                                                    for row in obj["algebra"]["w"]]))
+
+
 def _parse_structure(obj):
-    w = SubspaceW(obj["algebra"]["n"], [[rat(x) for x in row]
-                                        for row in obj["algebra"]["w"]])
-    E = build_ew(w)
+    E = _parse_algebra(obj)
     return E, ainf.AnStructure.from_json(E, obj)
 
 
@@ -125,57 +135,18 @@ def structure_file_json(E, m):
     return out
 
 
-class Run:
-    """Output and manifest handling for one CLI invocation."""
-
-    def __init__(self, args, subcommand):
-        self.args = args
-        self.subcommand = subcommand
-        self.t0 = time.time()
-
-    def emit(self, payload, csv_text=None, ok=True):
-        args = self.args
-        if getattr(args, "format", "json") == "csv":
-            text = csv_text
-        else:
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if getattr(args, "out", None):
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        manifest = {
-            "subcommand": self.subcommand,
-            "parameters": {k: v for k, v in sorted(vars(args).items())
-                           if k not in ("func",) and v is not None},
-            "seed": getattr(args, "seed", None),
-            "version": __version__,
-            "python": platform.python_version(),
-            "rational_backend": type(ONE).__name__,
-            "wall_time_s": round(time.time() - self.t0, 6),
-        }
-        mtext = json.dumps(manifest, sort_keys=True) + "\n"
-        if getattr(args, "out", None):
-            with open(args.out + ".manifest.json", "w") as fh:
-                fh.write(mtext)
-        else:
-            sys.stderr.write(mtext)
-        return 0 if ok else 1
-
-
 # -- subcommand implementations ----------------------------------------------
+# Each returns (payload, ok), and hh and genus1 hilbert also their CSV text.
 
 
 def cmd_ew(args):
-    run = Run(args, "ew")
     E = build_ew(_subspace(args))
-    return run.emit(E.to_json())
+    return E.to_json(), True
 
 
 def cmd_hh(args):
     if args.t_min > -1:
         raise ValueError("--t-min must be at most -1, got %d" % args.t_min)
-    run = Run(args, "hh")
     E = build_ew(_subspace(args))
     table = vanishing_scan(E, args.i_max, args.t_min)
     ok = all(table.hh(i, t) == 0
@@ -183,33 +154,28 @@ def cmd_hh(args):
              for t in range(args.t_min, 0))
     payload = table.to_json()
     payload["low_degree_vanishing"] = ok
-    return run.emit(payload, csv_text=table.to_csv(), ok=ok)
+    return payload, ok, table.to_csv()
 
 
 def cmd_ainf_normalize(args):
-    run = Run(args, "ainf normalize")
     E, m = _from_file(args.input, "structure", _parse_structure)
     nf, wit = ainf.normalize(m)
     payload = {"normal_form": structure_file_json(E, nf),
                "witness": wit.to_json()}
-    return run.emit(payload)
+    return payload, True
 
 
 def cmd_ainf_equiv(args):
-    run = Run(args, "ainf equiv")
     E, m = _from_file(args.input, "structure", _parse_structure)
-    E2, m2 = _from_file(args.input2, "structure", _parse_structure)
-    if E.to_json() != E2.to_json():
+    if _from_file(args.input2, "structure", _parse_algebra).to_json() != E.to_json():
         raise ValueError("structures live on different algebras")
-    m2 = ainf.AnStructure(E, m2.N, {k: ainf.Cochain.from_json(E, c.to_json())
-                                    for k, c in m2.comps.items()})
+    m2 = _from_file(args.input2, "structure", partial(ainf.AnStructure.from_json, E))
     res = ainf.equivalent(m, m2)
     payload = {"equal": res.equal, "hh1_vanishing_verified": res.hh1_verified}
-    return run.emit(payload, ok=res.equal)
+    return payload, res.equal
 
 
 def cmd_ainf_extend(args):
-    run = Run(args, "ainf extend")
     E, m = _from_file(args.input, "structure", _parse_structure)
     res = ainf.extend_step(m)
     payload = {"solvable": res.solvable}
@@ -217,11 +183,10 @@ def cmd_ainf_extend(args):
         payload["m_next"] = res.candidate.to_json()
     else:
         payload["obstruction"] = res.obstruction.to_json()
-    return run.emit(payload, ok=res.solvable)
+    return payload, res.solvable
 
 
 def cmd_ainf_equations(args):
-    run = Run(args, "ainf equations")
     E = build_ew(_subspace(args))
     eqs = ainf.emit_moduli_equations(E, args.order)
     cx = reduced_complex(E)
@@ -230,127 +195,113 @@ def cmd_ainf_equations(args):
     payload = eqs.to_json()
     payload["corank_at_zero"] = corank
     payload["sum_hh2"] = want
-    return run.emit(payload, ok=corank == want)
+    return payload, corank == want
 
 
 def cmd_ainf_tangent(args):
-    run = Run(args, "ainf tangent")
     E = build_ew(_subspace(args))
     dims = ainf.tangent_dims(E, args.order)
     payload = {"hh2_by_order": {str(k): v for k, v in dims["hh2_by_order"].items()},
                "hh2_total": dims["hh2_total"],
                "grassmannian": dims["grassmannian"],
                "total": dims["total"]}
-    return run.emit(payload)
+    return payload, True
 
 
 def cmd_ainf_random(args):
-    run = Run(args, "ainf random")
     E = build_ew(_subspace(args))
     rng = random.Random(args.seed)
     m = ainf.random_structure(E, args.order, rng)
-    return run.emit(structure_file_json(E, m))
+    return structure_file_json(E, m), True
 
 
 def cmd_curve_special(args):
-    run = Run(args, "curve special")
     data = _curve_data(args)
     pres = special_curve_algebra(data)
     rep = pres.system.closure_check(args.deg_bound)
     payload = {"curve": data.to_json(),
                "relations": pres.system.to_json(),
                "closure": rep.to_json()}
-    return run.emit(payload, ok=rep.passed)
+    return payload, rep.passed
 
 
 def cmd_curve_basis(args):
-    run = Run(args, "curve basis")
     data = _curve_data(args)
     rep = verify_basis(data, args.deg_bound)
     payload = {"curve": data.to_json(), "basis": rep.to_json()}
-    return run.emit(payload, ok=rep.passed)
+    return payload, rep.passed
 
 
 def cmd_curve_component(args):
-    run = Run(args, "curve component")
     data = _curve_data(args)
     kinds = {str(i): component_type(data, i) for i in data.S}
     w = grassmannian_point(data)
     payload = {"components": kinds, "grassmannian_point": w.to_json()}
-    return run.emit(payload)
+    return payload, True
 
 
 def cmd_curve_krichever(args):
-    run = Run(args, "curve krichever")
     data = _curve_data(args)
     win = krichever_window(data, args.depth)
-    return run.emit(win.to_json(), ok=all(win.verdicts.values()))
+    return win.to_json(), all(win.verdicts.values())
 
 
 def cmd_curve_glue(args):
-    run = Run(args, "curve glue")
     q, q2 = _gluing_point(args.q, "--q"), _gluing_point(args.q2, "--q2")
     left = branch_model(_curve_data(args), args.depth)
     right = branch_model(_curve_data(args, "2"), args.depth)
     _, report = glue(left, q, right, q2)
-    return run.emit(report, ok=report["additive"])
+    return report, report["additive"]
 
 
 def cmd_genus1_relations(args):
-    run = Run(args, "genus1 relations")
     chart = _chart(args)
     rs = u1_relations(chart)
     rep = rs.closure_check(args.deg_bound)
     payload = {"chart": chart.to_json(), "relations": rs.to_json(),
                "closure": rep.to_json()}
-    return run.emit(payload, ok=rep.passed)
+    return payload, rep.passed
 
 
 def cmd_genus1_transition(args):
-    run = Run(args, "genus1 transition")
     if args.symbolic:
         cert = transition_symbolic()
         payload = {"symbolic": True, "certificate": cert.to_json()}
-        return run.emit(payload, ok=cert.passed)
+        return payload, cert.passed
     chart = _chart(args)
     cert = transition(chart)
     back = transition(cert.chart2)
     payload = {"chart": chart.to_json(), "chart2": cert.chart2.to_json(),
                "certificate": cert.to_json(),
                "involutive": back.chart2 == chart}
-    return run.emit(payload, ok=cert.passed and back.chart2 == chart)
+    return payload, cert.passed and back.chart2 == chart
 
 
 def cmd_genus1_hilbert(args):
-    run = Run(args, "genus1 hilbert")
     spec = HilbertSpec(_rat(args.u, "--u"), _rat(args.v, "--v"), args.nmax)
     dims = hilbert_A(spec)
     csv_text = "n,dim\n" + "".join("%d,%d\n" % (n, d) for n, d in enumerate(dims))
-    return run.emit({"u": rat_str(spec.u), "v": rat_str(spec.v), "dims": dims},
-                    csv_text=csv_text)
+    return {"u": rat_str(spec.u), "v": rat_str(spec.v), "dims": dims}, True, csv_text
 
 
 def cmd_genus1_compare(args):
-    run = Run(args, "genus1 compare")
     spec = HilbertSpec(_rat(args.u, "--u"), _rat(args.v, "--v"), args.nmax)
     rep = weighted_proj_compare(spec)
-    return run.emit(rep.to_json(), ok=rep.passed)
+    return rep.to_json(), rep.passed
 
 
 def cmd_genus1_bundle(args):
-    run = Run(args, "genus1 bundle")
     if args.symbolic:
         rep = bundle_glue_check(None, symbolic=True)
     else:
         rep = bundle_glue_check(_chart(args))
-    return run.emit(rep, ok=rep["verdict"] == "PASS")
+    return rep, rep["verdict"] == "PASS"
 
 
 def cmd_poly_closure(args):
-    run = Run(args, "poly closure")
     rs = _from_file(args.input, "relation system", RelationSystem.from_json)
     rep = rs.closure_check(args.deg_bound)
-    return run.emit({"closure": rep.to_json()}, ok=rep.passed)
+    return {"closure": rep.to_json()}, rep.passed
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -367,8 +318,15 @@ def _int_at_least(low):
     return parse
 
 
-def _add_common(p):
-    p.add_argument("--out", help="write output to this path (manifest beside it)")
+def _flag(*names, **kwargs):
+    """A parser step adding one argument."""
+    return lambda p: p.add_argument(*names, **kwargs)
+
+
+_INPUT = _flag("--input", required=True, help="input JSON file")
+_ORDER = _flag("--order", type=_int_at_least(3), default=6)
+_DEG_BOUND = _flag("--deg-bound", type=_int_at_least(0), default=12)
+_SYMBOLIC = _flag("--symbolic", action="store_true")
 
 
 def _add_subspace(p):
@@ -392,6 +350,24 @@ def _add_chart(p, a12="0"):
     p.add_argument("--pi1", default="0")
 
 
+def _add_hilbert_spec(p):
+    p.add_argument("--u", required=True)
+    p.add_argument("--v", required=True)
+    p.add_argument("--nmax", type=_int_at_least(0), default=40)
+
+
+def _leaf(sub, name, func, *steps, csv=False, **kwargs):
+    """Subcommand `name` of `sub`, running `func`: the arguments of `steps`,
+    then --out, then --format where `csv` says the command has a table."""
+    p = sub.add_parser(name, **kwargs)
+    for step in steps:
+        step(p)
+    p.add_argument("--out", help="write output to this path (manifest beside it)")
+    if csv:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(func=func)
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="curvealg",
@@ -400,145 +376,88 @@ def build_parser():
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ew", help="build and dump the quiver algebra of W")
-    _add_subspace(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_ew)
+    def group(name, description):
+        # main reads the leaf's name from <name>_command
+        return sub.add_parser(name, help=description).add_subparsers(
+            dest=name + "_command", required=True)
 
-    p = sub.add_parser("hh", help="bidegree scan of Hochschild cohomology")
-    _add_subspace(p)
-    p.add_argument("--i-max", type=_int_at_least(0), default=2)
-    p.add_argument("--t-min", type=int, default=-6)
-    _add_common(p)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_hh)
+    _leaf(sub, "ew", cmd_ew, _add_subspace, help="build and dump the quiver algebra of W")
+    _leaf(sub, "hh", cmd_hh, _add_subspace,
+          _flag("--i-max", type=_int_at_least(0), default=2),
+          _flag("--t-min", type=int, default=-6),
+          csv=True, help="bidegree scan of Hochschild cohomology")
 
-    ap = sub.add_parser("ainf", help="A_n structure computations")
-    asub = ap.add_subparsers(dest="ainf_command", required=True)
+    asub = group("ainf", "A_n structure computations")
+    _leaf(asub, "normalize", cmd_ainf_normalize, _INPUT)
+    _leaf(asub, "equiv", cmd_ainf_equiv, _INPUT, _flag("--input2", required=True))
+    _leaf(asub, "extend", cmd_ainf_extend, _INPUT)
+    _leaf(asub, "equations", cmd_ainf_equations, _add_subspace, _ORDER)
+    _leaf(asub, "tangent", cmd_ainf_tangent, _add_subspace, _ORDER)
+    _leaf(asub, "random", cmd_ainf_random, _add_subspace, _ORDER,
+          _flag("--seed", type=int, default=0))
 
-    p = asub.add_parser("normalize")
-    p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_ainf_normalize)
+    csub = group("curve", "special-curve computations")
+    _leaf(csub, "special", cmd_curve_special, _add_curve, _DEG_BOUND)
+    _leaf(csub, "basis", cmd_curve_basis, _add_curve, _DEG_BOUND)
+    _leaf(csub, "component", cmd_curve_component, _add_curve)
+    _leaf(csub, "krichever", cmd_curve_krichever, _add_curve,
+          _flag("--depth", type=_int_at_least(0), default=8))
+    _leaf(csub, "glue", cmd_curve_glue, _add_curve, partial(_add_curve, suffix="2"),
+          _flag("--q", required=True, help="left gluing point 'branch,point'"),
+          _flag("--q2", required=True, help="right gluing point 'branch,point'"),
+          _flag("--depth", type=_int_at_least(0), default=10))
 
-    p = asub.add_parser("equiv")
-    p.add_argument("--input", required=True)
-    p.add_argument("--input2", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_ainf_equiv)
+    gsub = group("genus1", "genus-1 two-point chart computations")
+    _leaf(gsub, "relations", cmd_genus1_relations, _add_chart, _DEG_BOUND)
+    _leaf(gsub, "transition", cmd_genus1_transition, partial(_add_chart, a12="1"),
+          _SYMBOLIC)
+    _leaf(gsub, "hilbert", cmd_genus1_hilbert, _add_hilbert_spec, csv=True)
+    _leaf(gsub, "compare", cmd_genus1_compare, _add_hilbert_spec)
+    _leaf(gsub, "bundle", cmd_genus1_bundle, partial(_add_chart, a12="1"), _SYMBOLIC)
 
-    p = asub.add_parser("extend")
-    p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_ainf_extend)
-
-    p = asub.add_parser("equations")
-    _add_subspace(p)
-    p.add_argument("--order", type=_int_at_least(3), default=6)
-    _add_common(p)
-    p.set_defaults(func=cmd_ainf_equations)
-
-    p = asub.add_parser("tangent")
-    _add_subspace(p)
-    p.add_argument("--order", type=_int_at_least(3), default=6)
-    _add_common(p)
-    p.set_defaults(func=cmd_ainf_tangent)
-
-    p = asub.add_parser("random")
-    _add_subspace(p)
-    p.add_argument("--order", type=_int_at_least(3), default=6)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_ainf_random)
-
-    cp = sub.add_parser("curve", help="special-curve computations")
-    csub = cp.add_subparsers(dest="curve_command", required=True)
-
-    p = csub.add_parser("special")
-    _add_curve(p)
-    p.add_argument("--deg-bound", type=_int_at_least(0), default=12)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve_special)
-
-    p = csub.add_parser("basis")
-    _add_curve(p)
-    p.add_argument("--deg-bound", type=_int_at_least(0), default=12)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve_basis)
-
-    p = csub.add_parser("component")
-    _add_curve(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve_component)
-
-    p = csub.add_parser("krichever")
-    _add_curve(p)
-    p.add_argument("--depth", type=_int_at_least(0), default=8)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve_krichever)
-
-    p = csub.add_parser("glue")
-    _add_curve(p)
-    _add_curve(p, suffix="2")
-    p.add_argument("--q", required=True, help="left gluing point 'branch,point'")
-    p.add_argument("--q2", required=True, help="right gluing point 'branch,point'")
-    p.add_argument("--depth", type=_int_at_least(0), default=10)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve_glue)
-
-    gp = sub.add_parser("genus1", help="genus-1 two-point chart computations")
-    gsub = gp.add_subparsers(dest="genus1_command", required=True)
-
-    p = gsub.add_parser("relations")
-    _add_chart(p)
-    p.add_argument("--deg-bound", type=_int_at_least(0), default=12)
-    _add_common(p)
-    p.set_defaults(func=cmd_genus1_relations)
-
-    p = gsub.add_parser("transition")
-    _add_chart(p, a12="1")
-    p.add_argument("--symbolic", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_genus1_transition)
-
-    p = gsub.add_parser("hilbert")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--nmax", type=_int_at_least(0), default=40)
-    _add_common(p)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_genus1_hilbert)
-
-    p = gsub.add_parser("compare")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--nmax", type=_int_at_least(0), default=40)
-    _add_common(p)
-    p.set_defaults(func=cmd_genus1_compare)
-
-    p = gsub.add_parser("bundle")
-    _add_chart(p, a12="1")
-    p.add_argument("--symbolic", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_genus1_bundle)
-
-    pp = sub.add_parser("poly", help="relation-system utilities")
-    psub = pp.add_subparsers(dest="poly_command", required=True)
-
-    p = psub.add_parser("closure")
-    p.add_argument("--input", required=True, help="relation system JSON file")
-    p.add_argument("--deg-bound", type=_int_at_least(0), default=12)
-    _add_common(p)
-    p.set_defaults(func=cmd_poly_closure)
+    psub = group("poly", "relation-system utilities")
+    _leaf(psub, "closure", cmd_poly_closure, _INPUT, _DEG_BOUND)
 
     return top
 
 
+def _write(path, text, stream):
+    """text to the file at path, or to stream when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        stream.write(text)
+
+
 def main(argv=None):
+    """Run one subcommand: its output goes to --out or stdout, and its
+    manifest beside --out or to stderr; the exit code is 0 (PASS), 1 (FAIL),
+    2 (usage error) or 3 (internal invariant violated)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        payload, ok, *table = args.func(args)
+        if getattr(args, "format", "json") == "csv":
+            text = table[0]
+        else:
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write(args.out, text, sys.stdout)
+        manifest = {
+            "subcommand": " ".join(filter(None, (
+                args.command, getattr(args, args.command + "_command", None)))),
+            "parameters": {k: v for k, v in sorted(vars(args).items())
+                           if k != "func" and v is not None},
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "python": platform.python_version(),
+            "rational_backend": type(ONE).__name__,
+            "wall_time_s": round(time.time() - t0, 6),
+        }
+        _write(args.out and args.out + ".manifest.json",
+               json.dumps(manifest, sort_keys=True) + "\n", sys.stderr)
+        return 0 if ok else 1
     except (ValueError, OSError, json.JSONDecodeError, BoundExceededError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         parser.print_usage(sys.stderr)

@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials over Q and bounded-degree rewriting.
 
-A PolyRing fixes the variable names, a positive grading weight per variable
+A PolyRing fixes distinct variable names, a grading weight per variable
 (the weighted degree used everywhere for truncation), and a separate list of
 order weights defining the monomial order: order-weighted degree first, then
-lexicographic on exponent tuples.  Order weights may be zero for auxiliary
-coefficient variables; the grading weights of those are zero as well so that
-degree bounds only see the main generators.
+lexicographic on exponent tuples.  No weight is negative.  Order weights may
+be zero for auxiliary coefficient variables; the grading weights of those are
+zero as well so that degree bounds only see the main generators.
 
 RelationSystem interprets each relation as the rewrite rule
 lead -> (lead - relation/leadcoeff) under that order, and provides bounded
@@ -43,7 +43,12 @@ class PolyRing:
         if any(type(x) is not int for x in self.weights + self.order_weights):
             raise ValueError("grading and order weights must be integers, got %r and %r"
                              % (self.weights, self.order_weights))
+        if any(x < 0 for x in self.weights + self.order_weights):
+            raise ValueError("grading and order weights must be nonnegative, got %r and %r"
+                             % (self.weights, self.order_weights))
         self.index = {n: i for i, n in enumerate(self.names)}
+        if len(self.index) != len(self.names):
+            raise ValueError("variable names must be distinct, got %r" % (self.names,))
 
     def nvars(self):
         return len(self.names)

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, determinism, manifests, file formats."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -188,7 +189,14 @@ def test_malformed_relation_system_file_is_usage_error(tmp_path):
                              {"generators": [dict(x, degree="a")], "relations": ["x^2"]},
                              {"generators": [dict(x, degree=1.5)], "relations": ["x^2"]},
                              {"generators": [x], "relations": ["x^2"],
-                              "order_weights": [1, 2]})):
+                              "order_weights": [1, 2]},
+                             # a negative weight made the rewriting recurse
+                             # without end; a repeated name was read as one
+                             {"generators": [dict(x, degree=-1), dict(x, name="y")],
+                              "relations": ["x^2 - x", "x*y"]},
+                             {"generators": [x, dict(x, name="y")],
+                              "order_weights": [-1, 2], "relations": ["x^2 - x", "x*y"]},
+                             {"generators": [x, x], "relations": ["x^2"]})):
         path = tmp_path / ("bad%d.json" % i)
         path.write_text(json.dumps(bad))
         out = run_cli("poly", "closure", "--input", str(path))
@@ -252,9 +260,14 @@ def test_out_of_range_flags_rejected():
         out = run_cli("hh", *args)
         assert out.returncode == 2, args
         assert [line for line in out.stderr.splitlines() if "error:" in line] == [err]
-    # a malformed rational names its flag
+    # a malformed rational or integer names its flag
     for args, err in ((("ew", "--n", "2", "--w", "1,x"),
                        "error: --w: 'x' is not a rational number"),
+                      (("curve", "basis", "--n", "2", "--s", "x"),
+                       "error: --s: invalid literal for int() with base 10: 'x'"),
+                      (("curve", "glue", "--n", "1", "--s", "1", "--n2", "1",
+                        "--s2", "1,", "--q", "0,1", "--q2", "0,2"),
+                       "error: --s2: invalid literal for int() with base 10: ''"),
                       (("curve", "special", "--n", "2", "--s", "1", "--a", "x"),
                        "error: --a: 'x' is not a rational number"),
                       (("genus1", "hilbert", "--u", "x", "--v", "1"),
@@ -556,6 +569,73 @@ def test_ainf_normalize_stdout_is_pinned_with_non_dyadic_steps(tmp_path, n, rows
     code, out, _ = run_in_process(["ainf", "normalize", "--input", str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _leaf_paths(parser, head=()):
+    """The command path of every leaf subcommand under parser."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [head]
+    return [path for name, p in groups[0].choices.items()
+            for path in _leaf_paths(p, head + (name,))]
+
+
+_SMALL_E11 = ["--n", "1", "--g", "1", "--w", ""]
+_SMALL_CURVE = ["--n", "1", "--s", "1"]
+_LEAF_RUNS = [
+    (("ew",), _SMALL_E11),
+    (("hh",), _SMALL_E11 + ["--i-max", "1", "--t-min", "-1"]),
+    (("hh",), _SMALL_E11 + ["--i-max", "1", "--t-min", "-1", "--format", "csv"]),
+    (("ainf", "normalize"), ["--input", "{structure}"]),
+    (("ainf", "equiv"), ["--input", "{structure}", "--input2", "{structure}"]),
+    (("ainf", "extend"), ["--input", "{structure}"]),
+    (("ainf", "equations"), _SMALL_E11 + ["--order", "3"]),
+    (("ainf", "tangent"), _SMALL_E11 + ["--order", "3"]),
+    (("ainf", "random"), _SMALL_E11 + ["--order", "3"]),
+    (("curve", "special"), _SMALL_CURVE + ["--deg-bound", "6"]),
+    (("curve", "basis"), _SMALL_CURVE + ["--deg-bound", "4"]),
+    (("curve", "component"), _SMALL_CURVE),
+    (("curve", "krichever"), _SMALL_CURVE + ["--depth", "6"]),
+    (("curve", "glue"), _SMALL_CURVE + ["--n2", "1", "--s2", "", "--q", "0,1",
+                                        "--q2", "0,2", "--depth", "6"]),
+    (("genus1", "relations"), []),
+    (("genus1", "transition"), []),
+    (("genus1", "hilbert"), ["--u", "1", "--v", "1", "--nmax", "3"]),
+    (("genus1", "hilbert"), ["--u", "1", "--v", "1", "--nmax", "3", "--format", "csv"]),
+    (("genus1", "compare"), ["--u", "1", "--v", "1", "--nmax", "3"]),
+    (("genus1", "bundle"), []),
+    (("poly", "closure"), ["--input", "{system}"]),
+]
+
+
+def test_leaf_runs_cover_every_subcommand():
+    assert sorted(_leaf_paths(cli.build_parser())) == \
+        sorted({path for path, _ in _LEAF_RUNS})
+
+
+@pytest.mark.parametrize("path, args", _LEAF_RUNS,
+                         ids=[" ".join(path + tuple(args[-2:] if "--format" in args else ()))
+                              for path, args in _LEAF_RUNS])
+def test_every_subcommand_names_itself_and_writes_out(tmp_path, path, args):
+    # the manifest names the command path, and --out takes both the output
+    # and the manifest, leaving stdout and stderr empty
+    (tmp_path / "m.json").write_text(_valid_structure_text())
+    (tmp_path / "sys.json").write_text(json.dumps(
+        {"generators": [{"name": "x", "degree": 1}], "relations": ["x^2"]}))
+    argv = list(path) + [a.format(structure=tmp_path / "m.json",
+                                  system=tmp_path / "sys.json") for a in args]
+    code, out, err = run_in_process(argv)
+    assert code == 0, err
+    manifest = json.loads(err)
+    assert manifest["subcommand"] == " ".join(path)
+    target = tmp_path / "out.txt"
+    code, out2, err2 = run_in_process(argv + ["--out", str(target)])
+    assert (code, out2, err2) == (0, "", "")
+    assert target.read_text() == out
+    written = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+    assert written["parameters"].pop("out") == str(target)
+    del written["wall_time_s"], manifest["wall_time_s"]
+    assert written == manifest
 
 
 def test_internal_error_exit_3(tmp_path, monkeypatch):
