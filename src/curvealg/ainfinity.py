@@ -100,9 +100,14 @@ class _Components:
 
     @classmethod
     def from_json(cls, E, obj):
+        """Inverse of to_json.  Raises ValueError for a component key that
+        is not str(k), as to_json writes it, so no two keys name one k."""
         order = obj["order"]
         if type(order) is not int:
             raise ValueError("order must be an integer, not %r" % (order,))
+        keys = list(obj["components"])
+        if keys != [str(int(k)) for k in keys]:
+            raise ValueError("component keys %s are not all of the form str(k)" % keys)
         return cls(E, order, {int(k): Cochain.from_json(E, v)
                               for k, v in obj["components"].items()})
 
@@ -443,13 +448,11 @@ def normalize(m):
 
 
 class EquivalenceResult:
-    __slots__ = ("equal", "hh1_verified", "left_normal", "right_normal")
+    __slots__ = ("equal", "hh1_verified")
 
-    def __init__(self, equal, hh1_verified, left_normal, right_normal):
+    def __init__(self, equal, hh1_verified):
         self.equal = equal
         self.hh1_verified = hh1_verified
-        self.left_normal = left_normal
-        self.right_normal = right_normal
 
     def __bool__(self):
         return self.equal
@@ -466,7 +469,7 @@ def equivalent(m, m2):
     hh1_ok = all(cx.hh_dim(1, -j) == 0 for j in range(1, m.N - 1))
     n1, _ = normalize(m)
     n2, _ = normalize(m2)
-    return EquivalenceResult(n1.comps == n2.comps, hh1_ok, n1, n2)
+    return EquivalenceResult(n1.comps == n2.comps, hh1_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ class KricheverWindow:
     curve algebra, with the three nonspecial-subalgebra verdicts."""
 
     __slots__ = ("branches", "depth", "subspace", "intersection_dim", "codim",
-                 "complement_filled", "verdicts")
+                 "verdicts")
 
     def __init__(self, branches, depth, subspace, intersection_dim, codim,
                  complement_filled):
@@ -378,7 +378,6 @@ class KricheverWindow:
         self.subspace = subspace
         self.intersection_dim = intersection_dim
         self.codim = codim
-        self.complement_filled = complement_filled
         self.verdicts = {
             "intersection_is_constants": intersection_dim == 1,
             "codim_matches": None,  # filled by callers who know g

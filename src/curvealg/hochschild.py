@@ -19,11 +19,12 @@ dimensions.  It shares tuple enumeration, bases and ranks with the reduced
 complex, and differs in its element set (idempotents included) and in its
 independently written textbook differential (classic unsuspended signs).
 Both read products from the algebra's neighbour lists and fix each sign
-once per table entry and bidegree, not once per matrix entry.  Their
-ranks come from the shared delta_rank, which assembles only the columns
-of D*delta (D = E.denominator) that clearing leaves; delta_columns(s, t)
-with no further arguments gives the whole Fraction delta, and echelon(s, t)
-its one exact elimination, on ints, kept per cell for the A-infinity layer.
+once per table entry and bidegree, not once per matrix entry.  The lists
+hold the int constants of E.int_table, so delta_columns(s, t) is always
+the integer matrix D*delta (D = E.denominator), which has the rank of
+delta.  The shared delta_rank assembles only the columns that clearing
+leaves, and echelon(s, t) is delta's one exact elimination, on ints, kept
+per cell for the A-infinity layer.
 
 The rows of delta are labelled by codes, not basis positions: the basis
 element (T, w) of arity s has the code whose base-B digits (B = E.dim)
@@ -44,13 +45,6 @@ from .linalg import (ONE, Echelon, accum, rank_of_columns, rat, rat_str,
 
 def _sign(k):
     return -1 if k % 2 else 1
-
-
-def _numbers(scale):
-    """c -> c, or with scale given, c -> the int scale*c."""
-    if scale is None:
-        return lambda c: c
-    return lambda c: c.numerator * (scale // c.denominator)
 
 
 class Cochain:
@@ -147,7 +141,8 @@ class Cochain:
     @classmethod
     def from_json(cls, E, obj):
         """Inverse of to_json.  Raises ValueError for an unknown label, a
-        wrong argument count or an entry outside the (s, t) cochain basis."""
+        wrong argument count, arguments given twice or an entry outside the
+        (s, t) cochain basis."""
         s, t = obj["arity"], obj["t"]
         if type(s) is not int or type(t) is not int:
             raise ValueError("arity and t must be integers, not %r and %r" % (s, t))
@@ -166,6 +161,8 @@ class Cochain:
                 vec = {E.index[lab]: rat(c) for lab, c in ent["value"].items()}
             except KeyError as exc:
                 raise ValueError("unknown label %s" % exc) from None
+            if key in values:
+                raise ValueError("entry %s is given twice" % (args,))
             for k in vec:
                 if (key, k) not in index:
                     raise ValueError("entry %s -> %s is outside the (%d, %d) "
@@ -375,25 +372,25 @@ class HochschildComplex:
         return [{pos[r]: c for r, c in col.items()} for col in cols]
 
     def factorizations(self):
-        """fact[z] = [(x, y, c)] over pairs of elements() with (x*y)_z = c."""
+        """fact[z] = [(x, y, c)] over pairs of elements(), in (x, y) order,
+        with c = (x*y)_z the int constant of E.int_table."""
         if self._fact is None:
-            E = self.E
-            fact = {}
-            for x in self.elements():
-                for y in self.elements():
-                    if E.tgt[x] != E.src[y]:
-                        continue
-                    for z, c in E.table.get((x, y), {}).items():
+            els = set(self.elements())
+            fact = self._fact = {}
+            for (x, y), prod in self.E.int_table.items():
+                if x in els and y in els:
+                    for z, c in prod.items():
                         fact.setdefault(z, []).append((x, y, c))
-            self._fact = fact
         return self._fact
 
     # -- the differential ----------------------------------------------------
 
-    def delta_columns(self, s, t, skip=(), scale=None):
-        """Columns of delta: C^{s} -> C^{s+1} at internal degree t, one per
-        (s, t) basis element in basis order, each a dict from row code to
-        coefficient.
+    def delta_columns(self, s, t, skip=()):
+        """Columns of D*delta: C^{s} -> C^{s+1} at internal degree t
+        (D = E.denominator), one per (s, t) basis element in basis order,
+        each a dict from row code to int coefficient.  Every term of delta
+        carries exactly one structure constant c, which enters as the int
+        D*c of E.int_table.
 
         A row is labelled by the code of its (s+1, t) basis element, found
         by arithmetic on the column's code (see code).  With B = E.dim and
@@ -404,32 +401,25 @@ class HochschildComplex:
         So C^{s+1} is never enumerated; positions() turns codes into
         basis positions where those are needed.
 
-        The columns whose code is in skip are left out.  With scale a
-        common multiple of the table's denominators, each structure
-        constant c enters as the int scale*c: every term of delta carries
-        exactly one constant, so the columns are those of scale*delta, with
-        the same keys in the same order."""
+        The columns whose code is in skip are left out."""
         E = self.E
         deg, rad = E.deg, E.radical_set
         B = E.dim
         power = [B ** k for k in range(s + 3)]
         sus = s + t - 1
-        num = _numbers(scale)
         # signs fixed once per table entry: (-1)^{|w|} on w.x,
         # (-1)^{(sus+1)|x|} on x.w; rows less the part read from T
-        right = [[(x * B + wp, -num(c) if (deg[w] - 1) % 2 else num(c))
+        right = [[(x * B + wp, -c if (deg[w] - 1) % 2 else c)
                   for x, prod in E.right_products[w] if x in rad
                   for wp, c in prod.items()]
                  for w in range(E.dim)]
-        left = [[(x * power[s + 1] + wp,
-                  -num(c) if (sus + 1) * (deg[x] - 1) % 2 else num(c))
+        left = [[(x * power[s + 1] + wp, -c if (sus + 1) * (deg[x] - 1) % 2 else c)
                  for x, prod in E.left_products[w] if x in rad
                  for wp, c in prod.items()]
                 for w in range(E.dim)]
         # contraction sign -(-1)^{sus + |T[:a]| + |x|}, by the parity of
         # sus + 1 + |T[:a]|; per slot, the digits x y at their place
-        even = {z: [(x * B + y, -num(cf) if (deg[x] - 1) % 2 else num(cf))
-                    for x, y, cf in xs]
+        even = {z: [(x * B + y, -cf if (deg[x] - 1) % 2 else cf) for x, y, cf in xs]
                 for z, xs in self.factorizations().items()}
         slots = []
         for a in range(s):
@@ -471,10 +461,9 @@ class HochschildComplex:
         int columns of D*delta (D = E.denominator) go in; X is scaled by D."""
         got = self._echelon.get((s, t))
         if got is None:
-            D = self.E.denominator
             got = self._echelon[(s, t)] = Echelon(
-                self.positions(self.delta_columns(s, t, scale=D), s + 1, t))
-            got.scale_coordinates(D)
+                self.positions(self.delta_columns(s, t), s + 1, t))
+            got.scale_coordinates(self.E.denominator)
         return got
 
     def delta_rank(self, s, t):
@@ -509,7 +498,7 @@ class HochschildComplex:
             for r in range(swept + 1, s + 1):
                 cleared, pivots = pivots, set()
                 self._rank[(r, t)] = rank_of_columns(
-                    self.delta_columns(r, t, cleared, self.E.denominator), pivots)
+                    self.delta_columns(r, t, cleared), pivots)
             self._pivots[t] = (s, pivots)
             got = self._rank[(s, t)]
         return got
@@ -518,20 +507,15 @@ class HochschildComplex:
 
     def hh_dim(self, i, t):
         """dim HH^i in internal degree t (arity s = i - t)."""
-        s = i - t
-        if s < 0:
-            return 0
-        d = self.dim(s, t)
-        if d == 0:
-            return 0
-        return d - self.delta_rank(s, t) - self.delta_rank(s - 1, t)
+        return self.cell(i, t)[3]
 
     def cell(self, i, t):
-        """(dim cochains, dim cocycles, dim coboundaries, dim HH)."""
+        """(dim cochains, dim cocycles, dim coboundaries, dim HH); an empty
+        cell sweeps no rank."""
         s = i - t
-        if s < 0:
-            return (0, 0, 0, 0)
         d = self.dim(s, t)
+        if d == 0:
+            return (0, 0, 0, 0)
         cocycles = d - self.delta_rank(s, t)
         coboundaries = self.delta_rank(s - 1, t)
         return (d, cocycles, coboundaries, cocycles - coboundaries)
@@ -631,23 +615,22 @@ class UnnormalizedComplex(HochschildComplex):
     def elements(self):
         return range(self.E.dim)
 
-    def delta_columns(self, s, t, skip=(), scale=None):
-        """As HochschildComplex.delta_columns, skip, scale and row codes
-        included."""
+    def delta_columns(self, s, t, skip=()):
+        """As HochschildComplex.delta_columns: the int columns of D*delta
+        on row codes, skip included."""
         E = self.E
         B = E.dim
         power = [B ** k for k in range(s + 3)]
-        num = _numbers(scale)
         # signs fixed once per table entry: (-1)^{deg(a_1) t} on a_1 . f,
         # (-1)^{s+1} on f . a_{s+1}, (-1)^{a+1} on the a-th contraction;
         # rows less the part read from T
-        left = [[(x * power[s + 1] + wp, -num(c) if E.deg[x] * t % 2 else num(c))
+        left = [[(x * power[s + 1] + wp, -c if E.deg[x] * t % 2 else c)
                  for x, prod in E.left_products[w] for wp, c in prod.items()]
                 for w in range(E.dim)]
-        right = [[(x * B + wp, num(c) if s % 2 else -num(c))
+        right = [[(x * B + wp, c if s % 2 else -c)
                   for x, prod in E.right_products[w] for wp, c in prod.items()]
                  for w in range(E.dim)]
-        slots = [{z: [((x * B + y) * power[s - a], num(cf) if a % 2 else -num(cf))
+        slots = [{z: [((x * B + y) * power[s - a], cf if a % 2 else -cf)
                       for x, y, cf in xs]
                   for z, xs in self.factorizations().items()}
                  for a in range(s)]

@@ -8,7 +8,11 @@ A_i B_i A_i, B_i A_i B_i, A_i B_j (i != j), and impose
 sum x_i B_i A_i = 0 for every (x_i) in W.  The resulting algebra has basis:
 the n+1 vertex idempotents, the arrows A_i and B_i, the loops l_i = A_i B_i,
 and g = n - rank-deficiency independent loop classes at O; its dimension is
-4n + g + 1.
+4n + g + 1.  Its nonzero products form three families, which EWAlgebra
+writes straight into its table: the vertex idempotents act as units,
+A_i B_i = l_i, and B_i A_i is the class of e_i in Q^n / W.  The table is
+kept as Fractions and, scaled by the lcm D of their denominators, as ints
+(int_table); the neighbour lists that delta reads hold the ints.
 
 The loop classes at O are the classes of e_i in Q^n / W at the columns
 that are not pivots of the reduced row echelon basis of W (the
@@ -124,7 +128,18 @@ class EWAlgebra:
                 coset.append({nonpivots.index(j): ONE})
         self.coset_coords = coset  # index j-1 shifted: entry per column 0..n-1
 
-        self.table = self._build_table()
+        # the three product families of the module docstring; B_i A_i is
+        # zero when e_i lies in W
+        table = {}
+        for k in range(self.dim):
+            table[(src[k], k)] = {k: ONE}
+            table[(k, tgt[k])] = {k: ONE}
+        for i in range(n):
+            table[(self.a_idx[i], self.b_idx[i])] = {self.l_idx[i]: ONE}
+            if coset[i]:
+                table[(self.b_idx[i], self.a_idx[i])] = {
+                    self.w_idx[s]: c for s, c in coset[i].items()}
+        self.table = dict(sorted(table.items()))
         # lcm of the structure constants' denominators: denominator * c is
         # an integer for every constant c of the table, kept in int_table
         self.denominator = lcm(*[c.denominator for prod in self.table.values()
@@ -133,10 +148,10 @@ class EWAlgebra:
                                for z, c in prod.items()}
                           for km, prod in self.table.items()}
         # right_products[k] = [(m, k*m)], left_products[m] = [(k, k*m)] over
-        # nonzero products, ascending because the table is built in (k, m) order
+        # nonzero products in int_table, ascending as the table is sorted
         self.right_products = [[] for _ in range(self.dim)]
         self.left_products = [[] for _ in range(self.dim)]
-        for (k, m), prod in self.table.items():
+        for (k, m), prod in self.int_table.items():
             self.right_products[k].append((m, prod))
             self.left_products[m].append((k, prod))
 
@@ -144,37 +159,6 @@ class EWAlgebra:
         self._hochschild_complex = None
 
     # -- multiplication -----------------------------------------------------
-
-    def _build_table(self):
-        table = {}
-        for k in range(self.dim):
-            for m in range(self.dim):
-                if self.tgt[k] != self.src[m]:
-                    continue
-                prod = self._product(k, m)
-                if prod:
-                    table[(k, m)] = prod
-        return table
-
-    def _product(self, k, m):
-        if k in self.e_idx:
-            return {m: ONE}
-        if m in self.e_idx:
-            return {k: ONE}
-        # both radical; only two nonzero families survive the relations
-        if k in self.a_idx and m in self.b_idx:
-            i = self.a_idx.index(k)
-            j = self.b_idx.index(m)
-            if i == j:
-                return {self.l_idx[i]: ONE}
-            return {}
-        if k in self.b_idx and m in self.a_idx:
-            i = self.b_idx.index(k)
-            j = self.a_idx.index(m)
-            if i == j:
-                return {self.w_idx[s]: c for s, c in self.coset_coords[i].items()}
-            return {}
-        return {}
 
     def mul_basis(self, k, m):
         """Structure constants of basis_k * basis_m as a sparse vector."""

@@ -19,6 +19,7 @@ from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 gauge_compose, gauge_inverse, in_complement,
                                 is_flat, normalize, random_gauge,
                                 random_structure, tangent_dims)
+from test_hochschild import fraction_delta
 from test_linalg import (apply, assert_primitive_rows, canonical_complement, rref,
                          solve_reference, transpose)
 
@@ -385,7 +386,7 @@ def _parent_complement(E, k):
     the square matrix `mix` with the K basis and then the im basis as its
     columns."""
     cx = reduced_complex(E)
-    D = cx.positions(cx.delta_columns(k - 1, 2 - k), k, 2 - k)
+    D = cx.positions(fraction_delta(cx, k - 1, 2 - k), k, 2 - k)
     _, pivots = rref(transpose(D), len(D))
     im = Subspace(cx.dim(k, 2 - k), [D[j] for j in pivots])
     K = canonical_complement(im)
@@ -425,7 +426,7 @@ def _normalize_reference(m):
             accum(w_im, j, -c)
         if not w_im:
             continue
-        x = solve_reference(cx.positions(cx.delta_columns(k - 1, 2 - k), k, 2 - k),
+        x = solve_reference(cx.positions(fraction_delta(cx, k - 1, 2 - k), k, 2 - k),
                             w_im)
         step = GaugeTransform(E, N, {
             k - 1: cx.vector_to_cochain(k - 1, 2 - k, {i: -c for i, c in x.items()})})
@@ -461,7 +462,7 @@ def test_complement_data_matches_two_rref_construction(E):
         assert _complement_basis(E, k) == K.basis
         R, qs = rref(im.basis, im.ambient_dim)
         assert sorted(data.rows) == qs
-        D = cx.positions(cx.delta_columns(k - 1, 2 - k), k, 2 - k)
+        D = cx.positions(fraction_delta(cx, k - 1, 2 - k), k, 2 - k)
         for i, q in enumerate(qs):
             row, coords = data.row(q)
             assert row == R[i]

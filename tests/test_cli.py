@@ -22,6 +22,7 @@ from curvealg import ainfinity, cli
 from curvealg.hochschild import Cochain, HochschildComplex, reduced_complex
 from curvealg.linalg import ONE, rank_of_columns
 from curvealg.quiver import SubspaceW, build_ew
+from test_hochschild import fraction_delta
 
 
 def run_cli(*args):
@@ -173,7 +174,16 @@ def test_malformed_structure_file_is_usage_error(tmp_path):
     first = obj["components"]["3"]["entries"][0]
     off_basis["components"]["3"]["entries"].append(
         {"args": [first["args"][0]] * 3, "value": {"A1": "1"}})
-    for i, bad in enumerate(({"algebra": {"n": 1}}, unknown_label, off_basis, [1, 2])):
+    # a key or an entry named twice: the later one used to win silently
+    bad_keys = []
+    for key in ("04", "+4", " 4"):
+        bad_keys.append(json.loads(good.read_text()))
+        bad_keys[-1]["components"][key] = obj["components"]["4"]
+    repeated = json.loads(good.read_text())
+    repeated["components"]["3"]["entries"].append(
+        dict(first, value={lab: "0" for lab in first["value"]}))
+    for i, bad in enumerate(({"algebra": {"n": 1}}, unknown_label, off_basis, [1, 2],
+                             *bad_keys, repeated)):
         path = tmp_path / ("bad%d.json" % i)
         path.write_text(json.dumps(bad))
         for sub in ("normalize", "extend"):
@@ -402,7 +412,7 @@ def test_hh_cells_match_full_fraction_delta_ranks():
     def rank(s, t):
         if s < 0:
             return 0
-        cols = cx.delta_columns(s, t)
+        cols = fraction_delta(cx, s, t)
         assert all(type(c) is type(ONE) for col in cols for c in col.values())
         return rank_of_columns(cols)
 

@@ -1,7 +1,8 @@
-"""No dead imports or private helpers in the package: every name a module
-imports at its top level, and every private function or class it defines
-there, is read somewhere in that module.  Every package name the benchmark
-hooks by getattr exists."""
+"""No dead imports, private helpers or slots in the package: every name a
+module imports at its top level, and every private function or class it
+defines there, is read somewhere in that module, and every __slots__ name
+of a package class is read somewhere in the repository's code.  Every
+package name the benchmark hooks by getattr exists."""
 
 import ast
 import importlib.util
@@ -11,6 +12,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "curvealg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = [p for d in ("src", "tests", "demos", "perfbench")
+           for p in sorted((SRC.parent.parent / d).rglob("*.py"))]
 
 
 def _read_names(tree):
@@ -40,6 +43,23 @@ def unused_private_helpers(source):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in read]
+
+
+def unread_slots(source, readers):
+    """(class, name) for each __slots__ name of a class in source that no
+    attribute load in source or in readers reads."""
+    read = {n.attr for text in (source, *readers) for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and \
+                    any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+                out += [(cls.name, name) for name in ast.literal_eval(node.value)
+                        if name not in read]
+    return out
 
 
 def test_modules_found():
@@ -73,6 +93,24 @@ def test_dead_private_helper_is_reported():
               "class Family(_Base):\n    pass\n"
               "def run(T):\n    return _cached(len(T))\n")
     assert unused_private_helpers(source) == ["_left"]
+
+
+def test_no_unread_slots():
+    readers = [p.read_text() for p in READERS]
+    assert len(READERS) > len(MODULES)
+    assert [slot for path in MODULES
+            for slot in unread_slots(path.read_text(), readers)] == []
+
+
+def test_unread_slot_is_reported():
+    source = ("class Window:\n"
+              "    __slots__ = ('depth', 'filled', 'codim')\n"
+              "    def __init__(self, depth, filled):\n"
+              "        self.depth = depth\n        self.filled = filled\n"
+              "class Empty:\n    __slots__ = ()\n"
+              "def size(w):\n    return w.depth\n")
+    assert unread_slots(source, ["print(window.codim)"]) == \
+        [("Window", "filled")]
 
 
 def test_benchmark_hooks_resolve():

@@ -103,10 +103,60 @@ def test_triple_radical_products_vanish():
                 assert E.mul({k: v for k, v in ab.items()}, {c: ONE}) == {}
 
 
+def _table_scan(E):
+    """The structure constants by a scan of every basis pair (k, m) under
+    the quiver relations, in (k, m) order: idempotents are units,
+    A_i B_i = l_i, B_i A_i is the class of e_i in Q^n/W (from the rref
+    reference), and every other product of radical elements is zero."""
+    _, coset = _loop_classes_reference(E.w)
+    table = {}
+    for k in range(E.dim):
+        for m in range(E.dim):
+            if E.tgt[k] != E.src[m]:
+                continue
+            if k in E.e_idx:
+                prod = {m: ONE}
+            elif m in E.e_idx:
+                prod = {k: ONE}
+            elif k in E.a_idx and m == E.b_idx[E.a_idx.index(k)]:
+                prod = {E.l_idx[E.a_idx.index(k)]: ONE}
+            elif k in E.b_idx and m == E.a_idx[E.b_idx.index(k)]:
+                prod = {E.w_idx[s]: c for s, c in coset[E.b_idx.index(k)].items()}
+            else:
+                prod = {}
+            if prod:
+                table[(k, m)] = prod
+    return table
+
+
+def _items(table):
+    return [(km, list(prod.items())) for km, prod in table.items()]
+
+
+LOOKUP_ALGEBRAS = (SubspaceW.zero(1), SubspaceW(2, [[1, 1]]),
+                   SubspaceW(2, [["1/2", "-2/3"]]), SubspaceW.full(3), SubspaceW.zero(2))
+
+
+def test_table_matches_the_relation_scan():
+    rng = random.Random(22)
+    cases = list(LOOKUP_ALGEBRAS) + [SubspaceW.full(4)]
+    cases += [random_w(n, g, rng) for n in (1, 2, 3, 4) for g in range(n + 1)]
+    denominators = set()
+    for w in cases:
+        E = build_ew(w)
+        want = _table_scan(E)
+        # same items in the same key order, and in the same value order
+        assert _items(E.table) == _items(want), w.rows
+        D = E.denominator
+        assert _items(E.int_table) == \
+            [(km, [(z, int(D * c)) for z, c in prod]) for km, prod in _items(want)]
+        assert all(type(c) is int for prod in E.int_table.values() for c in prod.values())
+        denominators.add(D)
+    assert max(denominators) > 1
+
+
 def test_lookup_tables_match_a_scan():
-    algebras = [build_ew(SubspaceW.zero(1)), build_ew(SubspaceW(2, [[1, 1]])),
-                build_ew(SubspaceW(2, [["1/2", "-2/3"]])), build_ew(SubspaceW.full(3)),
-                build_ew(SubspaceW.zero(2))]
+    algebras = [build_ew(w) for w in LOOKUP_ALGEBRAS]
     for E in algebras:
         for u in range(E.n + 1):
             for v in range(E.n + 1):
@@ -114,11 +164,15 @@ def test_lookup_tables_match_a_scan():
                     want = [k for k in range(E.dim)
                             if E.src[k] == u and E.tgt[k] == v and E.deg[k] == d]
                     assert list(E.hom_basis(u, v, d)) == want, (E, u, v, d)
+        # the neighbour lists hold the int constants, D times the table's
+        D = E.denominator
+        ints = {km: {z: int(D * c) for z, c in prod.items()}
+                for km, prod in E.table.items()}
         for k in range(E.dim):
-            assert E.right_products[k] == [(m, E.table[(k, m)]) for m in range(E.dim)
-                                           if (k, m) in E.table]
-            assert E.left_products[k] == [(m, E.table[(m, k)]) for m in range(E.dim)
-                                          if (m, k) in E.table]
+            assert E.right_products[k] == [(m, ints[(k, m)]) for m in range(E.dim)
+                                           if (k, m) in ints]
+            assert E.left_products[k] == [(m, ints[(m, k)]) for m in range(E.dim)
+                                          if (m, k) in ints]
     # what a caller gets back cannot change the table
     E = algebras[1]
     want = list(E.hom_basis(0, 0, 1))
