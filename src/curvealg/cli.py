@@ -109,14 +109,24 @@ def _gluing_point(text, flag):
 
 
 def _from_file(path, kind, parse):
-    """parse(JSON content of path); a malformed file raises ValueError."""
+    """parse(JSON content of path); a malformed file raises ValueError,
+    and so does one that repeats a key within an object."""
     with open(path) as fh:
-        obj = json.load(fh)
-    try:
-        return parse(obj)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ValueError("malformed %s file %s: %s %s"
-                         % (kind, path, type(exc).__name__, exc)) from None
+        try:
+            return parse(json.load(fh, object_pairs_hook=_unique_keys))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError("malformed %s file %s: %s %s"
+                             % (kind, path, type(exc).__name__, exc)) from None
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("repeated key %r" % key)
+        obj[key] = value
+    return obj
 
 
 def _parse_algebra(obj):

@@ -483,9 +483,9 @@ class HochschildComplex:
         matrix E.denominator * delta, which has the same rank.
 
         P and the skipped columns are row codes, so no sweep enumerates
-        the (s+1, t) basis.  rank_of_columns breaks ties by row label, and
-        codes sort as basis positions do, so it picks the pivots it would
-        pick on positions: every rank and cleared set is that of the
+        the (s+1, t) basis.  rank_of_columns pivots on the least row label,
+        and codes sort as basis positions do, so it picks the pivots it
+        would pick on positions: every rank and cleared set is that of the
         basis-indexed matrix.  Ranks are cached; the pivot set is kept
         only for the last s swept at each t, and every lower s has its
         rank cached, so any order of calls gives the same sweeps.

@@ -5,9 +5,7 @@ no floating point anywhere.  Vectors are dicts index -> coefficient with
 no stored zeros, and a matrix is a list of sparse columns.  accum is the
 one place that writes the accumulation rule for such dicts (store c
 itself for a new key, drop the key when the sum cancels); every sparse
-sum in the package goes through it or vec_addmul, except the integer
-elimination in _pivot_rows, which updates its row-use lists as keys come
-and go.
+sum in the package goes through it or vec_addmul.
 
 Both eliminations run fraction-free on Python ints (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
@@ -20,22 +18,21 @@ complements and the extension solves of ainfinity share.  The textbook
 reduced row echelon form is kept in the tests, as the reference.
 
 rank_of_columns, which the Hochschild and Laurent-window ranks run on,
-keeps no coordinates and pivots greedily in one elimination over all the
-columns: an integer column (the Hochschild ranks pass E.denominator *
-delta) is copied as it is, a rational one is scaled to coprime integers,
-and a column is reduced against a pivot column by integer combination
-followed by division by its content.  These are rank-preserving column
-operations, so the rank is exact without any rational division.  Each
-row keeps a list of the live columns meeting it, which picks the pivot
-row.  It can also report its pivot rows, onto which the span projects
-bijectively; the Hochschild ranks use them to clear columns of the next
-differential.
+keeps no coordinates: it is the standard column reduction of persistent
+homology (Zomorodian and Carlsson, "Computing persistent homology",
+Discrete Comput. Geom. 2005) on the least row.  An integer column (the
+Hochschild ranks pass E.denominator * delta) is copied as it is, a
+rational one is scaled to coprime integers, and a column is reduced
+against a pivot column by integer combination followed by division by
+its content.  These are rank-preserving column operations, so the rank
+is exact without any rational division.  It can also report its pivot
+rows, onto which the span projects bijectively; the Hochschild ranks use
+them to clear columns of the next differential.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -254,19 +251,16 @@ def rank_of_columns(columns, pivots=None):
 
     Each column is copied to a dict of nonzero Python ints, as it is if
     its values already are ints, else scaled to coprime integers; either
-    keeps the rank.  All columns are then eliminated fraction-free in one
-    pass: the sparsest live column is the next pivot column (ties to the
-    lower index), its pivot row is the one used by the fewest other live
-    columns (a Markowitz-style rule, "The elimination form of the inverse",
-    Management Sci. 1957), and every other column k meeting that row becomes
-    a*k - b*pivot with a/b the reduced ratio of the two pivot-row entries,
+    keeps the rank.  The columns are then reduced in their given order:
+    while a column is nonzero, let p be its least row.  If no pivot column
+    owns p, the column becomes the pivot column of p; otherwise it becomes
+    a*col - b*pivot, with a/b the reduced ratio of the two entries at p,
     divided by its content.  Each step is an exact rank-preserving column
-    operation, so no fraction, modulus or certificate is needed.  A pivot
-    column is zero at every earlier pivot row, since it was live when that
-    row was cleared, so the pivot columns, which span the input, are
-    triangular with nonzero diagonal on the pivot rows.  Any pivot
-    strategy yields the same rank, so this path is free to be greedy while
-    Echelon keeps the canonical pivot rule.
+    operation, so no fraction, modulus or certificate is needed, and the
+    pivot rule reads only the order of the columns and of the rows.  A
+    pivot column is zero at every row less than its pivot row, so the
+    pivot columns, which span the input, are triangular with nonzero
+    diagonal on the pivot rows.
     """
     rows = _pivot_rows([_integer_column(c) for c in columns if c])
     if pivots is not None:
@@ -290,57 +284,24 @@ def _integer_column(col):
 
 
 def _pivot_rows(cols):
-    """Fraction-free elimination of integer columns (modified in place);
-    the pivot rows in the order they were chosen."""
-    pivots = []
-    # row -> list of the live columns containing it, each index once
-    row_use = {}
-    for k, col in enumerate(cols):
-        for i in col:
-            row_use.setdefault(i, []).append(k)
-    # lazy heap of (length, index); an entry whose length is out of date
-    # or whose column is done is skipped
-    heap = [(len(col), k) for k, col in enumerate(cols)]
-    heapify(heap)
-    done = [False] * len(cols)
-    while heap:
-        n, ci = heappop(heap)
-        col = cols[ci]
-        if done[ci] or n != len(col):
-            continue
-        done[ci] = True
-        if not col:
-            continue
-        for i in col:
-            row_use[i].remove(ci)
-        # pick pivot row used by fewest other columns; every column
-        # meeting it is cleared there, so the row and its list retire
-        pr = min(col, key=lambda i: (len(row_use[i]), i))
-        pivots.append(pr)
-        pc = col.pop(pr)
-        for k in row_use.pop(pr):
-            other = cols[k]
-            x = other.pop(pr)
-            g = gcd(pc, x)
-            a, b = pc // g, x // g
+    """Fraction-free column reduction of integer columns (modified in
+    place); the pivot rows, in the order their columns were found."""
+    owner = {}  # pivot row -> the pivot column whose least row it is
+    for col in cols:
+        while col:
+            p = min(col)
+            piv = owner.get(p)
+            if piv is None:
+                owner[p] = col
+                break
+            g = gcd(piv[p], col[p])
+            a, b = piv[p] // g, col[p] // g
             if a != 1:
-                for i in other:
-                    other[i] *= a
-            # written out, not accum: each added or dropped key also
-            # updates row_use
-            for i, v in col.items():
-                s = other.get(i, 0) - b * v
-                if s:
-                    if i not in other:
-                        row_use[i].append(k)
-                    other[i] = s
-                else:
-                    del other[i]
-                    row_use[i].remove(k)
-            if other:
-                g = gcd(*other.values())
-                if g != 1:
-                    for i in other:
-                        other[i] //= g
-            heappush(heap, (len(other), k))
-    return pivots
+                for i in col:
+                    col[i] *= a
+            vec_addmul(col, -b, piv)
+            g = gcd(*col.values())
+            if g > 1:
+                for i in col:
+                    col[i] //= g
+    return list(owner)

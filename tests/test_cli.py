@@ -182,10 +182,15 @@ def test_malformed_structure_file_is_usage_error(tmp_path):
     repeated = json.loads(good.read_text())
     repeated["components"]["3"]["entries"].append(
         dict(first, value={lab: "0" for lab in first["value"]}))
+    # the key "3" written twice: a plain json.load keeps the later copy
+    spliced = json.dumps(obj).replace(
+        '"components": {',
+        '"components": {"3": %s, ' % json.dumps(obj["components"]["3"]), 1)
+    assert spliced.count('"3": ') == 2
     for i, bad in enumerate(({"algebra": {"n": 1}}, unknown_label, off_basis, [1, 2],
-                             *bad_keys, repeated)):
+                             *bad_keys, repeated, spliced)):
         path = tmp_path / ("bad%d.json" % i)
-        path.write_text(json.dumps(bad))
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         for sub in ("normalize", "extend"):
             out = run_cli("ainf", sub, "--input", str(path))
             assert out.returncode == 2, (bad, sub, out.stderr)
@@ -206,9 +211,15 @@ def test_malformed_relation_system_file_is_usage_error(tmp_path):
                               "relations": ["x^2 - x", "x*y"]},
                              {"generators": [x, dict(x, name="y")],
                               "order_weights": [-1, 2], "relations": ["x^2 - x", "x*y"]},
-                             {"generators": [x, x], "relations": ["x^2"]})):
+                             {"generators": [x, x], "relations": ["x^2"]},
+                             # a key written twice, where the later copy used
+                             # to win
+                             '{"generators": [{"name": "x", "degree": 1}], '
+                             '"relations": ["x^2"], "relations": ["x^3"]}',
+                             '{"generators": [{"name": "x", "degree": 1, "degree": 2}], '
+                             '"relations": ["x^2"]}')):
         path = tmp_path / ("bad%d.json" % i)
-        path.write_text(json.dumps(bad))
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         out = run_cli("poly", "closure", "--input", str(path))
         assert out.returncode == 2, (bad, out.stderr)
         assert out.stdout == ""

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from curvealg import linalg
 from curvealg.linalg import ONE, accum, rank_of_columns, rat
 from curvealg.quiver import SubspaceW, build_ew
 from curvealg.hochschild import (Cochain, HochschildComplex, UnnormalizedComplex,
@@ -618,6 +619,34 @@ def test_cleared_pivot_sets_are_those_of_the_basis_indexed_delta():
                     assert len(indexed) == cx.delta_rank(s, t)
                     total += len(indexed)
             assert total > 100, (w.rows, cls.__name__)
+
+
+def test_cleared_sweep_reduces_fewer_columns_than_delta_has_nonzeros(monkeypatch):
+    # a fill-in tripwire: over the cleared sweep of the largest clearing
+    # algebra (g = n = 2, W = 0), in both complexes, the column reductions
+    # of rank_of_columns stay below the nonzeros of the columns it is given
+    # (the least-row reduction makes 3 429 against 76 469 and 2 512 against
+    # 133 273), so a pivot rule that blows up fill fails here
+    counts = {"reductions": 0, "nonzeros": 0}
+    reduce_column, pivot_rows = linalg.vec_addmul, linalg._pivot_rows
+
+    def counted_reduction(u, c, v):
+        counts["reductions"] += 1
+        return reduce_column(u, c, v)
+
+    def counted_input(cols):
+        counts["nonzeros"] += sum(map(len, cols))
+        return pivot_rows(cols)
+
+    monkeypatch.setattr(linalg, "vec_addmul", counted_reduction)
+    monkeypatch.setattr(linalg, "_pivot_rows", counted_input)
+    E = build_ew(CLEARING_ALGEBRAS[-1])
+    for cls, i_max in ((HochschildComplex, 3), (UnnormalizedComplex, 2)):
+        counts.update(reductions=0, nonzeros=0)
+        cx = cls(E)
+        for t in range(-5, 1):
+            cx.delta_rank(i_max - t, t)
+        assert 0 < counts["reductions"] < counts["nonzeros"], (cls.__name__, counts)
 
 
 def test_empty_cell_sweeps_no_rank():

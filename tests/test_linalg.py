@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
+from curvealg import linalg
 from curvealg.linalg import (Echelon, ONE, Subspace, accum, kernel_basis,
                              rank_of_columns, rat, rat_str, solve, vec_addmul)
 
@@ -474,8 +475,8 @@ def test_rank_of_interleaved_blocks_is_the_sum_of_block_ranks():
 
 
 def test_rank_with_a_dense_row_every_column_meets():
-    # row 0 is in every column, so its row-use list starts as long as the
-    # input and loses an entry at every pivot column
+    # row 0 is in every column, so every column after the first is reduced
+    # against the pivot column of row 0
     rng = random.Random(43)
     for ncols in (1, 2, 30, 150):
         cols = [{0: rat(rng.randint(1, 9))}
@@ -529,6 +530,95 @@ def test_rank_with_entries_beyond_2_to_the_80():
     nodes = [big + 3 ** k for k in range(5)]
     vander = [{i: rat(x) ** i for i in range(5)} for x in nodes]
     assert assert_rank_matches_rref(vander) == 5
+
+
+# -- the column reduction on inputs built to stress its pivot rule ---------------
+
+
+def recorded_reductions(monkeypatch):
+    """Count the reduction steps of rank_of_columns: the returned list gets,
+    per step, the largest absolute entry of the column just reduced."""
+    sizes = []
+
+    def step(u, c, v):
+        vec_addmul(u, c, v)
+        sizes.append(max(map(abs, u.values()), default=0))
+        return u
+
+    monkeypatch.setattr(linalg, "vec_addmul", step)
+    return sizes
+
+
+def pivot_chain(k, rng):
+    """Columns P_j = {j: a_j, j + 1: b_j}, j < k, with random nonzero
+    rationals: a column with least row 0 is reduced against each in turn."""
+    return [{j: rat(rng.randint(2, 9) * rng.choice((1, -1)), rng.randint(1, 7)),
+             j + 1: rat(rng.randint(1, 9), rng.randint(1, 7))} for j in range(k)]
+
+
+def test_reduction_through_a_chain_of_pivots(monkeypatch):
+    # a column with least row 0 is reduced against the pivot of row 0, and
+    # each step uncovers the next row, which the next pivot owns.  {0: c}
+    # ends at row k, which no pivot owns, and becomes its pivot column; a
+    # combination c_0 P_0 + ... of the chain ends at zero, since after the
+    # pivot of row j it is a multiple of sum_{i > j} c_i P_i
+    rng = random.Random(47)
+    sizes = recorded_reductions(monkeypatch)
+    for k in (4, 5, 9):
+        chain = pivot_chain(k, rng)
+        pivots = list(chain)
+        rng.shuffle(pivots)
+        new = {0: rat(rng.randint(1, 9), rng.randint(1, 5))}
+        dependent = combination(chain, [rat(rng.randint(1, 5) * rng.choice((1, -1)),
+                                            rng.randint(1, 4)) for _ in chain])
+        for last, rank in ((new, k + 1), (dependent, k)):
+            for form in (pivots + [last], *integer_forms(pivots + [last])):
+                sizes.clear()
+                assert assert_pivot_rows_project_injectively(form) == set(range(rank))
+                assert len(sizes) == k and bool(sizes[-1]) == (last is new)
+
+
+def test_reduction_whose_entries_grow_beyond_2_to_the_80(monkeypatch):
+    # each step multiplies the column by a pivot entry near 2^30 and leaves
+    # +-1 at the next row, so no content divides out and the entry at the
+    # shared row 50 grows to about 2^120 while every input entry stays
+    # below 2^31
+    sizes = recorded_reductions(monkeypatch)
+    chain = [{j: 2 ** 30 + 2 * j + 1, j + 1: 1, 50: 1} for j in range(4)]
+    cols = chain[::-1] + [{0: 1, 50: 1}]
+    for form in (cols, *integer_forms(cols)):
+        sizes.clear()
+        assert assert_pivot_rows_project_injectively(form) == set(range(5))
+        assert len(sizes) == 4 and max(sizes) > 2 ** 80
+    assert assert_rank_matches_rref(cols + [combination(chain, [1, -1, 1, -1])]) == 5
+
+
+def test_shuffled_triangular_columns_pivot_on_their_least_rows(monkeypatch):
+    rng = random.Random(53)
+    sizes = recorded_reductions(monkeypatch)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        least = rng.sample(range(3 * n), n)
+        tri = [{r: rat(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 5))}
+               | {i: rat(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+                  for i in rng.sample(range(r + 1, r + 8), rng.randint(0, 3))}
+               for r in least]
+        # no two columns share a least row, so none is reduced
+        for form in (tri, *integer_forms(tri)):
+            sizes.clear()
+            assert assert_pivot_rows_project_injectively(form) == set(least)
+            assert sizes == []
+        # with combinations of them shuffled in, each column beyond the rank
+        # is reduced to zero, and the pivot rows are still the least rows of
+        # the triangle
+        mixed = [c for c in tri + [combination(tri, [rat(rng.randint(-4, 4), rng.randint(1, 3))
+                                                     for _ in tri])
+                                   for _ in range(rng.randint(1, 4))] if c]
+        rng.shuffle(mixed)
+        for form in (mixed, *integer_forms(mixed)):
+            sizes.clear()
+            assert assert_pivot_rows_project_injectively(form) == set(least)
+            assert len(sizes) >= len(mixed) - n
 
 
 # -- echelon membership against rank ---------------------------------------------------
