@@ -10,15 +10,18 @@ a direct sum of polynomial rings, one per branch, by
     f_i -> x_i^2,   h_i -> x_i^3,   h_{S,j} -> x_j + sum_i a_{ij} x_i.
 The marked point of each branch sits at x = infinity with local parameter
 t = 1/x, so re-expanding an embedded function into the Krichever model is
-exponent negation.
+exponent negation.  For D != 0, H_j = D h_{S,j} satisfies the relations of
+(n, S, D a), whose rules keep their leads, so N(H^e) = D^|e| N(h_S^e) and
+rho(H^e) = D^|e| rho(h_S^e), |e| the h_S-degree of e; verify_basis uses it.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
-from .linalg import (Echelon, ONE, ZERO, accum, kernel_basis, rank_of_columns,
-                     rat, rat_str, vec_addmul)
+from .linalg import (Echelon, ONE, ZERO, accum, as_int, kernel_basis,
+                     rank_of_columns, rat, rat_str, vec_addmul)
 from .poly import MultiPoly, PolyRing, RelationSystem
 from .quiver import SubspaceW
 
@@ -137,20 +140,14 @@ class CurveAlgebraPresentation:
                 rels.append(self.f[i] * self.hs[j] - self.h[i].scale(data.a_entry(i, j)))
                 rels.append(self.h[i] * self.hs[j] - (self.f[i] ** 2).scale(data.a_entry(i, j)))
 
+        # a claimed monomial uses one block, a single h_S_j or a pair
+        # (f_i, h_i), and h_i at most once
         nhs, ns = len(comp), len(S)
+        block = [*range(nhs), *range(nhs, nhs + ns), *range(nhs, nhs + ns)]
 
         def claimed(exps):
-            hs_part = exps[:nhs]
-            f_part = exps[nhs:nhs + ns]
-            h_part = exps[nhs + ns:]
-            if sum(1 for e in hs_part if e) > 1:
-                return False
-            if any(hs_part) and (any(f_part) or any(h_part)):
-                return False
-            used = [k for k in range(ns) if f_part[k] or h_part[k]]
-            if len(used) > 1:
-                return False
-            return all(e <= 1 for e in h_part)
+            return (len({block[k] for k, e in enumerate(exps) if e}) <= 1
+                    and all(e <= 1 for e in exps[nhs + ns:]))
 
         self.system = RelationSystem(
             ring, rels,
@@ -262,6 +259,10 @@ def verify_basis(data, degree_bound, corrupt=None):
     their span, and that reduction by the relations is compatible with the
     embedding (rho of a monomial equals rho of its normal form).
 
+    It runs on ints, on the curve (n, S, D a), D the lcm of a's denominators,
+    with hS_j sent to D times its image, corrupt or not: as in the module
+    docstring, every check below holds for e exactly when it did on (n, S, a).
+
     Images are built once each, in degree order: rho(e) is
     rho(e - unit_k) times the image of generator k, for the last generator
     k that e uses.  The claimed monomials of each degree go into one
@@ -270,10 +271,13 @@ def verify_basis(data, degree_bound, corrupt=None):
     the echelon basis only when the normal form does not already prove it
     lies in the span.
     """
-    pres = special_curve_algebra(data)
+    D = lcm(*[c.denominator for c in data.a.values()])
+    pres = special_curve_algebra(
+        SpecialCurveData(data.n, data.S, {ij: D * c for ij, c in data.a.items()}))
     images = rho_generator_images(data, corrupt)
     ring, system = pres.ring, pres.system
-    factors = [images[name] for name in ring.names]
+    factors = [{k: as_int(D * c if name.startswith("hS_") else c)
+                for k, c in images[name].items()} for name in ring.names]
     by_deg_all = {}
     for e in ring.monomials_up_to(degree_bound):
         by_deg_all.setdefault(ring.wdeg(e), []).append(e)
@@ -283,7 +287,7 @@ def verify_basis(data, degree_bound, corrupt=None):
         for e in monomials:
             used = [k for k, x in enumerate(e) if x]
             if not used:
-                rho[e] = {(b, 0): ONE for b in range(data.n)}
+                rho[e] = {(b, 0): 1 for b in range(data.n)}
                 continue
             k = used[-1]
             rho[e] = bp_mul(rho[e[:k] + (e[k] - 1,) + e[k + 1:]], factors[k])
@@ -298,7 +302,7 @@ def verify_basis(data, degree_bound, corrupt=None):
             # Every relation of the presentation is homogeneous, so this
             # cannot raise BoundExceededError at d <= degree_bound, and
             # reducing before the span test changes no verdict.
-            nf = system.normal_form(MultiPoly(ring, {e: ONE}), degree_bound)
+            nf = system.normal_form(MultiPoly(ring, {e: 1}), degree_bound)
             image = {}
             for t, c in nf.terms.items():
                 vec_addmul(image, c, rho[t])

@@ -1,6 +1,6 @@
 """Exact rational linear algebra: echelon bases, kernels, solves, ranks.
 
-Everything is computed over Q with exact arithmetic (fractions.Fraction);
+Everything is computed over Q with exact arithmetic (Fraction and int);
 no floating point anywhere.  Vectors are dicts index -> coefficient with
 no stored zeros, and a matrix is a list of sparse columns.  accum is the
 one place that writes the accumulation rule for such dicts (store c
@@ -21,7 +21,7 @@ rank_of_columns, which the Hochschild and Laurent-window ranks run on,
 keeps no coordinates: it is the standard column reduction of persistent
 homology (Zomorodian and Carlsson, "Computing persistent homology",
 Discrete Comput. Geom. 2005) on the least row.  An integer column (the
-Hochschild ranks pass E.denominator * delta) is copied as it is, a
+Hochschild ranks pass E.denominator * delta) is read as it is, a
 rational one is scaled to coprime integers, and a column is reduced
 against a pivot column by integer combination followed by division by
 its content.  These are rank-preserving column operations, so the rank
@@ -55,6 +55,11 @@ def rat(a, b=None):
 def rat_str(x):
     """Serialize as "p" or "p/q" with positive denominator."""
     return str(x)
+
+
+def as_int(c):
+    """An integral rational as a Python int; any other rational as it is."""
+    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +254,17 @@ def rank_of_columns(columns, pivots=None):
     added to it: one row per unit of rank, and projecting the span onto
     the coordinates in those rows is injective, hence bijective.
 
-    Each column is copied to a dict of nonzero Python ints, as it is if
-    its values already are ints, else scaled to coprime integers; either
-    keeps the rank.  The columns are then reduced in their given order:
-    while a column is nonzero, let p be its least row.  If no pivot column
-    owns p, the column becomes the pivot column of p; otherwise it becomes
-    a*col - b*pivot, with a/b the reduced ratio of the two entries at p,
-    divided by its content.  Each step is an exact rank-preserving column
-    operation, so no fraction, modulus or certificate is needed, and the
-    pivot rule reads only the order of the columns and of the rows.  A
-    pivot column is zero at every row less than its pivot row, so the
-    pivot columns, which span the input, are triangular with nonzero
-    diagonal on the pivot rows.
+    A column of nonzero Python ints is read as it is, any other is scaled
+    to coprime integers; either keeps the rank.  The columns are then
+    reduced in their given order: while a column is nonzero, let p be its
+    least row.  If no pivot column owns p, the column becomes the pivot
+    column of p; otherwise it becomes a*col - b*pivot, with a/b the
+    reduced ratio of the two entries at p, divided by its content.  Each
+    step is an exact rank-preserving column operation, so no fraction,
+    modulus or certificate is needed, and the pivot rule reads only the
+    order of the columns and of the rows.  A pivot column is zero at every
+    row less than its pivot row, so the pivot columns, which span the
+    input, are triangular with nonzero diagonal on the pivot rows.
     """
     rows = _pivot_rows([_integer_column(c) for c in columns if c])
     if pivots is not None:
@@ -269,12 +273,12 @@ def rank_of_columns(columns, pivots=None):
 
 
 def _integer_column(col):
-    """A new dict of the column's nonzero entries as Python ints: a copy
-    when they already are, else the column times the lcm of its
+    """The column's nonzero entries as Python ints: the column itself when
+    they already are, else a new dict of the column times the lcm of its
     denominators over the gcd of the resulting integers."""
     values = col.values()
     if {*map(type, values)} == {int} and all(values):
-        return dict(col)
+        return col
     den = lcm(*[c.denominator for c in values])
     ints = {i: c.numerator * (den // c.denominator) for i, c in col.items() if c}
     g = gcd(*ints.values())
@@ -284,10 +288,13 @@ def _integer_column(col):
 
 
 def _pivot_rows(cols):
-    """Fraction-free column reduction of integer columns (modified in
-    place); the pivot rows, in the order their columns were found."""
+    """Fraction-free column reduction of integer columns; the pivot rows,
+    in the order their columns were found.  A column is copied at its
+    first reduction, so the given dicts are not changed, and a pivot
+    column is never changed once stored."""
     owner = {}  # pivot row -> the pivot column whose least row it is
     for col in cols:
+        given = col
         while col:
             p = min(col)
             piv = owner.get(p)
@@ -296,6 +303,8 @@ def _pivot_rows(cols):
                 break
             g = gcd(piv[p], col[p])
             a, b = piv[p] // g, col[p] // g
+            if col is given:
+                col = dict(col)
             if a != 1:
                 for i in col:
                     col[i] *= a

@@ -18,9 +18,9 @@ while computing each one, so that degree bounds are still enforced.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
-from .linalg import ZERO, ONE, accum, rat, rat_str, vec_addmul
+from .linalg import ZERO, ONE, accum, as_int, rat, rat_str, vec_addmul
 
 
 class BoundExceededError(Exception):
@@ -84,23 +84,16 @@ class PolyRing:
 
     def monomials_up_to(self, bound):
         """All exponent tuples of weighted degree <= bound (weights must be
-        positive)."""
+        positive), in lexicographic order."""
         if any(w <= 0 for w in self.weights):
             raise ValueError("enumeration needs positive weights")
-        out = []
-
-        def rec(i, left, acc):
-            if i == self.nvars():
-                out.append(tuple(acc))
-                return
-            w = self.weights[i]
-            for e in range(left // w + 1):
-                acc.append(e)
-                rec(i + 1, left - w * e, acc)
-                acc.pop()
-
-        rec(0, bound, [])
-        return out
+        # extending each tuple of a sorted level by ascending exponents
+        # keeps the next level sorted; each tuple carries the degree left
+        level = [((), bound)]
+        for w in self.weights:
+            level = [(T + (e,), left - w * e)
+                     for T, left in level for e in range(left // w + 1)]
+        return [T for T, _ in level]
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.names == other.names
@@ -255,11 +248,11 @@ class RelationSystem:
             tail = self.ring.monomial(lead_e, lead_c) - r  # lead_c*x^lead - r
             self.rules.append((lead_e, lead_c, tail))
         # each rule as its lead's support, the (index, exponent) pairs where
-        # the lead is nonzero, with the tail as [(t - lead, c_t / lead_c)];
-        # and the memo of N(e)
+        # the lead is nonzero, with the tail as [(t - lead, c_t / lead_c)],
+        # an int where integral; and the memo of N(e)
         self._scaled_tails = [
             ([(i, k) for i, k in enumerate(lead_e) if k],
-             [(tuple(a - b for a, b in zip(t, lead_e)), c / lead_c)
+             [(tuple(a - b for a, b in zip(t, lead_e)), as_int(c / lead_c))
               for t, c in tail.terms.items()])
             for lead_e, lead_c, tail in self.rules]
         self._normal_forms = {}
@@ -300,11 +293,7 @@ class RelationSystem:
             if top > degree_bound:
                 raise BoundExceededError(
                     "term of degree %d exceeds bound %d" % (top, degree_bound))
-            if c == 1:
-                for t, x in terms.items():
-                    accum(out, t, x)
-            else:
-                vec_addmul(out, c, terms)
+            vec_addmul(out, c, terms)
         return MultiPoly(self.ring, out)
 
     def _reduce_monomial(self, e, degree_bound):
@@ -320,12 +309,12 @@ class RelationSystem:
                 "term of degree %d exceeds bound %d" % (top, degree_bound))
         tail = self._first_rule(e)
         if tail is None:
-            terms = {e: ONE}
+            terms = {e: 1}
         else:
             terms = {}
             for shift, c in tail:
-                sub, sub_top = self._reduce_monomial(
-                    tuple(a + b for a, b in zip(e, shift)), degree_bound)
+                sub, sub_top = self._reduce_monomial(tuple(map(add, e, shift)),
+                                                     degree_bound)
                 top = max(top, sub_top)
                 vec_addmul(terms, c, sub)
         hit = self._normal_forms[e] = (terms, top)

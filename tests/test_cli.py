@@ -549,6 +549,32 @@ def test_hh_stdout_is_pinned(argv, digests):
     assert got == digests
 
 
+def test_curve_special_stdout_is_pinned():
+    # the relations of a curve with rational a, printed from its rules
+    code, out, _ = run_in_process(["curve", "special", "--n", "3", "--s", "1",
+                                   "--a", "1/2,3/2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1d201c660834d2c5876b0ac39550f100dbeb63ce68d3cb09da3fe33caabba2f3"
+
+
+def test_poly_closure_stdout_is_pinned_on_rational_rules(tmp_path):
+    # the closure fails, so the printed remainders are normal forms whose
+    # rule tails mix ints (h^2 -> f^3) and Fractions (f*hS -> 1/2*h)
+    system = {"generators": [{"name": "hS", "degree": 1}, {"name": "f", "degree": 2},
+                             {"name": "h", "degree": 3}],
+              "order_weights": [20, 36, 55],
+              "relations": ["h^2 - f^3", "f*hS - 1/2*h", "h*hS - 2/3*f^2"]}
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system))
+    code, out, _ = run_in_process(["poly", "closure", "--input", str(path)])
+    assert code == 1
+    assert [f["remainder"] for f in json.loads(out)["closure"]["failures"]] == \
+        ["1/6*f^2*h", "1/6*f^3"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a0bed1ef193494f8a88b981368f6410663aae2cf7f5d068192a232e195bd1712"
+
+
 def _non_dyadic_structure(E, N):
     """The trivial structure gauged by a gauge on every other cochain basis
     element, with the denominators 3, 5 and 7 in turn."""

@@ -3,6 +3,7 @@ Grassmannian points, gluing."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -294,6 +295,48 @@ def test_verify_basis_reports_dependent_claimed_monomials():
                              rho_generator_images(d)["hS_2"])}
     rep = assert_verify_basis_matches_reference(d, 8, corrupt)
     assert rep.reason == "degree 2: claimed monomials dependent"
+
+
+def test_verify_basis_matches_reference_when_a_has_denominators_beyond_2():
+    # verify_basis checks the integral curve (n, S, D a) with hS_j sent to D
+    # times its image; random_data draws denominators 1 and 2 only, so these
+    # curves have D = 6 and D = 2^61 - 1, and a corruption that raises a
+    # term of an hS image carries the factor D into the higher degree
+    p = 2 ** 61 - 1
+    cases = [(3, [1], [["1/2", "-2/3"]], 8),
+             (3, [1, 3], [["-5/6"], ["4/3"]], 8),
+             (4, [1, 3], [["1/2", "-2/3"], ["-5/6", "7/3"]], 6),
+             (3, [2], [["3/%d" % p, "%d/%d" % (2 - p, p)]], 8)]
+    reasons = set()
+    for n, S, rows, bound in cases:
+        d = SpecialCurveData.from_rows(n, S, rows)
+        assert any(c.denominator > 2 for c in d.a.values())
+        assert assert_verify_basis_matches_reference(d, bound).passed, (n, S)
+        for corrupt in _corruptions(rho_generator_images(d)):
+            rep = assert_verify_basis_matches_reference(d, bound, corrupt)
+            reasons.add(rep.reason.split(": ")[1].split(" ")[0] if rep.reason else "")
+    assert reasons == {"", "claimed", "image", "reduction"}
+
+
+def test_verify_basis_does_the_same_fraction_work_at_every_degree_bound(monkeypatch):
+    # only building the presentation and scaling the generator images touch
+    # a Fraction; every image, normal form and echelon row is an int, so
+    # raising the degree bound adds no Fraction arithmetic or comparison
+    d = SpecialCurveData.from_rows(4, [1, 3], [["1/2", "-2/3"], ["5/6", "3"]])
+    counts = []
+    for bound in (4, 10):
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__eq__"):
+            def counted(a, b, op=getattr(Fraction, name), name=name):
+                calls.append(name)
+                return op(a, b)
+            monkeypatch.setattr(Fraction, name, counted)
+        rep = verify_basis(d, bound)
+        monkeypatch.undo()
+        assert rep.passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # -- components and the Grassmannian point ---------------------------------------------
