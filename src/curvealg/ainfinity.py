@@ -15,9 +15,14 @@ composition convention is fixed so that a gauge with only an f_2 component
 sends m_3 to m_3 + delta(f_2), and the action law
 gauge_act(f, gauge_act(g, m)) = gauge_act(compose(f, g), m) holds exactly.
 
-Only terms that can be nonzero are evaluated.  One F-block sum
-(_block_sum) serves gauge_act, gauge_compose and gauge_inverse; the inverse
-is compose's arity step solved for its unknown h_r.  gauge_act solves the
+Every term is pushed from stored nonzero entries, not looked up on each
+tuple: b2 pairs the F-block entries whose values multiply to nonzero, the
+F-block sum (_add_block_sums) expands each key slot by slot, and each
+inner entry of the morphism equation goes into every gauge key that holds
+its radical value.  A push also reaches keys outside the normalized
+basis, so an arity keeps only its tuple_keys, in order.  One F-block sum
+serves gauge_act, gauge_compose and gauge_inverse; the inverse is
+compose's arity step solved for its unknown h_r.  gauge_act solves the
 morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
 minus the F o D' terms whose inner m' has lower arity, so it needs neither
 the inverse gauge nor any product over outer blocks.  Arities below the
@@ -42,7 +47,8 @@ the witness, m and those kappas.  It reads one exact elimination per
 arity, which the Hochschild complex keeps per cell
 (HochschildComplex.echelon) and extend_step shares, makes no solves, and
 checks flatness once, on the normal form.  Like the gauge layer, that
-elimination and its splits run on ints.
+elimination and its splits run on ints: the arity's scaled ints go to the
+split as they are, and only kappa and x become Fractions.
 """
 
 from __future__ import annotations
@@ -168,56 +174,56 @@ def _unscaled(E, s, t, values, S):
                              for T, vec in values.items()})
 
 
-def _block_sum(F, radset):
-    """add(out, family, T) adds the sum of family[p](F-blocks of T) over the
-    splits of T into p blocks of size 1 or in supp F.  A size-1 block is
-    T's own element; a larger one is expanded over the radical components
-    of its gauge value (the normalized extension drops idempotent parts).
-    heads[p] holds the keys and coefficients of the splits of T[:p], built
-    from shorter heads, so a block F does not feed cuts off every split
-    through it; tuples come in lexicographic order, and the heads of the
-    prefix T shares with the tuple before are kept."""
-    blocks = {j: {key: [(z, c) for z, c in vec.items() if z in radset]
-                  for key, vec in fj.items()} for j, fj in F.items()}
-    last, heads = (), [[((), 1)]]
+def _index(F, radset):
+    """(blocks, pre) over the F-blocks that stand for an element z in a
+    split, (z,) for radical z and the keys U of each F_j: blocks[j][z]
+    lists (U, c) over the entries c z of F_j(U), and pre[z][j] those with
+    radical z (the normalized extension drops idempotent parts)."""
+    blocks = {1: {z: [((z,), 1)] for z in radset}}
+    pre = {z: {1: lst} for z, lst in blocks[1].items()}
+    for j, fj in F.items():
+        bj = blocks[j] = {}
+        for U, vec in fj.items():
+            for z, c in vec.items():
+                bj.setdefault(z, []).append((U, c))
+                if z in radset:
+                    pre[z].setdefault(j, []).append((U, c))
+    return blocks, pre
 
-    def add(out, family, T):
-        nonlocal last
-        if not family:
-            return
-        c = 0
-        while c < len(last) and last[c] == T[c]:
-            c += 1
-        del heads[c + 1:]
-        for p in range(c + 1, len(T) + 1):
-            row = [(key + (T[p - 1],), coef) for key, coef in heads[p - 1]]
-            for j, bj in blocks.items():
-                items = j <= p and bj.get(T[p - j:p])
-                if items:
-                    row += [(key + (z,), coef * cz) for key, coef in heads[p - j]
-                            for z, cz in items]
-            heads.append(row)
-        last = T
-        for key, coef in heads[-1]:
-            val = family.get(len(key), {}).get(key)
-            if val:
-                vec_addmul(out, coef, val)
 
-    return add
+def _add_block_sums(acc, family, pre, r, top):
+    """acc[T] += family[p](F-blocks of T) over the splits of r-tuples T
+    into p blocks of at most top elements: each key K of family[p] is
+    expanded slot by slot, slot z becoming a block of pre[z] of a size
+    that leaves the later slots room to fill r exactly."""
+    for p, fp in family.items():
+        for K, val in fp.items() if p <= r <= p * top else ():
+            if p == r:  # r blocks of one element: T = K
+                vec_addmul(acc.setdefault(K, {}), 1, val)
+                continue
+            heads = [((), 1)]
+            for a, z in enumerate(K):
+                lo, hi = r - (p - a - 1) * top, r - (p - a - 1)
+                sizes = pre.get(z, {})
+                heads = [(T + U, c * cu) for T, c in heads
+                         for j in range(max(lo - len(T), 1), hi - len(T) + 1)
+                         for U, cu in sizes.get(j, ())]
+            for T, c in heads:
+                vec_addmul(acc.setdefault(T, {}), c, val)
+
+
+def _on_tuples(E, acc, s, t):
+    """The nonzero values of acc at tuple_keys(s, t), in that order; a
+    push also reaches keys outside the normalized basis, which drop."""
+    return {T: acc[T] for T in reduced_complex(E).tuple_keys(s, t) if acc.get(T)}
 
 
 def _compose_values(E, F, family, r):
     """F_r + sum_{p >= 2} family[p](F-blocks) on each tuple of arity r: the
     arity-r component of G o F for the gauge G with components family."""
-    fr = F.get(r, {})
-    add_block_sum = _block_sum(F, E.radical_set)
-    values = {}
-    for T in reduced_complex(E).tuple_keys(r, 1 - r):
-        val = dict(fr.get(T, ()))
-        add_block_sum(val, family, T)
-        if val:
-            values[T] = val
-    return values
+    acc = {T: dict(vec) for T, vec in F.get(r, {}).items()}
+    _add_block_sums(acc, family, _index(F, E.radical_set)[1], r, max(F, default=1))
+    return _on_tuples(E, acc, r, 1 - r)
 
 
 def gauge_compose(f, g):
@@ -259,55 +265,45 @@ def gauge_inverse(f):
 def _act_arity(E, F, M, lower, r, ratio):
     """L^(2r-3) m'_r, the arity r of gauge_act's recurrence on ints, from
     the gauge F and structure M at scale L and the scaled m'_s, s < r, that
-    `lower` holds; ratio = L / E.denominator brings E.int_table to scale L."""
-    cx = reduced_complex(E)
-    sizes = {1, *F}
-    radset = E.radical_set
-    table, deg = E.int_table, E.deg
-    # (F_k values, inner width s = j - i, N_s values or None for b2)
-    feeds = [(fk, r + 1 - k, lower.get(r + 1 - k)) for k, fk in F.items()
-             if k == r - 1 or r + 1 - k in lower]
-    splits = [j for j in sizes if r - j in sizes]
-    add_block_sum = _block_sum(F, radset)
-    values = {}
-    for T in cx.tuple_keys(r, 2 - r):
-        val = {}
-        for j in splits:  # the F-blocks: T's own element or an F_j value
-            left = {T[0]: 1} if j == 1 else F[j].get(T[:j])
-            right = left and ({T[-1]: 1} if j == r - 1 else F[r - j].get(T[j:]))
-            if right:
-                # b2(x, y) = (-1)^{|x|} x y
-                for x, cl in left.items():
-                    c = ratio * cl if deg[x] == 1 else -ratio * cl
-                    for y, cr in right.items():
-                        prod = table.get((x, y))
-                        if prod:
-                            vec_addmul(val, c * cr, prod)
-        add_block_sum(val, M, T)
-        signs = [-1]  # -(-1)^{|T[:i]|}
-        for x in T[:-2]:
-            signs.append(signs[-1] if deg[x] == 1 else -signs[-1])
-        for fvals, s, inner in feeds:
-            for i in range(r - s + 1):
-                j = i + s
-                if inner is None:
-                    mid = table.get((T[i], T[i + 1]))
-                    sgn = ratio * (signs[i] if deg[T[i]] == 1 else -signs[i])
-                else:
-                    mid = inner.get(T[i:j])
-                    sgn = signs[i]
-                if not mid:
-                    continue
-                head, tail = T[:i], T[j:]
-                for z, cz in mid.items():
-                    if z not in radset:
-                        continue
-                    fv = fvals.get(head + (z,) + tail)
-                    if fv:
-                        vec_addmul(val, sgn * cz, fv)
-        if val:
-            values[T] = val
-    return values
+    `lower` holds; ratio = L / E.denominator brings E.int_table to scale L.
+    Each term is pushed from stored nonzero entries."""
+    radset, deg, products = E.radical_set, E.deg, E.right_products
+    blocks, pre = _index(F, radset)
+    acc = {}
+    # b2(x, y) = (-1)^{|x|} x y on two F-blocks, x y != 0
+    for j in range(1, r):
+        left, right = blocks.get(j), blocks.get(r - j)
+        for x, us in left.items() if left and right else ():
+            c = ratio if deg[x] == 1 else -ratio
+            for y, prod in products[x]:
+                for V, cr in right.get(y, ()):
+                    for U, cl in us:
+                        vec_addmul(acc.setdefault(U + V, {}), c * cl * cr, prod)
+    _add_block_sums(acc, M, pre, r, max(F, default=1))
+    # f_k(T[:i], m'_s(V), T[i+s:]) for an inner entry V = T[i:i+s] with a
+    # radical component z, inserted at each position i of an f_k key U
+    # with U[i] = z; the sign -(-1)^{|T[:i]|} is read off U[:i]
+    for k, fk in F.items():
+        if k == r - 1:
+            inner = [((x, y), prod, ratio if deg[x] == 1 else -ratio)
+                     for x in radset for y, prod in products[x] if y in radset]
+        elif r + 1 - k in lower:
+            inner = [(V, mid, 1) for V, mid in lower[r + 1 - k].items()]
+        else:
+            continue
+        at = {}
+        for U, fv in fk.items():
+            sgn = -1
+            for i, z in enumerate(U):
+                if z in radset:
+                    at.setdefault(z, []).append((U[:i], U[i + 1:], sgn, fv))
+                if deg[z] == 0:
+                    sgn = -sgn
+        for V, mid, c in inner:
+            for z, cz in mid.items():
+                for head, tail, sgn, fv in at.get(z, ()):
+                    vec_addmul(acc.setdefault(head + V + tail, {}), sgn * c * cz, fv)
+    return _on_tuples(E, acc, r, 2 - r)
 
 
 def gauge_act(f, m):
@@ -427,21 +423,25 @@ def normalize(m):
                             nf.scaled(L), k, L // E.denominator)
         if not values:
             continue
-        mk = cx.cochain_to_vector(_unscaled(E, k, 2 - k, values, L ** (2 * k - 3)))
-        kappa, x = complement_data(E, k).split(mk)
+        # values are P m_k, P = L^(2k-3), and its split comes as ints over
+        # S, so kappa and x are divided by S P once
+        mk = cx.cochain_to_vector(Cochain(E, k, 2 - k, values))
+        kappa, x, S = complement_data(E, k).reduce(mk)
+        unscale = Fraction(1, S * L ** (2 * k - 3))
         if x:
-            step = GaugeTransform(E, N, {k - 1: cx.vector_to_cochain(
-                k - 1, 2 - k, {p: -c for p, c in x.items()})})
-            # the step's own terms at arity k, m left out, are kappa - m_k
-            change = AnStructure(E, N, {k: cx.vector_to_cochain(
-                k, 2 - k, vec_addmul(dict(kappa), -1, mk))})
-            L = _scale(E, step, change)
-            if _act_arity(E, step.scaled(L), {}, {}, k, L // E.denominator) \
-                    != change.scaled(L).get(k, {}):
+            # the step's own terms at arity k, m left out, are kappa - m_k;
+            # at step scale S P (values -x) and ratio 1 (table scale D)
+            # they are D (kappa - S mk)
+            D = E.denominator
+            step = cx.vector_to_cochain(k - 1, 2 - k, {p: -c for p, c in x.items()})
+            change = vec_addmul({p: D * c for p, c in kappa.items()}, -D * S, mk)
+            if _act_arity(E, {k - 1: step.values}, {}, {}, k, 1) \
+                    != cx.vector_to_cochain(k, 2 - k, change).values:
                 raise AssertionError("gauge step did not land on the complement")
-            witness = gauge_compose(step, witness)
+            witness = gauge_compose(GaugeTransform(E, N, {k - 1: step.scale(unscale)}),
+                                    witness)
         if kappa:
-            nf.comps[k] = cx.vector_to_cochain(k, 2 - k, kappa)
+            nf.comps[k] = cx.vector_to_cochain(k, 2 - k, kappa).scale(unscale)
     if not is_flat(nf):
         raise ValueError("normalize requires a defect-free structure")
     return nf, witness

@@ -126,8 +126,8 @@ class Echelon:
         return ({i: Fraction(c, d) for i, c in r.items()},
                 {j: Fraction(c, d) for j, c in x.items()})
 
-    def _reduce(self, v):
-        """Ints (k, y, S) with split(v) = (k/S, y/S)."""
+    def reduce(self, v):
+        """Ints (k, y, S) with split(v) = (k/S, y/S); v may hold ints."""
         rows = self.rows
         S = lcm(*[c.denominator for c in v.values()]) \
             * lcm(*[rows[q][2] for q in v if q in rows])
@@ -145,20 +145,20 @@ class Echelon:
     def split(self, v):
         """(kappa, x) with v = kappa + sum_j x_j v_j and kappa zero at every
         pivot: kappa = v - sum_q v_q R_q and x = sum_q v_q X_q."""
-        kappa, x, S = self._reduce(v)
+        kappa, x, S = self.reduce(v)
         return ({i: Fraction(c, S) for i, c in kappa.items()},
                 {j: Fraction(c, S) for j, c in x.items()})
 
     def contains(self, v):
         """v lies in the span: split's kappa is zero."""
-        return not self._reduce(v)[0]
+        return not self.reduce(v)[0]
 
     def add(self, v):
         """Add v as the next vector; True iff it enlarged the span."""
-        return self._adjoin(*self._reduce(v))
+        return self._adjoin(*self.reduce(v))
 
     def _adjoin(self, r, x, S):
-        """add, given _reduce(v) = (r, x, S)."""
+        """add, given reduce(v) = (r, x, S)."""
         j = self.added
         self.added += 1
         if not r:
@@ -205,7 +205,7 @@ def kernel_basis(columns):
     basis = []
     for j, col in enumerate(columns):
         # one reduction per column: its coordinates when it is dependent
-        k, x, S = ech._reduce(col)
+        k, x, S = ech.reduce(col)
         if not ech._adjoin(k, x, S):
             basis.append({j: ONE} | {p: Fraction(-x[p], S) for p in sorted(x)})
     return Subspace(len(columns), basis)

@@ -244,14 +244,17 @@ def _random_cochains(E, arities, rng, deg_shift):
     return comps
 
 
-@pytest.mark.parametrize("E", [E11(), build_ew(SubspaceW(2, [[rat(1, 2), rat(-2, 3)]]))],
-                         ids=["E11", "E21-nonintegral"])
-def test_gauge_action_matches_reference_path(E):
+@pytest.mark.parametrize("E, orders", [
+    (E11(), (5, 6)), (build_ew(SubspaceW(2, [[rat(1, 2), rat(-2, 3)]])), (5, 6)),
+    (build_ew(SubspaceW.zero(2)), (5,))], ids=["E11", "E21-nonintegral", "E22"])
+def test_gauge_action_matches_reference_path(E, orders):
     # supports with gaps and a lowest component above 2 trip the
     # support-filtered compositions and the copy of the arities below it;
-    # the non-flat m has components at arities those gauges skip
+    # the non-flat m has components at arities those gauges skip.  (2,2)
+    # at W = 0 has two loops, so longer preimage lists; its reference at
+    # order 6 takes several times as long as at 5
     rng = random.Random(15)
-    for N in (5, 6):
+    for N in orders:
         full = random_gauge(E, N, rng, density=0.3)
         flat = random_structure(E, N, rng, density=0.3)
         bent = AnStructure(E, N, _random_cochains(E, range(3, N + 1), rng, 2))
@@ -368,6 +371,68 @@ def test_idempotent_components_are_dropped(E):
     for m in (bent, gauged):
         assert any(w in E.e_idx for vec in m.comps[4].values.values() for w in vec)
         assert gauge_act(f, m) == _gauge_act_reference(f, m)
+
+
+def _with_junk_keys(E, base, rng, window=True):
+    """`base` (a dict k -> Cochain) plus entries at radical keys that are
+    not composable and, if window, at composable keys whose degree sum
+    lies outside the cochain's window (those of tuple_keys(s, t -+ 2)).
+    Neither lies in the normalized basis, where a normalized cochain is
+    zero, so a path that builds terms from every stored entry reaches
+    them and must drop what it builds there."""
+    cx = reduced_complex(E)
+    out = {}
+    for k, c in base.items():
+        values = {key: dict(vec) for key, vec in c.values.items()}
+        keys = []
+        while len(keys) < 10:
+            key = tuple(rng.choice(E.radical) for _ in range(c.s))
+            if any(E.tgt[a] != E.src[b] for a, b in zip(key, key[1:])):
+                keys.append(key)
+        for t in (c.t - 2, c.t + 2) if window else ():
+            found = cx.tuple_keys(c.s, t)
+            keys += rng.sample(found, min(10, len(found)))
+        for key in keys:
+            values[key] = {rng.choice(E.radical): rat(rng.randint(1, 3), rng.choice([1, 2]))}
+        out[k] = Cochain(E, c.s, c.t, values)
+    return out
+
+
+@pytest.mark.parametrize("E", [E11(), E21_nonintegral()], ids=["E11", "E21-nonintegral"])
+def test_junk_keys_never_reach_the_output(E):
+    # compose and inverse read a gauge only at F-blocks and keys of the
+    # output tuples, as their references do.  The action and normalize
+    # never read a non-composable key, nor a structure key outside its
+    # window (a split of a tuple in the window has its key in the window),
+    # so those give the references of the clean inputs.  A gauge key
+    # outside its window can be an F-block of a tuple in the window and is
+    # read, so the action's gauge carries non-composable junk only.  f_2
+    # is set, so no arity is copied unchanged.
+    rng = random.Random(23)
+    N = 6
+    cx = reduced_complex(E)
+    f0 = random_gauge(E, N, rng, density=0.3)
+    assert 2 in f0.comps
+    f = GaugeTransform(E, N, _with_junk_keys(E, f0.comps, rng))
+    g = GaugeTransform(E, N, _with_junk_keys(
+        E, random_gauge(E, N, rng, density=0.3).comps, rng))
+    f_nc = GaugeTransform(E, N, _with_junk_keys(E, f0.comps, rng, window=False))
+    flat = random_structure(E, N, rng, density=0.3)
+    bent = AnStructure(E, N, _random_cochains(E, range(3, N + 1), rng, 2))
+    outputs = [gauge_compose(f, g), gauge_inverse(f)]
+    assert outputs == [_gauge_compose_reference(f, g), _gauge_inverse_reference(f)]
+    for m in (flat, bent):
+        moved = gauge_act(f_nc, AnStructure(E, N, _with_junk_keys(E, m.comps, rng)))
+        assert moved == _gauge_act_reference(f0, m)
+        outputs.append(moved)
+    normal = normalize(AnStructure(E, N, _with_junk_keys(E, flat.comps, rng)))
+    assert normal == _normalize_reference(flat)
+    outputs += normal
+    for fam in outputs:
+        for c in fam.comps.values():
+            # each key found after the one before: a subsequence, in order
+            keys = iter(cx.tuple_keys(c.s, c.t))
+            assert all(T in keys for T in c.values), (c.s, c.t)
 
 
 def test_gauge_mismatch_rejected():

@@ -769,13 +769,13 @@ def test_echelon_with_tuple_keys():
 
 def test_kernel_basis_reduces_each_column_once(monkeypatch):
     reduced = []
-    reduce = Echelon._reduce
+    reduce = Echelon.reduce
 
     def counting(self, v):
         reduced.append(v)
         return reduce(self, v)
 
-    monkeypatch.setattr(Echelon, "_reduce", counting)
+    monkeypatch.setattr(Echelon, "reduce", counting)
     cols = M([[1, 2, 0, 3, 1], [2, 4, 1, 6, 0], [0, 0, 1, 0, -2]])
     ker = kernel_basis(cols)
     assert reduced == cols
