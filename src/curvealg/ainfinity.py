@@ -26,8 +26,8 @@ compose's arity step solved for its unknown h_r.  gauge_act solves the
 morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
 minus the F o D' terms whose inner m' has lower arity, so it needs neither
 the inverse gauge nor any product over outer blocks.  Arities below the
-lowest gauge component are copied unchanged, in gauge_act and
-gauge_compose alike.
+lowest gauge component are copied, in gauge_act and gauge_compose
+alike, and keep only their tuple_keys too.
 
 The gauge layer computes on Python ints.  Give f_k weight k-1, m_q and
 m'_q weight q-2 and a table constant weight 0, and let L be the lcm of
@@ -231,12 +231,13 @@ def gauge_compose(f, g):
     G o F, so that gauge_act(f, gauge_act(g, m)) = gauge_act(compose, m).
 
     Below the lowest component of f the only block composition is all ones,
-    so those arities are copied from g."""
+    so those arities are copied from g, on their tuple_keys."""
     if f.E is not g.E or f.N != g.N:
         raise ValueError("mismatched gauges")
     E, N = f.E, f.N
     low = min(f.comps, default=N)
-    comps = {r: c for r, c in g.comps.items() if r < low}
+    comps = {r: Cochain(E, r, 1 - r, _on_tuples(E, c.values, r, 1 - r))
+             for r, c in g.comps.items() if r < low}
     L = _scale(E, f, g)
     F, G = f.scaled(L), g.scaled(L)
     for r in range(max(low, 2), N):
@@ -320,16 +321,18 @@ def gauge_act(f, m):
     and the F-block sum of m for q > 2.  m'_{j-i} is b2 or an arity already
     computed, and f_k is fed only the radical components of m'_{j-i}.  No
     flatness is needed, and neither the inverse gauge nor any product over
-    outer blocks.  Arities up to the lowest gauge component are unchanged:
-    there every F-block has size 1 and no f_k term fits."""
+    outer blocks.  Arities up to the lowest gauge component are unchanged
+    on their tuple_keys: there every F-block has size 1 and no f_k term
+    fits."""
     if f.E is not m.E or f.N != m.N:
         raise ValueError("gauge and structure must share algebra and order")
     E, N = m.E, m.N
     low = min(f.comps, default=N)
-    comps = {r: c for r, c in m.comps.items() if r <= low}
+    comps = {r: Cochain(E, r, 2 - r, _on_tuples(E, c.values, r, 2 - r))
+             for r, c in m.comps.items() if r <= low}
     L = _scale(E, f, m)
     F, M = f.scaled(L), m.scaled(L)
-    lower = {r: M[r] for r in comps}
+    lower = {r: {T: M[r][T] for T in c.values} for r, c in comps.items()}
     for r in range(low + 1, N + 1):
         values = _act_arity(E, F, M, lower, r, L // E.denominator)
         if values:

@@ -263,13 +263,20 @@ def verify_basis(data, degree_bound, corrupt=None):
     with hS_j sent to D times its image, corrupt or not: as in the module
     docstring, every check below holds for e exactly when it did on (n, S, a).
 
-    Images are built once each, in degree order: rho(e) is
-    rho(e - unit_k) times the image of generator k, for the last generator
-    k that e uses.  The claimed monomials of each degree go into one
-    echelon basis, which gives the independence verdict.  Each monomial is
-    then reduced once by the relations, and its image is reduced against
-    the echelon basis only when the normal form does not already prove it
-    lies in the span.
+    rho(e) is built when first needed, as rho(e - unit_k) times the image
+    of generator k, for the last generator k that e uses.  Each degree's
+    claimed monomials go into one echelon basis, which gives the
+    independence verdict.
+
+    The other two checks cannot fail at a degree d when rho kills every
+    relation and every unclaimed monomial of degree d is reducible.  rho
+    is a ring map and N(e) - e lies in the ideal of the relations, so
+    rho(N(e)) = rho(e); the
+    terms of N(e) are irreducible, hence claimed, so rho(e) lies in the
+    span.  Such a degree checks independence only.  At any other degree
+    each monomial is reduced once by the relations, and its image is
+    reduced against the echelon basis only when the normal form does not
+    already prove it lies in the span.
     """
     D = lcm(*[c.denominator for c in data.a.values()])
     pres = special_curve_algebra(
@@ -278,38 +285,43 @@ def verify_basis(data, degree_bound, corrupt=None):
     ring, system = pres.ring, pres.system
     factors = [{k: as_int(D * c if name.startswith("hS_") else c)
                 for k, c in images[name].items()} for name in ring.names]
+    rho = {(0,) * len(factors): {(b, 0): 1 for b in range(data.n)}}
+
+    def image(e):
+        if e not in rho:
+            k = max(k for k, x in enumerate(e) if x)
+            rho[e] = bp_mul(image(e[:k] + (e[k] - 1,) + e[k + 1:]), factors[k])
+        return rho[e]
+
+    def embed(p):
+        out = {}
+        for t, c in p.terms.items():
+            vec_addmul(out, as_int(c), image(t))
+        return out
+
+    relations_vanish = not any(embed(r) for r in system.relations)
     by_deg_all = {}
     for e in ring.monomials_up_to(degree_bound):
         by_deg_all.setdefault(ring.wdeg(e), []).append(e)
-    rho = {}
     for d in range(degree_bound + 1):
         monomials = by_deg_all.get(d, [])
-        for e in monomials:
-            used = [k for k, x in enumerate(e) if x]
-            if not used:
-                rho[e] = {(b, 0): 1 for b in range(data.n)}
-                continue
-            k = used[-1]
-            rho[e] = bp_mul(rho[e[:k] + (e[k] - 1,) + e[k + 1:]], factors[k])
+        claimed = {e for e in monomials if system.is_claimed_basis_monomial(e)}
         span = Echelon()
-        claimed = set()
         for e in monomials:
-            if system.is_claimed_basis_monomial(e):
-                if not span.add(rho[e]):
-                    return BasisReport(False, "degree %d: claimed monomials dependent" % d)
-                claimed.add(e)
+            if e in claimed and not span.add(image(e)):
+                return BasisReport(False, "degree %d: claimed monomials dependent" % d)
+        if relations_vanish and not any(
+                system.is_irreducible(e) for e in monomials if e not in claimed):
+            continue
         for e in monomials:
             # Every relation of the presentation is homogeneous, so this
             # cannot raise BoundExceededError at d <= degree_bound, and
             # reducing before the span test changes no verdict.
             nf = system.normal_form(MultiPoly(ring, {e: 1}), degree_bound)
-            image = {}
-            for t, c in nf.terms.items():
-                vec_addmul(image, c, rho[t])
-            kept = image == rho[e]
+            kept = embed(nf) == image(e)
             # a kept image with every normal-form term claimed is a
             # combination of claimed images, so it lies in the span
-            if not (kept and claimed.issuperset(nf.terms)) and not span.contains(rho[e]):
+            if not (kept and claimed.issuperset(nf.terms)) and not span.contains(image(e)):
                 return BasisReport(False, "degree %d: image of %s escapes the span"
                                    % (d, e))
             if not kept:

@@ -406,8 +406,12 @@ def test_junk_keys_never_reach_the_output(E):
     # window (a split of a tuple in the window has its key in the window),
     # so those give the references of the clean inputs.  A gauge key
     # outside its window can be an F-block of a tuple in the window and is
-    # read, so the action's gauge carries non-composable junk only.  f_2
-    # is set, so no arity is copied unchanged.
+    # read, so the action's gauge carries non-composable junk only.  f has
+    # an f_2, so it copies no arity; f_high has none and copies the
+    # arities up to its lowest component, which keep only their
+    # tuple_keys as well.  normalize's step gauges have only an f_{k-1},
+    # so each step copies the witness arities below k-1, which compose
+    # built on their tuple_keys.
     rng = random.Random(23)
     N = 6
     cx = reduced_complex(E)
@@ -428,6 +432,15 @@ def test_junk_keys_never_reach_the_output(E):
     normal = normalize(AnStructure(E, N, _with_junk_keys(E, flat.comps, rng)))
     assert normal == _normalize_reference(flat)
     outputs += normal
+    f0_high = GaugeTransform(E, N, {k: c for k, c in f0.comps.items() if k > 2})
+    assert f0_high.comps
+    f_high = GaugeTransform(E, N, _with_junk_keys(E, f0_high.comps, rng, window=False))
+    outputs.append(gauge_compose(f_high, g))
+    assert outputs[-1] == _gauge_compose_reference(f_high, g)
+    for m in (flat, bent):
+        moved = gauge_act(f_high, AnStructure(E, N, _with_junk_keys(E, m.comps, rng)))
+        assert moved == _gauge_act_reference(f0_high, m)
+        outputs.append(moved)
     for fam in outputs:
         for c in fam.comps.values():
             # each key found after the one before: a subsequence, in order

@@ -258,7 +258,8 @@ def test_verify_basis_runs_the_span_test_when_a_normal_form_leaves_the_claimed_s
 
 def test_verify_basis_reduces_each_monomial_once(monkeypatch):
     # perfbench counts curves.monomials as the normal_form calls made inside
-    # verify_basis
+    # verify_basis.  A passing curve's relations vanish under rho, so it
+    # reduces nothing; a corrupted curve reduces each monomial at most once
     normal_form = RelationSystem.normal_form
     calls = []
 
@@ -269,18 +270,57 @@ def test_verify_basis_reduces_each_monomial_once(monkeypatch):
     monkeypatch.setattr(RelationSystem, "normal_form", counted)
     d = random_data(3, [2], random.Random(18), dens=1.0)
     assert verify_basis(d, 8)
-    monomials = special_curve_algebra(d).ring.monomials_up_to(8)
-    assert sorted(next(iter(p.terms)) for p in calls) == sorted(monomials)
-    assert all(list(p.terms.values()) == [ONE] for p in calls)
+    assert calls == []
+    monomials = set(special_curve_algebra(d).ring.monomials_up_to(8))
+    reduced_any = False
+    for corrupt in _corruptions(rho_generator_images(d)):
+        del calls[:]
+        verify_basis(d, 8, corrupt)
+        reduced = [next(iter(p.terms)) for p in calls]
+        assert len(set(reduced)) == len(reduced) and monomials.issuperset(reduced)
+        assert all(list(p.terms.values()) == [ONE] for p in calls)
+        reduced_any = reduced_any or bool(reduced)
+    assert reduced_any
+
+
+def _tripwire(*args):
+    raise AssertionError("called on a path that needs no reduction or span test")
+
+
+def test_verify_basis_checks_only_independence_when_the_relations_vanish(monkeypatch):
+    # the benchmark's heaviest shape at its degree, with a non-integral a:
+    # rho kills every relation and every unclaimed monomial is reducible,
+    # so no degree reduces a monomial or reduces an image against the span
+    d = SpecialCurveData.from_rows(4, [1, 3], [["1/2", "-2/3"], ["5/6", "3"]])
+    expected = _verify_basis_reference(d, 10)
+    monkeypatch.setattr(RelationSystem, "normal_form", _tripwire)
+    monkeypatch.setattr(Echelon, "contains", _tripwire)
+    rep = verify_basis(d, 10)
+    assert (rep.passed, rep.reason) == expected == (True, "")
+
+
+def test_verify_basis_matches_reference_when_only_a_relation_above_the_bound_breaks():
+    # h_1 -> x^4 on the cuspidal curve breaks only h_1^2 - f_1^3, of
+    # degree 6: bound 5 passes, and at 6 the image of h_1^2 leaves the span
+    # of f_1^3's
+    d = SpecialCurveData(1, [1])
+    corrupt = {"h_1": {(0, 4): ONE}}
+    assert assert_verify_basis_matches_reference(d, 5, corrupt)
+    rep = assert_verify_basis_matches_reference(d, 6, corrupt)
+    assert rep.reason == "degree 6: image of (0, 2) escapes the span"
 
 
 def test_verify_basis_matches_reference_on_corrupted_images():
     rng = random.Random(15)
     reasons = set()
-    for n, S in ((1, [1]), (2, [1]), (3, [1]), (3, [1, 3]), (3, [2])):
-        d = random_data(n, S, rng, dens=1.0)
+    cases = [(random_data(n, S, rng, dens=1.0), 8)
+             for n, S in ((1, [1]), (2, [1]), (3, [1]), (3, [1, 3]), (3, [2]))]
+    # the benchmark's heaviest shape at its degree, with a non-integral a
+    cases.append((SpecialCurveData.from_rows(
+        4, [1, 3], [["1/2", "-2/3"], ["5/6", "3"]]), 10))
+    for d, bound in cases:
         for corrupt in _corruptions(rho_generator_images(d)):
-            rep = assert_verify_basis_matches_reference(d, 8, corrupt)
+            rep = assert_verify_basis_matches_reference(d, bound, corrupt)
             reasons.add(rep.reason.split(": ")[1].split(" ")[0] if rep.reason else "")
     # every kind of failure shows up among the corruptions; h_1 -> -x^3 on
     # the cuspidal curve is an automorphism and passes
