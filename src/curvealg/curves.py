@@ -120,29 +120,43 @@ class CurveAlgebraPresentation:
         self.f = {i: ring.var("f_%d" % i) for i in S}
         self.h = {i: ring.var("h_%d" % i) for i in S}
 
+        # variable positions, and the exponent tuple of a product of them
+        nhs, ns = len(comp), len(S)
+        hs = {j: k for k, j in enumerate(comp)}
+        f = {i: nhs + k for k, i in enumerate(S)}
+        h = {i: nhs + ns + k for k, i in enumerate(S)}
+        zero = (0,) * ring.nvars()
+
+        def mono(*ks):
+            e = list(zero)
+            for k in ks:
+                e[k] += 1
+            return tuple(e)
+
+        # each relation's terms, leading product first
         rels = []
         for i, ip in itertools.combinations(S, 2):
-            rels.append(self.f[i] * self.f[ip])
-            rels.append(self.h[i] * self.h[ip])
+            rels.append({mono(f[i], f[ip]): ONE})
+            rels.append({mono(h[i], h[ip]): ONE})
         for i in S:
             for ip in S:
                 if i != ip:
-                    rels.append(self.f[i] * self.h[ip])
+                    rels.append({mono(f[i], h[ip]): ONE})
         for i in S:
-            rels.append(self.h[i] ** 2 - self.f[i] ** 3)
+            rels.append({mono(h[i], h[i]): ONE, mono(f[i], f[i], f[i]): -ONE})
         for j, jp in itertools.combinations(comp, 2):
-            rhs = ring.zero()
+            rel = {mono(hs[j], hs[jp]): ONE}
             for i in S:
-                rhs = rhs + self.f[i].scale(data.a_entry(i, j) * data.a_entry(i, jp))
-            rels.append(self.hs[j] * self.hs[jp] - rhs)
+                rel[mono(f[i])] = -(data.a_entry(i, j) * data.a_entry(i, jp))
+            rels.append(rel)
         for i in S:
             for j in comp:
-                rels.append(self.f[i] * self.hs[j] - self.h[i].scale(data.a_entry(i, j)))
-                rels.append(self.h[i] * self.hs[j] - (self.f[i] ** 2).scale(data.a_entry(i, j)))
+                a = data.a_entry(i, j)
+                rels.append({mono(f[i], hs[j]): ONE, mono(h[i]): -a})
+                rels.append({mono(h[i], hs[j]): ONE, mono(f[i], f[i]): -a})
 
         # a claimed monomial uses one block, a single h_S_j or a pair
         # (f_i, h_i), and h_i at most once
-        nhs, ns = len(comp), len(S)
         block = [*range(nhs), *range(nhs, nhs + ns), *range(nhs, nhs + ns)]
 
         def claimed(exps):
@@ -150,12 +164,35 @@ class CurveAlgebraPresentation:
                     and all(e <= 1 for e in exps[nhs + ns:]))
 
         self.system = RelationSystem(
-            ring, rels,
+            ring, [MultiPoly(ring, rel) for rel in rels],
             claimed_basis="powers of a single h_S_j, or f_i^m, or f_i^m h_i",
             is_claimed_basis_monomial=claimed)
+        # the unclaimed monomials are the multiples of these: a product of
+        # two generators from different blocks, or h_i^2
+        self.unclaimed_generators = [
+            mono(k, l) for k, l in itertools.combinations(range(ring.nvars()), 2)
+            if block[k] != block[l]] + [mono(h[i], h[i]) for i in S]
+        # the claimed monomials other than 1, as base * x_k^m for m >= low
+        self._powers = ([(zero, k, 1) for k in hs.values()]
+                        + [(zero, f[i], 1) for i in S]
+                        + [(mono(h[i]), f[i], 0) for i in S])
+
+    def single_block_monomials(self, degree_bound):
+        """Every monomial that uses one block and h_i at most once, up to
+        the bound, in lexicographic order: 1, hS_j^m, f_i^m and f_i^m h_i."""
+        ring = self.ring
+        out = [(0,) * ring.nvars()] if degree_bound >= 0 else []
+        for base, k, low in self._powers:
+            top = (degree_bound - ring.wdeg(base)) // ring.weights[k]
+            out.extend(base[:k] + (m,) + base[k + 1:] for m in range(low, top + 1))
+        out.sort()
+        return out
 
     def claimed_basis_monomials(self, degree_bound):
-        return [e for e in self.ring.monomials_up_to(degree_bound)
+        """The claimed monomials up to the bound, in lexicographic order.
+        The predicate is applied to the single-block monomials, the most it
+        can claim."""
+        return [e for e in self.single_block_monomials(degree_bound)
                 if self.system.is_claimed_basis_monomial(e)]
 
 
@@ -271,12 +308,20 @@ def verify_basis(data, degree_bound, corrupt=None):
     The other two checks cannot fail at a degree d when rho kills every
     relation and every unclaimed monomial of degree d is reducible.  rho
     is a ring map and N(e) - e lies in the ideal of the relations, so
-    rho(N(e)) = rho(e); the
-    terms of N(e) are irreducible, hence claimed, so rho(e) lies in the
-    span.  Such a degree checks independence only.  At any other degree
-    each monomial is reduced once by the relations, and its image is
-    reduced against the echelon basis only when the normal form does not
-    already prove it lies in the span.
+    rho(N(e)) = rho(e); the terms of N(e) are irreducible, hence claimed,
+    so rho(e) lies in the span.  The unclaimed monomials are not walked to
+    see that.  A monomial is reducible iff some rule's lead divides it, so
+    reducibility passes to its multiples (Becker-Weispfenning, Groebner
+    Bases, GTM 141), and the monomials outside the single-block ones are
+    the multiples of the presentation's unclaimed_generators: the products
+    of two generators from different blocks, and the h_i^2.  So when every
+    such generator is reducible, it is enough that every single-block
+    monomial of degree d that the predicate rejects is.  Such a degree
+    builds images of its claimed monomials only and checks independence
+    only.  At any other degree each monomial, listed once for all such
+    degrees, is reduced once by the relations, and its image is reduced
+    against the echelon basis only when the normal form does not already
+    prove it lies in the span.
     """
     D = lcm(*[c.denominator for c in data.a.values()])
     pres = special_curve_algebra(
@@ -300,20 +345,26 @@ def verify_basis(data, degree_bound, corrupt=None):
         return out
 
     relations_vanish = not any(embed(r) for r in system.relations)
-    by_deg_all = {}
-    for e in ring.monomials_up_to(degree_bound):
-        by_deg_all.setdefault(ring.wdeg(e), []).append(e)
+    covered = not any(system.is_irreducible(e) for e in pres.unclaimed_generators)
+    candidates = {}
+    for e in pres.single_block_monomials(degree_bound):
+        candidates.setdefault(ring.wdeg(e), []).append(e)
+    by_deg_all = None
     for d in range(degree_bound + 1):
-        monomials = by_deg_all.get(d, [])
-        claimed = {e for e in monomials if system.is_claimed_basis_monomial(e)}
+        single = candidates.get(d, [])
+        claimed = {e for e in single if system.is_claimed_basis_monomial(e)}
         span = Echelon()
-        for e in monomials:
+        for e in single:
             if e in claimed and not span.add(image(e)):
                 return BasisReport(False, "degree %d: claimed monomials dependent" % d)
-        if relations_vanish and not any(
-                system.is_irreducible(e) for e in monomials if e not in claimed):
+        if relations_vanish and covered and not any(
+                system.is_irreducible(e) for e in single if e not in claimed):
             continue
-        for e in monomials:
+        if by_deg_all is None:
+            by_deg_all = {}
+            for e in ring.monomials_up_to(degree_bound):
+                by_deg_all.setdefault(ring.wdeg(e), []).append(e)
+        for e in by_deg_all.get(d, []):
             # Every relation of the presentation is homogeneous, so this
             # cannot raise BoundExceededError at d <= degree_bound, and
             # reducing before the span test changes no verdict.

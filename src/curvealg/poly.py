@@ -245,7 +245,8 @@ class RelationSystem:
             if not r:
                 raise ValueError("zero relation")
             lead_e, lead_c = r.lead()
-            tail = self.ring.monomial(lead_e, lead_c) - r  # lead_c*x^lead - r
+            # lead_c*x^lead - r, in the order of r's terms
+            tail = MultiPoly(self.ring, {e: -c for e, c in r.terms.items() if e != lead_e})
             self.rules.append((lead_e, lead_c, tail))
         # each rule as its lead's support, the (index, exponent) pairs where
         # the lead is nonzero, with the tail as [(t - lead, c_t / lead_c)],

@@ -9,7 +9,7 @@ import pytest
 
 from curvealg import curves
 from curvealg.linalg import Echelon, ONE, rank_of_columns, rat
-from curvealg.poly import RelationSystem
+from curvealg.poly import PolyRing, RelationSystem
 from curvealg.curves import (SpecialCurveData, branch_model, bp_eval, bp_mul,
                              component_type, glue, grassmannian_point,
                              krichever_window, rho_embed, rho_generator_images,
@@ -47,6 +47,72 @@ def test_genus_zero_presentation():
     pres = special_curve_algebra(SpecialCurveData(3, []))
     rels = [str(r) for r in pres.system.relations]
     assert sorted(rels) == ["hS_1*hS_2", "hS_1*hS_3", "hS_2*hS_3"]
+
+
+def _relations_reference(data):
+    """The presentation's relations built by MultiPoly arithmetic from its
+    generators, in the presentation's order."""
+    pres = special_curve_algebra(data)
+    f, h, hs, S, comp = pres.f, pres.h, pres.hs, data.S, data.complement()
+    rels = []
+    for i, ip in itertools.combinations(S, 2):
+        rels.append(f[i] * f[ip])
+        rels.append(h[i] * h[ip])
+    for i in S:
+        for ip in S:
+            if i != ip:
+                rels.append(f[i] * h[ip])
+    for i in S:
+        rels.append(h[i] ** 2 - f[i] ** 3)
+    for j, jp in itertools.combinations(comp, 2):
+        rhs = pres.ring.zero()
+        for i in S:
+            rhs = rhs + f[i].scale(data.a_entry(i, j) * data.a_entry(i, jp))
+        rels.append(hs[j] * hs[jp] - rhs)
+    for i in S:
+        for j in comp:
+            rels.append(f[i] * hs[j] - h[i].scale(data.a_entry(i, j)))
+            rels.append(h[i] * hs[j] - (f[i] ** 2).scale(data.a_entry(i, j)))
+    return rels
+
+
+def test_presentation_relations_match_the_arithmetic_reference():
+    # the terms in order, their values, and the printed relation, for every
+    # (n, S) with n <= 4, with every entry of a nonzero and with about half
+    # of them zero
+    rng = random.Random(19)
+    zero_entries = 0
+    for d in (random_data(n, list(S), rng, dens) for n in range(1, 5)
+              for size in range(n + 1) for S in itertools.combinations(range(1, n + 1), size)
+              for dens in (1.0, 0.5)):
+        zero_entries += d.g * (d.n - d.g) - len(d.a)
+        got = special_curve_algebra(d).system.relations
+        want = _relations_reference(d)
+        assert [list(r.terms.items()) for r in got] == \
+            [list(r.terms.items()) for r in want], d
+        assert [str(r) for r in got] == [str(r) for r in want], d
+    assert zero_entries > 0
+
+
+def test_claimed_basis_monomials_match_the_full_walk(monkeypatch):
+    # the single-block monomials filtered by the predicate are the claimed
+    # monomials of the whole walk, in the same order, also when the
+    # predicate is patched to claim fewer
+    for n in range(1, 5):
+        for size in range(0, n + 1):
+            for S in itertools.combinations(range(1, n + 1), size):
+                d = SpecialCurveData(n, S)
+                names = special_curve_algebra(d).ring.names
+                for drop in (None, (names[0], 2), (names[-1], 1)):
+                    monkeypatch.undo()
+                    if drop:
+                        _drop_claimed(monkeypatch, *drop)
+                    pres = curves.special_curve_algebra(d)
+                    claimed = pres.system.is_claimed_basis_monomial
+                    for bound in range(11):
+                        assert pres.claimed_basis_monomials(bound) == [
+                            e for e in pres.ring.monomials_up_to(bound) if claimed(e)], \
+                            (n, S, drop, bound)
 
 
 def test_relations_weighted_homogeneous():
@@ -297,6 +363,75 @@ def test_verify_basis_checks_only_independence_when_the_relations_vanish(monkeyp
     monkeypatch.setattr(Echelon, "contains", _tripwire)
     rep = verify_basis(d, 10)
     assert (rep.passed, rep.reason) == expected == (True, "")
+
+
+def test_verify_basis_walks_no_monomial_list_on_a_passing_curve(monkeypatch):
+    # the leads cover every product across blocks and every h_i^2, so the
+    # unclaimed monomials are reducible without listing them
+    d = SpecialCurveData.from_rows(4, [1, 3], [["1/2", "-2/3"], ["5/6", "3"]])
+    expected = _verify_basis_reference(d, 10)
+    monkeypatch.setattr(PolyRing, "monomials_up_to", _tripwire)
+    rep = verify_basis(d, 10)
+    assert (rep.passed, rep.reason) == expected == (True, "")
+
+
+def test_verify_basis_walks_every_monomial_when_an_unclaimed_generator_is_not_a_lead(
+        monkeypatch):
+    # without the relation h_1*hS_2 = a_12 f_1^2, or h_1^2 = f_1^3, that
+    # product is irreducible and unclaimed: the cover fails, so every degree
+    # lists and checks all its monomials, with the reference's verdicts
+    build = curves.special_curve_algebra
+    removed = []
+
+    def without_lead(data):
+        pres = build(data)
+        lead = tuple(removed.count(x) for x in pres.ring.names)
+        system = pres.system
+        pres.system = RelationSystem(
+            pres.ring, [r for r in system.relations if r.lead()[0] != lead],
+            system.claimed_basis, system.is_claimed_basis_monomial)
+        assert len(pres.system.relations) == len(system.relations) - 1
+        return pres
+
+    monkeypatch.setattr(curves, "special_curve_algebra", without_lead)
+    walks = []
+    monomials_up_to = PolyRing.monomials_up_to
+
+    def counted(self, bound):
+        walks.append(bound)
+        return monomials_up_to(self, bound)
+
+    monkeypatch.setattr(PolyRing, "monomials_up_to", counted)
+    rng = random.Random(20)
+    cases = [random_data(2, [1], rng, dens=1.0), random_data(3, [1], rng, dens=1.0),
+             SpecialCurveData(3, [1, 3]), random_data(4, [1, 3], rng, dens=1.0)]
+    for lead in (["h_1", "hS_2"], ["h_1", "h_1"]):
+        removed[:] = lead
+        for d in cases:
+            for bound in (6, 8):
+                del walks[:]
+                assert assert_verify_basis_matches_reference(d, bound).passed
+                # one walk in verify_basis, one in the reference
+                assert walks == [bound, bound], (lead, d, bound)
+        reasons = set()
+        for corrupt in _corruptions(rho_generator_images(cases[1])):
+            for bound in (6, 8):
+                rep = assert_verify_basis_matches_reference(cases[1], bound, corrupt)
+                reasons.add(rep.reason.split(": ")[1].split(" ")[0] if rep.reason else "")
+        assert reasons == {"", "claimed", "image", "reduction"}, lead
+
+
+def test_unclaimed_monomials_are_the_multiples_of_the_unclaimed_generators():
+    # the premise of verify_basis's cover: a monomial is unclaimed exactly
+    # when one of the presentation's unclaimed generators divides it
+    for n in range(1, 5):
+        for size in range(0, n + 1):
+            for S in itertools.combinations(range(1, n + 1), size):
+                pres = special_curve_algebra(SpecialCurveData(n, S))
+                gens = pres.unclaimed_generators
+                for e in pres.ring.monomials_up_to(8):
+                    divided = any(all(a <= b for a, b in zip(g, e)) for g in gens)
+                    assert divided != pres.system.is_claimed_basis_monomial(e), (n, S, e)
 
 
 def test_verify_basis_matches_reference_when_only_a_relation_above_the_bound_breaks():

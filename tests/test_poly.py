@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from curvealg.linalg import rat
+from curvealg.linalg import as_int, rat
 from curvealg.poly import BoundExceededError, PolyRing, RelationSystem, parse_poly
 from curvealg.curves import SpecialCurveData, special_curve_algebra
 from curvealg import genus_one
@@ -204,6 +204,41 @@ def test_irreducible_monomials_match_lead_divisibility():
         for e in rs.ring.monomials_up_to(8):
             assert rs.is_irreducible(e) == (
                 not any(_divides(lead_e, e) for lead_e, _, _ in rs.rules)), e
+
+
+def _rules_reference(rs):
+    """Each rule as (lead, lead coefficient, terms of lead_c*x^lead - r) and
+    its scaled tail, the tail computed by MultiPoly arithmetic."""
+    rules, scaled = [], []
+    for r in rs.relations:
+        lead_e, lead_c = r.lead()
+        tail = rs.ring.monomial(lead_e, lead_c) - r
+        rules.append((lead_e, lead_c, list(tail.terms.items())))
+        scaled.append(([(i, k) for i, k in enumerate(lead_e) if k],
+                       [(tuple(a - b for a, b in zip(t, lead_e)), as_int(c / lead_c))
+                        for t, c in tail.terms.items()]))
+    return rules, scaled
+
+
+def test_rules_match_the_arithmetic_reference():
+    # the tails, their term order and the scaled tails equal those of
+    # lead_c*x^lead - r on curve presentations (a has zero entries among
+    # them), chart systems and a system read from JSON whose leads are not
+    # written first
+    rng = random.Random(20)
+    curves = [_curve_data(n, list(S), rng) for n in range(1, 5) for size in range(n + 1)
+              for S in itertools.combinations(range(1, n + 1), size)]
+    assert any(len(d.a) < d.g * (d.n - d.g) for d in curves)
+    systems = [special_curve_algebra(d).system for d in curves]
+    systems += [genus_one.u1_relations(genus_one.U1Chart(2, rat(1, 2), 1, -1)),
+                genus_one.u1_relations(genus_one.U1Chart(0, 0, 0, 0))]
+    systems.append(RelationSystem.from_json({
+        "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 2}],
+        "relations": ["1/2*x - 3*x^2*y + y^3/3", "7 - 2*x^3 + x*y", "-y^2"]}))
+    for rs in systems:
+        rules, scaled = _rules_reference(rs)
+        assert [(e, c, list(t.terms.items())) for e, c, t in rs.rules] == rules
+        assert rs._scaled_tails == scaled
 
 
 def test_monomials_up_to_is_every_monomial_in_lexicographic_order():
