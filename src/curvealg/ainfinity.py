@@ -19,8 +19,10 @@ Every term is pushed from stored nonzero entries, not looked up on each
 tuple: b2 pairs the F-block entries whose values multiply to nonzero, the
 F-block sum (_add_block_sums) expands each key slot by slot, and each
 inner entry of the morphism equation goes into every gauge key that holds
-its radical value.  A push also reaches keys outside the normalized
-basis, so an arity keeps only its tuple_keys, in order.  One F-block sum
+its radical value, through hochschild._insert, the insertion that
+compose and so the structure residual push through too.  A push also
+reaches keys outside the normalized basis, so an arity keeps only its
+tuple_keys, in order (hochschild._on_tuples).  One F-block sum
 serves gauge_act, gauge_compose and gauge_inverse; the inverse is
 compose's arity step solved for its unknown h_r.  gauge_act solves the
 morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
@@ -57,8 +59,9 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import rank_of_columns, rat, solve, vec_addmul
-from .hochschild import (Cochain, compose as cochain_compose,
-                         differential_apply, reduced_complex)
+from .hochschild import (Cochain, _b2, _insert, _on_tuples,
+                         compose as cochain_compose, differential_apply,
+                         reduced_complex)
 from .poly import PolyRing
 
 
@@ -212,12 +215,6 @@ def _add_block_sums(acc, family, pre, r, top):
                 vec_addmul(acc.setdefault(T, {}), c, val)
 
 
-def _on_tuples(E, acc, s, t):
-    """The nonzero values of acc at tuple_keys(s, t), in that order; a
-    push also reaches keys outside the normalized basis, which drop."""
-    return {T: acc[T] for T in reduced_complex(E).tuple_keys(s, t) if acc.get(T)}
-
-
 def _compose_values(E, F, family, r):
     """F_r + sum_{p >= 2} family[p](F-blocks) on each tuple of arity r: the
     arity-r component of G o F for the gauge G with components family."""
@@ -281,29 +278,14 @@ def _act_arity(E, F, M, lower, r, ratio):
                     for U, cl in us:
                         vec_addmul(acc.setdefault(U + V, {}), c * cl * cr, prod)
     _add_block_sums(acc, M, pre, r, max(F, default=1))
-    # f_k(T[:i], m'_s(V), T[i+s:]) for an inner entry V = T[i:i+s] with a
-    # radical component z, inserted at each position i of an f_k key U
-    # with U[i] = z; the sign -(-1)^{|T[:i]|} is read off U[:i]
+    # f_k(T[:i], m'_s(V), T[i+s:]) for an inner entry V = T[i:i+s], fed
+    # to f_k at each radical slot i that holds a component of m'_s(V),
+    # with the sign -(-1)^{|T[:i]|}
     for k, fk in F.items():
         if k == r - 1:
-            inner = [((x, y), prod, ratio if deg[x] == 1 else -ratio)
-                     for x in radset for y, prod in products[x] if y in radset]
+            _insert(E, acc, _b2(E, E.int_table, radset), fk, 1, -ratio)
         elif r + 1 - k in lower:
-            inner = [(V, mid, 1) for V, mid in lower[r + 1 - k].items()]
-        else:
-            continue
-        at = {}
-        for U, fv in fk.items():
-            sgn = -1
-            for i, z in enumerate(U):
-                if z in radset:
-                    at.setdefault(z, []).append((U[:i], U[i + 1:], sgn, fv))
-                if deg[z] == 0:
-                    sgn = -sgn
-        for V, mid, c in inner:
-            for z, cz in mid.items():
-                for head, tail, sgn, fv in at.get(z, ()):
-                    vec_addmul(acc.setdefault(head + V + tail, {}), sgn * c * cz, fv)
+            _insert(E, acc, lower[r + 1 - k], fk, 1, -1)
     return _on_tuples(E, acc, r, 2 - r)
 
 

@@ -14,6 +14,13 @@ b2(x, y) = (-1)^{|x|} x y.  With this convention b2 o b2 = 0 is literally
 associativity, the differential is [b2, .], and all higher identities
 (delta^2 = 0, graded Jacobi) hold on the nose; the tests assert them.
 
+The brace insertion is written once, in _insert, as a push: each stored
+entry of the inner cochain goes into every key of the outer one that
+holds one of its radical components, with the Koszul sign of the slot's
+prefix, and only the output's tuple_keys stay (_on_tuples).  compose,
+and so gerstenhaber, differential_apply and the structure residual, run
+on it with any coefficients; the gauge action's feed step calls it too.
+
 The unnormalized complex serves as the cross-check oracle for cohomology
 dimensions.  It shares tuple enumeration, bases and ranks with the reduced
 complex, and differs in its element set (idempotents included) and in its
@@ -68,7 +75,7 @@ class Cochain:
     @classmethod
     def mul2(cls, E):
         """The suspended multiplication b2 (not a normalized cochain: it
-        acts on idempotents too, which compose() special-cases)."""
+        acts on idempotents too, and compose reads it from E.table)."""
         return cls(E, 2, 0, None, is_mul=True)
 
     def susdeg(self):
@@ -174,69 +181,76 @@ class Cochain:
         return "Cochain(s=%d, t=%d, %d entries)" % (self.s, self.t, len(self.values))
 
 
-def eval_b2(E, u, v):
-    """Suspended product of two E-vectors: sum (-1)^{|x|} x y."""
-    return E.mul({k: ck if E.deg[k] == 1 else -ck for k, ck in u.items()}, v)
+def _b2(E, table, elements):
+    """b2(x, y) = (-1)^{|x|} x y on the pairs of elements whose product in
+    table (E.table or E.int_table) is nonzero, as values keyed by (x, y)."""
+    return {(x, y): prod if E.deg[x] == 1 else {z: -c for z, c in prod.items()}
+            for (x, y), prod in table.items() if x in elements and y in elements}
+
+
+def _insert(E, acc, inner, outer, odd, c=1, into=None):
+    """The brace insertion, pushed from stored nonzero entries: for each
+    inner entry (V, v) and each outer key U with an element z = U[a] of
+    into (the radical unless given), acc[U[:a] + V + U[a+1:]] gains
+    c (-1)^{odd |U[:a]|} v_z outer[U], where |x| = deg x - 1.
+
+    An inner key V that is a vertex (arity 0) stands for the empty block
+    and goes only into slots whose vertex is V, the target of the element
+    before the slot or else the source of the one after it; an output of
+    arity 0 is keyed by V.  A push also reaches keys outside the
+    normalized basis, so callers keep only _on_tuples of acc."""
+    deg, src, tgt = E.deg, E.src, E.tgt
+    into = E.radical_set if into is None else into
+    at = {}  # z -> sign -> [(U[:a], U[a+1:], outer[U])]
+    for U, fv in outer.items():
+        sgn = c
+        for a, z in enumerate(U):
+            if z in into:
+                at.setdefault(z, {}).setdefault(sgn, []).append((U[:a], U[a + 1:], fv))
+            if odd and deg[z] == 0:
+                sgn = -sgn
+    for V, v in inner.items():
+        block = () if type(V) is int else V
+        for z, cz in v.items():
+            for sgn, slots in at.get(z, {}).items():
+                cs = sgn * cz
+                for head, tail, fv in slots:
+                    if block is not V and V != (tgt[head[-1]] if head else
+                                                src[tail[0]] if tail else V):
+                        continue
+                    # only an arity-0 output has an empty key, and it is V
+                    vec_addmul(acc.setdefault(head + block + tail or V, {}), cs, fv)
+
+
+def _on_tuples(E, acc, s, t):
+    """The nonzero values of acc at tuple_keys(s, t), in that order; a
+    push also reaches keys outside the normalized basis, which drop.  An
+    empty acc enumerates no tuples."""
+    if not acc:
+        return {}
+    return {T: acc[T] for T in reduced_complex(E).tuple_keys(s, t) if acc.get(T)}
 
 
 def compose(f, g):
-    """Brace insertion sum f o g with Koszul signs in suspended degrees.
+    """Brace insertion sum f o g with Koszul signs in suspended degrees,
+    pushed by _insert from the stored entries of g into the keys of f.
 
     Inserting into a normalized cochain projects the inserted value to the
     radical; inserting into b2 keeps the full value (that is what makes
-    [b2, .] the differential of the normalized complex).
+    [b2, .] the differential of the normalized complex).  b2 enters as its
+    nonzero products: every pair of E.table as the outer cochain, and the
+    radical pairs as the inner one.
     """
     E = f.E
-    p, q = f.s, g.s
-    r = p + q - 1
+    r = f.s + g.s - 1
     t = f.t + g.t
-    if p == 0 or r < 0:
+    if f.s == 0 or r < 0:
         return Cochain(E, max(r, 0), t)
-    cx = reduced_complex(E)
-    gsus = g.susdeg()
-    out = {}
-    for key in cx.tuple_keys(r, t):
-        T = key if r > 0 else ()
-        val = {}
-        for a in range(p):
-            # value of g on the block starting at slot a
-            if q == 0:
-                if r == 0:
-                    v = key
-                elif a == 0:
-                    v = E.src[T[0]]
-                else:
-                    v = E.tgt[T[a - 1]]
-                gv = g.value(v)
-            elif g.is_mul:
-                x, y = T[a], T[a + 1]
-                prod = E.table.get((x, y))
-                sx = _sign(E.deg[x] - 1)
-                gv = {k: sx * c for k, c in prod.items()} if prod else {}
-            else:
-                gv = g.value(T[a:a + q])
-            if not gv:
-                continue
-            presum = sum(E.deg[x] - 1 for x in T[:a])
-            sgn = _sign(gsus * presum)
-            rest = T[a + q:]
-            if f.is_mul:
-                if a == 0:
-                    term = eval_b2(E, gv, {rest[0]: ONE})
-                else:
-                    term = eval_b2(E, {T[0]: ONE}, gv)
-            else:
-                term = {}
-                for z, cz in gv.items():
-                    if z not in E.radical_set:
-                        continue
-                    fv = f.values.get(T[:a] + (z,) + rest)
-                    if fv:
-                        vec_addmul(term, cz, fv)
-            vec_addmul(val, sgn, term)
-        if val:
-            out[key] = val
-    return Cochain(E, r, t, out)
+    acc = {}
+    _insert(E, acc, _b2(E, E.table, E.radical_set) if g.is_mul else g.values,
+            _b2(E, E.table, range(E.dim)) if f.is_mul else f.values,
+            g.susdeg() % 2, into=range(E.dim) if f.is_mul else None)
+    return Cochain(E, r, t, _on_tuples(E, acc, r, t))
 
 
 def gerstenhaber(f, g):
@@ -247,7 +261,9 @@ def gerstenhaber(f, g):
 
 
 def differential_apply(phi):
-    """delta(phi) = [b2, phi]; used to cross-check the matrix path."""
+    """delta(phi) = [b2, phi] on the cochain itself.  extend_step checks
+    with it that the extension residual is a cocycle, and the tests check
+    it against the matrix columns of delta."""
     b2 = Cochain.mul2(phi.E)
     return gerstenhaber(b2, phi)
 

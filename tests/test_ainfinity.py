@@ -10,16 +10,18 @@ import pytest
 
 from curvealg import ainfinity
 from curvealg.linalg import ONE, Subspace, accum, kernel_basis, rank_of_columns, rat
+from curvealg.poly import MultiPoly
 from curvealg.quiver import SubspaceW, build_ew
 from curvealg.hochschild import (Cochain, HochschildComplex, _sign,
-                                 differential_apply, eval_b2, reduced_complex)
+                                 differential_apply, reduced_complex)
 from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 defect, emit_moduli_equations, equivalent,
                                 extend_step, extension_residual, gauge_act,
                                 gauge_compose, gauge_inverse, in_complement,
                                 is_flat, normalize, random_gauge,
                                 random_structure, tangent_dims)
-from test_hochschild import fraction_delta
+from test_hochschild import (assert_same_composition, eval_b2, fraction_delta,
+                             random_cochain)
 from test_linalg import (apply, assert_primitive_rows, canonical_complement, rref,
                          solve_reference, transpose)
 
@@ -375,17 +377,20 @@ def test_idempotent_components_are_dropped(E):
 
 def _with_junk_keys(E, base, rng, window=True):
     """`base` (a dict k -> Cochain) plus entries at radical keys that are
-    not composable and, if window, at composable keys whose degree sum
-    lies outside the cochain's window (those of tuple_keys(s, t -+ 2)).
-    Neither lies in the normalized basis, where a normalized cochain is
-    zero, so a path that builds terms from every stored entry reaches
-    them and must drop what it builds there."""
+    not composable (from arity 2 on) and, if window, at composable keys
+    whose degree sum lies outside the cochain's window (those of
+    tuple_keys(s, t -+ 2)).  Neither lies in the normalized basis, where a
+    normalized cochain is zero, so a path that builds terms from every
+    stored entry reaches them and must drop what it builds there.  At
+    arity 0 those keys are the vertices, whose values become one random
+    radical element, in general outside e_v E e_v."""
     cx = reduced_complex(E)
     out = {}
     for k, c in base.items():
         values = {key: dict(vec) for key, vec in c.values.items()}
         keys = []
-        while len(keys) < 10:
+        # every tuple of length 0 or 1 is composable
+        while c.s >= 2 and len(keys) < 10:
             key = tuple(rng.choice(E.radical) for _ in range(c.s))
             if any(E.tgt[a] != E.src[b] for a, b in zip(key, key[1:])):
                 keys.append(key)
@@ -446,6 +451,48 @@ def test_junk_keys_never_reach_the_output(E):
             # each key found after the one before: a subsequence, in order
             keys = iter(cx.tuple_keys(c.s, c.t))
             assert all(T in keys for T in c.values), (c.s, c.t)
+
+
+@pytest.mark.parametrize("E", [E11(), E21_nonintegral()], ids=["E11", "E21-nonintegral"])
+def test_compose_matches_the_pull_reference_on_junk_keys(E):
+    # the push builds terms from every stored entry, junk included, and
+    # keeps only tuple_keys; an arity-0 value goes only into slots of its
+    # vertex, as the pull reads it, even where it lies outside e_v E e_v
+    rng = random.Random(29)
+    shapes = {}
+    for s in range(5):
+        for t in range(-s, 2):
+            c = random_cochain(E, s, t, rng)
+            shapes[(s, t)] = _with_junk_keys(E, {s: c}, rng)[s]
+    assert any(E.src[z] != v or E.tgt[z] != v
+               for v, vec in shapes[(0, 0)].values.items() for z in vec)
+    cochains = [Cochain.mul2(E)] + list(shapes.values())
+    nonzero = 0
+    for f in cochains:
+        for g in cochains:
+            nonzero += not assert_same_composition(f, g).is_zero()
+    assert nonzero > 100
+
+
+def test_compose_matches_the_pull_reference_on_polynomial_values(monkeypatch):
+    # the unknown structure of emit_moduli_equations, whose values are
+    # polynomials in the coordinates u on the complements
+    E, N = E11(), 5
+    seen = []
+    real_defect = ainfinity.defect
+    monkeypatch.setattr(ainfinity, "defect", lambda m: seen.append(m) or real_defect(m))
+    emit_moduli_equations(E, N)
+    (m,) = seen
+    comps = {2: Cochain.mul2(E), **m.comps}
+    assert set(comps) == set(range(2, N + 1))
+    nonzero = 0
+    for mi in comps.values():
+        for mj in comps.values():
+            got = assert_same_composition(mi, mj)
+            nonzero += not got.is_zero()
+            assert all(isinstance(c, MultiPoly) for vec in got.values.values()
+                       for c in vec.values())
+    assert nonzero >= 10
 
 
 def test_gauge_mismatch_rejected():

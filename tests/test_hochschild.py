@@ -8,10 +8,10 @@ import random
 import pytest
 
 from curvealg import linalg
-from curvealg.linalg import ONE, accum, rank_of_columns, rat
+from curvealg.linalg import ONE, accum, rank_of_columns, rat, vec_addmul
 from curvealg.quiver import SubspaceW, build_ew
 from curvealg.hochschild import (Cochain, HochschildComplex, UnnormalizedComplex,
-                                 differential_apply, eval_b2, gerstenhaber,
+                                 _sign, compose, differential_apply, gerstenhaber,
                                  reduced_complex, unnormalized_complex,
                                  vanishing_scan)
 from test_linalg import apply
@@ -511,6 +511,11 @@ def test_accum_matches_reference_accumulation():
     assert list(got.items()) == [(5, rat(-2, 3)), (1, rat(7))]
 
 
+def eval_b2(E, u, v):
+    """Suspended product of two E-vectors: sum (-1)^{|x|} x y."""
+    return E.mul({k: ck if E.deg[k] == 1 else -ck for k, ck in u.items()}, v)
+
+
 def _eval_b2_reference(E, u, v):
     """eval_b2 as first written: its own signed triple loop over the table."""
     out = {}
@@ -539,6 +544,103 @@ def test_eval_b2_matches_reference_loop_exactly():
             got, want = eval_b2(E, u, v), _eval_b2_reference(E, u, v)
             assert list(got.items()) == list(want.items()), (u, v)
             assert all(type(c) is type(ONE) for c in got.values())
+
+
+def _compose_reference(f, g):
+    """compose as first written: for every key of tuple_keys(r, t) it
+    probes every insertion slot and pulls the values of g and f there.
+
+    Brace insertion sum f o g with Koszul signs in suspended degrees.
+
+    Inserting into a normalized cochain projects the inserted value to the
+    radical; inserting into b2 keeps the full value (that is what makes
+    [b2, .] the differential of the normalized complex).
+    """
+    E = f.E
+    p, q = f.s, g.s
+    r = p + q - 1
+    t = f.t + g.t
+    if p == 0 or r < 0:
+        return Cochain(E, max(r, 0), t)
+    cx = reduced_complex(E)
+    gsus = g.susdeg()
+    out = {}
+    for key in cx.tuple_keys(r, t):
+        T = key if r > 0 else ()
+        val = {}
+        for a in range(p):
+            # value of g on the block starting at slot a
+            if q == 0:
+                if r == 0:
+                    v = key
+                elif a == 0:
+                    v = E.src[T[0]]
+                else:
+                    v = E.tgt[T[a - 1]]
+                gv = g.value(v)
+            elif g.is_mul:
+                x, y = T[a], T[a + 1]
+                prod = E.table.get((x, y))
+                sx = _sign(E.deg[x] - 1)
+                gv = {k: sx * c for k, c in prod.items()} if prod else {}
+            else:
+                gv = g.value(T[a:a + q])
+            if not gv:
+                continue
+            presum = sum(E.deg[x] - 1 for x in T[:a])
+            sgn = _sign(gsus * presum)
+            rest = T[a + q:]
+            if f.is_mul:
+                if a == 0:
+                    term = eval_b2(E, gv, {rest[0]: ONE})
+                else:
+                    term = eval_b2(E, {T[0]: ONE}, gv)
+            else:
+                term = {}
+                for z, cz in gv.items():
+                    if z not in E.radical_set:
+                        continue
+                    fv = f.values.get(T[:a] + (z,) + rest)
+                    if fv:
+                        vec_addmul(term, cz, fv)
+            vec_addmul(val, sgn, term)
+        if val:
+            out[key] = val
+    return Cochain(E, r, t, out)
+
+
+def assert_same_composition(f, g):
+    """compose(f, g) equals the pull reference: the same keys in the same
+    (tuple_keys) order, the same values and the same value types."""
+    got, want = compose(f, g), _compose_reference(f, g)
+    assert (got.s, got.t) == (want.s, want.t)
+    assert list(got.values) == list(want.values), (f, g)
+    assert got == want, (f, g)
+    assert all(type(c) is type(want.values[key][z])
+               for key, vec in got.values.items() for z, c in vec.items())
+    return got
+
+
+@pytest.mark.parametrize("w", [SubspaceW.zero(1), SubspaceW(2, [["1/2", "-2/3"]]),
+                               SubspaceW(3, [[1, 2, -1], [0, 1, 1]])],
+                         ids=["E11", "E21-nonintegral", "E31"])
+def test_compose_matches_the_pull_reference_on_every_shape_pair(w):
+    # every (s, t) with s <= 4 whose window holds a value, and b2 on either
+    # side, b2 o b2 included; arity-0 cochains hold idempotent values too
+    E = build_ew(w)
+    rng = random.Random(41)
+    b2 = Cochain.mul2(E)
+    shapes = [b2] + [random_cochain(E, s, t, rng) for s in range(5)
+                     for t in range(-s, 2)]
+    seen = set()
+    for f in shapes:
+        for g in shapes:
+            got = assert_same_composition(f, g)
+            if not got.is_zero():
+                seen.add((f.is_mul, g.is_mul, f.s if g.s == 0 else None, got.s))
+    assert {(True, False, None, 4), (False, True, None, 4),
+            (True, False, 2, 1), (False, False, 1, 0)} <= seen
+    assert compose(b2, b2).is_zero() and _compose_reference(b2, b2).is_zero()
 
 
 def test_delta_columns_match_reference_exactly():
