@@ -40,14 +40,18 @@ Within one (s, t) cell the codes sort exactly as the basis positions do,
 so a term's row is found by arithmetic on its column's code, and a rank
 never enumerates the target basis C^{s+1}.  echelon(s, t) turns codes into
 positions once, through positions().
+
+A rank sweep streams its cells: _walk yields a cell's argument keys
+depth-first with their codes, delta_columns reads its columns straight from
+the walk, and dim counts a cell without walking it.  So cell, dim,
+delta_rank and delta_columns keep no basis, tuple list or index; a complex
+caches ranks, pivot sets and echelons.  basis, tuple_keys and index are
+built only on request, by the cochain and gauge layer, and then kept.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .linalg import (ONE, Echelon, accum, rank_of_columns, rat, rat_str,
-                     vec_addmul)
+from .linalg import Echelon, accum, rank_of_columns, rat, rat_str, vec_addmul
 
 
 def _sign(k):
@@ -104,32 +108,6 @@ class Cochain:
         return (isinstance(other, Cochain) and self.s == other.s
                 and self.t == other.t and self.is_mul == other.is_mul
                 and self.values == other.values)
-
-    def value(self, key):
-        return self.values.get(key, {})
-
-    def eval_multilinear(self, args):
-        """Value on a tuple of E-vectors, expanding over radical components
-        only (the normalized extension drops idempotent parts)."""
-        E = self.E
-        radset = E.radical_set
-        choices = []
-        for a in args:
-            items = [(k, c) for k, c in a.items() if k in radset]
-            if not items:
-                return {}
-            choices.append(items)
-        out = {}
-        for pick in itertools.product(*choices):
-            key = tuple(k for k, _ in pick)
-            val = self.values.get(key)
-            if not val:
-                continue
-            c = ONE
-            for _, ci in pick:
-                c = c * ci
-            vec_addmul(out, c, val)
-        return out
 
     def to_json(self):
         E = self.E
@@ -276,7 +254,10 @@ def differential_apply(phi):
 # perfbench/spans.py traces basis and tuple_keys through vars(HochschildComplex).
 class HochschildComplex:
     """Cochain bases, the columns of delta, and cohomology dimensions for
-    the normalized (radical-tuple) complex of one algebra."""
+    the normalized (radical-tuple) complex of one algebra.  It caches the
+    ranks of delta, the pivot rows of the last s swept at each t and the
+    echelons; a basis, tuple list or index is built only when basis,
+    tuple_keys or index asks for it, never by a rank sweep."""
 
     def __init__(self, E):
         self.E = E
@@ -287,80 +268,101 @@ class HochschildComplex:
         self._pivots = {}  # t -> (last s swept, pivot rows of delta^s)
         self._echelon = {}
         self._fact = None
+        # what may follow a vertex (None: anything), ascending
+        self._after = after = {None: sorted(self.elements())}
+        for x in after[None]:
+            after.setdefault(E.src[x], []).append(x)
 
     # -- tuple and basis enumeration ----------------------------------------
 
     def elements(self):
         return self.E.radical
 
+    def _walk(self, s, t):
+        """The (s, t) argument keys in lexicographic order, each as (key,
+        its code, the hom basis its values range over).  The keys are the
+        composable s-tuples of elements() whose degree sum d allows a value
+        of degree t + d in {0, 1}, with the values running from the first
+        source to the last target; at arity 0 they are the vertices.
+
+        A depth-first walk on an explicit stack: each path carries its key,
+        code and degree sum, and grows only while degrees 0 and 1 can still
+        bring its sum into [-t, 1 - t].  The choices for the next slot are
+        found once per (last target, degree sum, room) of the path, and for
+        the last slot, with their hom bases, once per (first source, last
+        target, degree sum)."""
+        E = self.E
+        hom = E.hom_basis
+        if s == 0:
+            for v in range(E.n + 1):
+                yield v, v, hom(v, v, t)
+            return
+        deg, src, tgt, B = E.deg, E.src, E.tgt, E.dim
+        after = self._after
+        stack = [((), 0, 0, None)]  # paths to grow, the least on top
+        grow = {}  # (v, d, room) -> [(x, d + deg x, tgt x)], descending
+        last = {}  # (first source, v, d) -> [(x, hom basis)] for the last slot
+        while stack:
+            T, c, d, v = stack.pop()
+            room = s - 1 - len(T)  # slots after the next one
+            if room:
+                kids = grow.get((v, d, room))
+                if kids is None:
+                    kids = grow[(v, d, room)] = [
+                        (x, d + deg[x], tgt[x]) for x in reversed(after.get(v, ()))
+                        if -t - room <= d + deg[x] <= 1 - t]
+                stack += [(T + (x,), c * B + x, e, w) for x, e, w in kids]
+                continue
+            u = src[T[0]] if T else None
+            kids = last.get((u, v, d))
+            if kids is None:
+                kids = last[(u, v, d)] = [
+                    (x, hom(src[x] if u is None else u, tgt[x], t + d + deg[x]))
+                    for x in after.get(v, ()) if -t <= d + deg[x] <= 1 - t]
+            for x, ws in kids:
+                yield T + (x,), c * B + x, ws
+
+    def _keep(self, s, t):
+        """Walk the (s, t) cell once for both tuple_keys and basis."""
+        walk = list(self._walk(s, t))
+        self._tuples[(s, t)] = [key for key, _, _ in walk]
+        self._basis[(s, t)] = [(key, w) for key, _, ws in walk for w in ws]
+
     def tuple_keys(self, s, t):
         """Composable argument keys whose total degree allows a value of
-        degree 0 or 1 at internal degree t."""
-        if s == 0:
-            return list(range(self.E.n + 1))
-        return self._tuples_with_degrees(s, t)[0]
-
-    def _tuples_with_degrees(self, s, t):
-        """(tuple_keys(s, t), their degree sums), enumerated once per window."""
-        dlo = max(-t, 0)
-        dhi = min(-t + 1, s)
-        if dlo > dhi:
-            return [], []
-        key = (s, dlo, dhi)
-        got = self._tuples.get(key)
-        if got is None:
-            got = self._enumerate(s, dlo, dhi)
-            self._tuples[key] = got
-        return got
-
-    def _enumerate(self, s, dlo, dhi):
-        """Composable s-tuples of elements() with degree sum in [dlo, dhi],
-        in lexicographic order, and their degree sums."""
-        E = self.E
-        deg, tgt = E.deg, E.tgt
-        after = {None: sorted(self.elements())}  # what may follow a vertex
-        for x in after[None]:
-            after.setdefault(E.src[x], []).append(x)
-        # extending each tuple of a sorted level in ascending order keeps
-        # the next level sorted; degrees are 0 or 1, so a tuple with room
-        # slots left can still gain up to room
-        level = [((), None, 0)]
-        for room in range(s - 1, -1, -1):
-            level = [(T + (x,), tgt[x], d + deg[x])
-                     for T, v, d in level for x in after.get(v, ())
-                     if dlo - room <= d + deg[x] <= dhi]
-        return [T for T, _, _ in level], [d for _, _, d in level]
+        degree 0 or 1 at internal degree t (the vertices at arity 0),
+        built on first use."""
+        if (s, t) not in self._tuples:
+            self._keep(s, t)
+        return self._tuples[(s, t)]
 
     def basis(self, s, t):
         """Ordered cochain basis: (argument key, target basis index),
-        lexicographic in the tuple then in the target."""
-        key = (s, t)
-        got = self._basis.get(key)
-        if got is not None:
-            return got
-        E = self.E
-        out = []
-        if s == 0:
-            for v in range(E.n + 1):
-                for w in E.hom_basis(v, v, t):
-                    out.append((v, w))
-        else:
-            src, tgt = E.src, E.tgt
-            targets = {}  # (source, target, degree sum) -> hom_basis
-            for T, d in zip(*self._tuples_with_degrees(s, t)):
-                hom = (src[T[0]], tgt[T[-1]], d)
-                ws = targets.get(hom)
-                if ws is None:
-                    ws = targets[hom] = E.hom_basis(hom[0], hom[1], t + d)
-                for w in ws:
-                    out.append((T, w))
-        self._basis[key] = out
-        return out
+        lexicographic in the tuple then in the target, built on first use."""
+        if (s, t) not in self._basis:
+            self._keep(s, t)
+        return self._basis[(s, t)]
 
     def dim(self, s, t):
+        """len(basis(s, t)), counted without enumerating the cell: a
+        dynamic program counts the composable s-tuples by (first source,
+        last target, degree sum), and each count is weighted by the size
+        of its hom basis."""
         if s < 0:
             return 0
-        return len(self.basis(s, t))
+        E = self.E
+        deg, tgt = E.deg, E.tgt
+        count = {(v, v, 0): 1 for v in range(E.n + 1)}
+        for room in range(s - 1, -1, -1):
+            grown = {}
+            for (u, v, d), c in count.items():
+                for x in self._after.get(v, ()):
+                    e = d + deg[x]
+                    if -t - room <= e <= 1 - t:
+                        key = (u, tgt[x], e)
+                        grown[key] = grown.get(key, 0) + c
+            count = grown
+        return sum(c * len(E.hom_basis(u, v, t + d)) for (u, v, d), c in count.items())
 
     def index(self, s, t):
         """(argument key, target) -> position in basis(s, t), built on
@@ -444,27 +446,28 @@ class HochschildComplex:
             slots.append((plus, {z: [(r, -cf) for r, cf in xs]
                                  for z, xs in plus.items()}))
         cols = []
-        for key, w in self.basis(s, t):
-            code = self.code(s, key, w)
-            if code in skip:
-                continue
-            T, ct = (key, code // B) if s else ((), 0)
-            col = {}
-            at = ct * B * B
-            for r, c in right[w]:
-                accum(col, at + r, c)
-            at = ct * B
-            for r, c in left[w]:
-                accum(col, at + r, c)
-            parity = sus + 1
-            for a in range(s):
-                # the a head digits move up one place; the tail and w stay
-                head, low = divmod(code, power[s - a + 1])
-                at = head * power[s - a + 2] + low % power[s - a]
-                for r, cf in slots[a][parity % 2].get(T[a], ()):
-                    accum(col, at + r, cf)
-                parity += deg[T[a]] - 1
-            cols.append(col)
+        for key, ck, ws in self._walk(s, t):
+            T, ct = (key, ck) if s else ((), 0)
+            for w in ws:
+                code = ck * B + w
+                if code in skip:
+                    continue
+                col = {}
+                at = ct * B * B
+                for r, c in right[w]:
+                    accum(col, at + r, c)
+                at = ct * B
+                for r, c in left[w]:
+                    accum(col, at + r, c)
+                parity = sus + 1
+                for a in range(s):
+                    # the a head digits move up one place; the tail and w stay
+                    head, low = divmod(code, power[s - a + 1])
+                    at = head * power[s - a + 2] + low % power[s - a]
+                    for r, cf in slots[a][parity % 2].get(T[a], ()):
+                        accum(col, at + r, cf)
+                    parity += deg[T[a]] - 1
+                cols.append(col)
         return cols
 
     def echelon(self, s, t):
@@ -504,7 +507,8 @@ class HochschildComplex:
         would pick on positions: every rank and cleared set is that of the
         basis-indexed matrix.  Ranks are cached; the pivot set is kept
         only for the last s swept at each t, and every lower s has its
-        rank cached, so any order of calls gives the same sweeps.
+        rank cached, so any order of calls gives the same sweeps.  A sweep
+        walks each (r, t) cell once, in delta_columns, and caches no basis.
         """
         if s < 0:
             return 0
@@ -651,27 +655,28 @@ class UnnormalizedComplex(HochschildComplex):
                   for z, xs in self.factorizations().items()}
                  for a in range(s)]
         cols = []
-        for key, w in self.basis(s, t):
-            code = self.code(s, key, w)
-            if code in skip:
-                continue
-            T, ct = (key, code // B) if s else ((), 0)
-            col = {}
-            # a_1 . f(a_2 ... a_{s+1})
-            at = ct * B
-            for r, c in left[w]:
-                accum(col, at + r, c)
-            # contractions
-            for a in range(s):
-                head, low = divmod(code, power[s - a + 1])
-                at = head * power[s - a + 2] + low % power[s - a]
-                for r, cf in slots[a].get(T[a], ()):
-                    accum(col, at + r, cf)
-            # f(a_1 ... a_s) . a_{s+1}
-            at = ct * B * B
-            for r, c in right[w]:
-                accum(col, at + r, c)
-            cols.append(col)
+        for key, ck, ws in self._walk(s, t):
+            T, ct = (key, ck) if s else ((), 0)
+            for w in ws:
+                code = ck * B + w
+                if code in skip:
+                    continue
+                col = {}
+                # a_1 . f(a_2 ... a_{s+1})
+                at = ct * B
+                for r, c in left[w]:
+                    accum(col, at + r, c)
+                # contractions
+                for a in range(s):
+                    head, low = divmod(code, power[s - a + 1])
+                    at = head * power[s - a + 2] + low % power[s - a]
+                    for r, cf in slots[a].get(T[a], ()):
+                        accum(col, at + r, cf)
+                # f(a_1 ... a_s) . a_{s+1}
+                at = ct * B * B
+                for r, c in right[w]:
+                    accum(col, at + r, c)
+                cols.append(col)
         return cols
 
 

@@ -135,11 +135,6 @@ def test_criterion_03_reduced_vs_unreduced():
                 b = ucx.hh_dim(i, t)
                 assert a == b, (key, i, t, a, b)
                 cells += 1
-        # the high-arity caches of the (2,2) case are hundreds of MB
-        if key == "22":
-            cx._tuples.clear()
-            cx._basis.clear()
-            cx._index.clear()
     print("\n[PASS] criterion 3: reduced == unnormalized HH dims on %d cells "
           "over %d algebras" % (cells, len(cases)))
 

@@ -20,8 +20,8 @@ from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 gauge_compose, gauge_inverse, in_complement,
                                 is_flat, normalize, random_gauge,
                                 random_structure, tangent_dims)
-from test_hochschild import (assert_same_composition, eval_b2, fraction_delta,
-                             random_cochain)
+from test_hochschild import (assert_same_composition, eval_b2, eval_multilinear,
+                             fraction_delta, random_cochain)
 from test_linalg import (apply, assert_primitive_rows, canonical_complement, rref,
                          solve_reference, transpose)
 
@@ -151,7 +151,7 @@ def _gauge_inverse_reference(f):
                     ys, _ = _reference_layer(f, T, parts)
                     if ys is None:
                         continue
-                    for k, c in hp.eval_multilinear(ys).items():
+                    for k, c in eval_multilinear(hp, ys).items():
                         accum(val, k, -c)
             if val:
                 values[T] = val
@@ -178,7 +178,7 @@ def _gauge_compose_reference(f, g):
                         ys, _ = _reference_layer(f, T, parts)
                         if ys is None:
                             continue
-                        term = g.component(p).eval_multilinear(ys)
+                        term = eval_multilinear(g.component(p), ys)
                     for k, c in (term or {}).items():
                         accum(val, k, c)
             if val:
@@ -212,15 +212,15 @@ def _gauge_act_reference(f, m):
                             if q == 2:
                                 mid = eval_b2(E, ys[a], ys[a + 1])
                             else:
-                                mid = m.comps[q].eval_multilinear(ys[a:a + q])
+                                mid = eval_multilinear(m.comps[q], ys[a:a + q])
                             if not mid:
                                 continue
                             outer = p - q + 1
                             if outer == 1:
                                 term = mid
                             elif outer in h.comps:
-                                term = h.comps[outer].eval_multilinear(
-                                    ys[:a] + [mid] + ys[a + q:])
+                                term = eval_multilinear(
+                                    h.comps[outer], ys[:a] + [mid] + ys[a + q:])
                             else:
                                 continue
                             sgn = _sign(sum(ydegs[:a]))

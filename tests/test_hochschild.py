@@ -88,6 +88,41 @@ def test_cochain_dimension_by_direct_enumeration():
                     assert cx.basis(s, t) == want, (type(cx).__name__, s, t)
 
 
+def _seeded_line(seed):
+    """A seeded line in Q^2 with both coordinates nonzero and non-integral."""
+    rng = random.Random(seed)
+    return SubspaceW(2, [[rat(rng.choice((1, -1, 5, -5)), rng.choice((2, 3)))
+                          for _ in range(2)]])
+
+
+def test_dim_counts_the_basis_on_every_cell():
+    # dim counts tuples by (source, target, degree sum) without walking
+    # them; each basis is built on a fresh complex, so none is kept
+    for w in (SubspaceW.zero(1), _seeded_line(17), SubspaceW.zero(2)):
+        E = build_ew(w)
+        for cls in (HochschildComplex, UnnormalizedComplex):
+            cx = cls(E)
+            for s in range(9):
+                for t in range(-6, 2):
+                    assert cx.dim(s, t) == len(cls(E).basis(s, t)), (cls.__name__, s, t)
+            assert not cx._basis and not cx._tuples, cls.__name__
+        assert reduced_complex(E).dim(-1, 0) == 0
+
+
+def test_delta_columns_do_not_depend_on_a_cached_basis():
+    rng = random.Random(19)
+    for w in (SubspaceW.zero(1), _seeded_line(17), SubspaceW.zero(2)):
+        E = build_ew(w)
+        for cls in (HochschildComplex, UnnormalizedComplex):
+            for s in range(5):
+                for t in range(-s - 1, 2):
+                    cached = cls(E)
+                    codes = [cached.code(s, key, v) for key, v in cached.basis(s, t)]
+                    for skip in ((), {c for c in codes if rng.random() < 0.5}):
+                        assert cls(E).delta_columns(s, t, skip) == \
+                            cached.delta_columns(s, t, skip), (cls.__name__, s, t)
+
+
 def test_low_t_cochains_empty():
     E = E11()
     for s in range(0, 4):
@@ -516,6 +551,31 @@ def eval_b2(E, u, v):
     return E.mul({k: ck if E.deg[k] == 1 else -ck for k, ck in u.items()}, v)
 
 
+def eval_multilinear(phi, args):
+    """Value of the cochain phi on a tuple of E-vectors, expanding over
+    radical components only (the normalized extension drops idempotent
+    parts)."""
+    E = phi.E
+    radset = E.radical_set
+    choices = []
+    for a in args:
+        items = [(k, c) for k, c in a.items() if k in radset]
+        if not items:
+            return {}
+        choices.append(items)
+    out = {}
+    for pick in itertools.product(*choices):
+        key = tuple(k for k, _ in pick)
+        val = phi.values.get(key)
+        if not val:
+            continue
+        c = ONE
+        for _, ci in pick:
+            c = c * ci
+        vec_addmul(out, c, val)
+    return out
+
+
 def _eval_b2_reference(E, u, v):
     """eval_b2 as first written: its own signed triple loop over the table."""
     out = {}
@@ -544,6 +604,11 @@ def test_eval_b2_matches_reference_loop_exactly():
             got, want = eval_b2(E, u, v), _eval_b2_reference(E, u, v)
             assert list(got.items()) == list(want.items()), (u, v)
             assert all(type(c) is type(ONE) for c in got.values())
+
+
+def value(phi, key):
+    """The value of the cochain phi at key, {} where it has none."""
+    return phi.values.get(key, {})
 
 
 def _compose_reference(f, g):
@@ -577,14 +642,14 @@ def _compose_reference(f, g):
                     v = E.src[T[0]]
                 else:
                     v = E.tgt[T[a - 1]]
-                gv = g.value(v)
+                gv = value(g, v)
             elif g.is_mul:
                 x, y = T[a], T[a + 1]
                 prod = E.table.get((x, y))
                 sx = _sign(E.deg[x] - 1)
                 gv = {k: sx * c for k, c in prod.items()} if prod else {}
             else:
-                gv = g.value(T[a:a + q])
+                gv = value(g, T[a:a + q])
             if not gv:
                 continue
             presum = sum(E.deg[x] - 1 for x in T[:a])
@@ -762,18 +827,30 @@ def test_empty_cell_sweeps_no_rank():
         assert cx._rank == {} and cx._pivots == {}, cls.__name__
 
 
-def test_hh_sweep_never_enumerates_its_target():
+def test_hh_sweep_never_enumerates_its_target(monkeypatch):
     # an i <= 3 table reads delta^{3-t} at each t, whose rows lie in the
-    # (4 - t, t) cell; the rows are codes, so that cell is never built
+    # (4 - t, t) cell; the rows are codes, so that cell is never walked,
+    # and the sweep streams its columns, caching no basis, tuple or index
+    walked = []
+    walk = HochschildComplex._walk
+
+    def spy(cx, s, t):
+        walked.append((type(cx), s, t))
+        return walk(cx, s, t)
+
+    monkeypatch.setattr(HochschildComplex, "_walk", spy)
     E = build_ew(SubspaceW(2, [["1/2", "-2/3"]]))
     for cls in (HochschildComplex, UnnormalizedComplex):
         cx = cls(E)
         for t in range(-3, 1):
             for i in range(4):
                 cx.hh_dim(i, t)
-        assert all((3 - t, t) in cx._basis for t in range(-3, 1)), cls.__name__
-        assert not any((4 - t, t) in cx._basis for t in range(-3, 1)), cls.__name__
-        assert not cx._index, cls.__name__
+        cells = {(s, t) for c, s, t in walked if c is cls}
+        # an empty cell sweeps no rank; dim counts without walking
+        live = [t for t in range(-3, 1) if cx.dim(3 - t, t)]
+        assert len(live) >= 3 and all((3 - t, t) in cells for t in live), cls.__name__
+        assert not any((4 - t, t) in cells for t in range(-3, 1)), cls.__name__
+        assert not cx._basis and not cx._tuples and not cx._index, cls.__name__
 
 
 def test_integer_delta_is_denominator_times_fraction_delta():
