@@ -360,10 +360,10 @@ def complement_data(E, k):
     delta = delta^1: C^{k-1} -> C^k: the complex's Echelon of delta.
 
     Its `rows` map each pivot index q of the RREF basis of im(delta) to
-    (R_q, X_q) with R_q = delta(X_q), and `split(v)` returns (kappa, x)
-    with v = kappa + delta(x).  K_{2-k}, the pivot-rule complement of
-    im(delta), is spanned by the standard vectors off `rows` and holds
-    kappa."""
+    the ints (r, x, d), and `row(q)` gives (R_q, X_q) = (r/d, x/d) with
+    R_q = delta(X_q); `split(v)` returns (kappa, x) with
+    v = kappa + delta(x).  K_{2-k}, the pivot-rule complement of im(delta),
+    is spanned by the standard vectors off `rows` and holds kappa."""
     return reduced_complex(E).echelon(k - 1, 2 - k)
 
 
@@ -570,7 +570,7 @@ def emit_moduli_equations(E, N):
 # random data for property suites
 
 
-def random_gauge(E, N, rng, density=0.5, max_num=3):
+def random_gauge(E, N, rng, density=0.5):
     """Seeded random gauge transform with small rational entries."""
     cx = reduced_complex(E)
     comps = {}
@@ -579,7 +579,7 @@ def random_gauge(E, N, rng, density=0.5, max_num=3):
         values = {}
         for key, w in cx.basis(k, t):
             if rng.random() < density:
-                num = rng.randint(-max_num, max_num)
+                num = rng.randint(-3, 3)
                 if not num:
                     continue
                 den = rng.choice([1, 1, 2])
@@ -589,8 +589,8 @@ def random_gauge(E, N, rng, density=0.5, max_num=3):
     return GaugeTransform(E, N, comps)
 
 
-def random_structure(E, N, rng, density=0.5, max_num=3):
+def random_structure(E, N, rng, density=0.5):
     """Random defect-free structure: a random gauge acting on the trivial
     structure."""
-    return gauge_act(random_gauge(E, N, rng, density, max_num),
+    return gauge_act(random_gauge(E, N, rng, density),
                      AnStructure.trivial(E, N))

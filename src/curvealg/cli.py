@@ -17,7 +17,7 @@ import time
 from functools import partial
 
 from . import __version__
-from .linalg import ONE, Echelon, rat, rat_str
+from .linalg import ONE, rat, rat_str
 from .quiver import SubspaceW, build_ew
 from .hochschild import reduced_complex, vanishing_scan
 from . import ainfinity as ainf
@@ -63,17 +63,13 @@ def _subspace(args):
                          % (n, args.g))
     if args.w is not None:
         rows = _parse_rows(args.w, "--w")
-        for i, row in enumerate(rows, 1):
-            if len(row) != n:
-                raise ValueError("--w row %d has %d entries, expected n=%d"
-                                 % (i, len(row), n))
-        if len(Echelon({j: c for j, c in enumerate(row) if c} for row in rows)) \
-                != len(rows):
-            raise ValueError("--w rows are not linearly independent")
+        try:
+            w = SubspaceW(n, rows)
+        except ValueError as exc:
+            raise ValueError("--w %s" % exc) from None
     else:
         g = args.g if args.g is not None else 0
-        rows = [[1 if j == i else 0 for j in range(n)] for i in range(n - g)]
-    w = SubspaceW(n, rows)
+        w = SubspaceW(n, [[1 if j == i else 0 for j in range(n)] for i in range(n - g)])
     if args.g is not None and w.g != args.g:
         raise ValueError("W has corank %d, not g=%d" % (w.g, args.g))
     return w

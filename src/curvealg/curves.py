@@ -116,9 +116,6 @@ class CurveAlgebraPresentation:
         order_w = [ORDER_W_HS] * len(comp) + [ORDER_W_F] * len(S) + [ORDER_W_H] * len(S)
         ring = PolyRing(names, weights, order_w)
         self.ring = ring
-        self.hs = {j: ring.var("hS_%d" % j) for j in comp}
-        self.f = {i: ring.var("f_%d" % i) for i in S}
-        self.h = {i: ring.var("h_%d" % i) for i in S}
 
         # variable positions, and the exponent tuple of a product of them
         nhs, ns = len(comp), len(S)
@@ -262,10 +259,8 @@ def rho_monomial(pres, exps, images=None):
     return out
 
 
-def rho_embed(pres, p, degree_bound=None, images=None):
+def rho_embed(pres, p, images=None):
     """rho of a polynomial in the presentation's generators."""
-    if degree_bound is not None and p.wdeg() > degree_bound:
-        raise ValueError("degree above bound")
     out = {}
     for exps, c in p.terms.items():
         vec_addmul(out, c, rho_monomial(pres, exps, images))
@@ -531,7 +526,7 @@ def glue(left, q_left, right, q_right):
     off = len(left.basis)
     branches = left.branches + right.branches
     glued = []
-    for v in ker.basis:
+    for v in ker:
         bp = {}
         for idx, c in v.items():
             if idx < off:

@@ -15,12 +15,14 @@ exactly zero.
 
 from __future__ import annotations
 
+from .curves import ORDER_W_F, ORDER_W_H, ORDER_W_HS
 from .linalg import rat, rat_str
 from .poly import PolyRing, RelationSystem
 
 GEN_NAMES = ("h12", "f1", "h1")
 GEN_WEIGHTS = (1, 2, 3)
-GEN_ORDER_W = (20, 36, 55)
+# the special curves' monomial order on h12, f1, h1, which play hS_2, f_1, h_1
+GEN_ORDER_W = (ORDER_W_HS, ORDER_W_F, ORDER_W_H)
 
 
 class U1Chart:

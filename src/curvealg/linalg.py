@@ -193,8 +193,8 @@ def _primitive(r, x, q):
 
 
 def kernel_basis(columns):
-    """Basis of the null space of the matrix with these sparse columns, as
-    a Subspace of Q^len(columns) of dimension len(columns) - rank.
+    """Basis of the null space of the matrix with these sparse columns: a
+    list of len(columns) - rank sparse vectors in Q^len(columns).
 
     One basis vector e_j - x per column j that the columns before it span,
     with x its coordinates on the pivot columns, in increasing column
@@ -208,7 +208,7 @@ def kernel_basis(columns):
         k, x, S = ech.reduce(col)
         if not ech._adjoin(k, x, S):
             basis.append({j: ONE} | {p: Fraction(-x[p], S) for p in sorted(x)})
-    return Subspace(len(columns), basis)
+    return basis
 
 
 def solve(echelon, b):
@@ -220,28 +220,6 @@ def solve(echelon, b):
     if kappa:
         return None
     return {j: x[j] for j in sorted(x)}
-
-
-class Subspace:
-    """A subspace of Q^n given by an independent list of sparse vectors."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim, basis):
-        self.ambient_dim = ambient_dim
-        self.basis = list(basis)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def contains(self, v):
-        return Echelon(self.basis).contains(v)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.dim == other.dim
-                and len(Echelon(self.basis + other.basis)) == self.dim)
 
 
 # ---------------------------------------------------------------------------

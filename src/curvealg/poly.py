@@ -230,6 +230,12 @@ class MultiPoly:
 class RelationSystem:
     """Rewrite system: relations in a PolyRing, each used as lead -> tail.
 
+    Each rule is kept once in `rules`, as (lead, lead_c, support, tail):
+    the lead's exponents and coefficient, the lead's support as the
+    (index, exponent) pairs where it is nonzero, and the tail of
+    lead_c*x^lead - r, in the order of r's terms, as [(t - lead,
+    c_t / lead_c)], an int where integral.
+
     claimed_basis is a human-readable description of the expected irreducible
     monomials; is_claimed_basis_monomial, when given, is the matching
     predicate on exponent tuples.
@@ -245,23 +251,16 @@ class RelationSystem:
             if not r:
                 raise ValueError("zero relation")
             lead_e, lead_c = r.lead()
-            # lead_c*x^lead - r, in the order of r's terms
-            tail = MultiPoly(self.ring, {e: -c for e, c in r.terms.items() if e != lead_e})
-            self.rules.append((lead_e, lead_c, tail))
-        # each rule as its lead's support, the (index, exponent) pairs where
-        # the lead is nonzero, with the tail as [(t - lead, c_t / lead_c)],
-        # an int where integral; and the memo of N(e)
-        self._scaled_tails = [
-            ([(i, k) for i, k in enumerate(lead_e) if k],
-             [(tuple(a - b for a, b in zip(t, lead_e)), as_int(c / lead_c))
-              for t, c in tail.terms.items()])
-            for lead_e, lead_c, tail in self.rules]
+            self.rules.append((
+                lead_e, lead_c, [(i, k) for i, k in enumerate(lead_e) if k],
+                [(tuple(a - b for a, b in zip(t, lead_e)), as_int(-c / lead_c))
+                 for t, c in r.terms.items() if t != lead_e]))
         self._normal_forms = {}
 
     def _first_rule(self, e):
-        """The scaled tail of the first rule whose lead divides e, matched on
-        the lead's support; None if e is irreducible."""
-        for support, tail in self._scaled_tails:
+        """The tail of the first rule whose lead divides e, matched on the
+        lead's support; None if e is irreducible."""
+        for _, _, support, tail in self.rules:
             for i, k in support:
                 if e[i] < k:
                     break
@@ -322,8 +321,8 @@ class RelationSystem:
         return hit
 
     def spoly(self, i, j):
-        e1, c1, _ = self.rules[i]
-        e2, c2, _ = self.rules[j]
+        e1, c1, _, _ = self.rules[i]
+        e2, c2, _, _ = self.rules[j]
         lcm = tuple(max(a, b) for a, b in zip(e1, e2))
         m1 = self.ring.monomial(tuple(a - b for a, b in zip(lcm, e1)), ONE / c1)
         m2 = self.ring.monomial(tuple(a - b for a, b in zip(lcm, e2)), ONE / c2)

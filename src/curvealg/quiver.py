@@ -40,12 +40,14 @@ class SubspaceW:
             raise ValueError("n must be at least 0, got %d" % n)
         self.n = n
         self.rows = tuple(tuple(rat(c) for c in row) for row in rows)
-        if any(len(row) != n for row in self.rows):
-            raise ValueError("row length must be n")
+        for i, row in enumerate(self.rows, 1):
+            if len(row) != n:
+                raise ValueError("row %d has %d entries, expected n=%d"
+                                 % (i, len(row), n))
         self.echelon = Echelon({j: c for j, c in enumerate(row) if c}
                                for row in self.rows)
         if len(self.echelon) != len(self.rows):
-            raise ValueError("W rows are not linearly independent")
+            raise ValueError("rows are not linearly independent")
         self.g = n - len(self.rows)
 
     def scaled(self, lam):

@@ -9,7 +9,7 @@ import pytest
 
 from curvealg import curves
 from curvealg.linalg import Echelon, ONE, rank_of_columns, rat
-from curvealg.poly import PolyRing, RelationSystem
+from curvealg.poly import MultiPoly, PolyRing, RelationSystem
 from curvealg.curves import (SpecialCurveData, branch_model, bp_eval, bp_mul,
                              component_type, glue, grassmannian_point,
                              krichever_window, rho_embed, rho_generator_images,
@@ -53,7 +53,10 @@ def _relations_reference(data):
     """The presentation's relations built by MultiPoly arithmetic from its
     generators, in the presentation's order."""
     pres = special_curve_algebra(data)
-    f, h, hs, S, comp = pres.f, pres.h, pres.hs, data.S, data.complement()
+    S, comp, var = data.S, data.complement(), pres.ring.var
+    f = {i: var("f_%d" % i) for i in S}
+    h = {i: var("h_%d" % i) for i in S}
+    hs = {j: var("hS_%d" % j) for j in comp}
     rels = []
     for i, ip in itertools.combinations(S, 2):
         rels.append(f[i] * f[ip])
@@ -92,6 +95,24 @@ def test_presentation_relations_match_the_arithmetic_reference():
             [list(r.terms.items()) for r in want], d
         assert [str(r) for r in got] == [str(r) for r in want], d
     assert zero_entries > 0
+
+
+def test_presentation_builds_one_multipoly_per_relation(monkeypatch):
+    # a presentation writes each relation once as a MultiPoly and builds no
+    # generator handle or rule tail besides
+    built = []
+    init = MultiPoly.__init__
+
+    def counting(self, ring, terms):
+        built.append(terms)
+        init(self, ring, terms)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counting)
+    rng = random.Random(21)
+    for n, S in ((1, [1]), (2, []), (3, [1, 3]), (4, [2])):
+        built.clear()
+        pres = special_curve_algebra(random_data(n, S, rng))
+        assert len(built) == len(pres.system.relations) > 0, (n, S)
 
 
 def test_claimed_basis_monomials_match_the_full_walk(monkeypatch):
@@ -184,7 +205,7 @@ def test_rho_kills_the_relations():
 
 def test_cusp_identity():
     pres = special_curve_algebra(SpecialCurveData(1, [1]))
-    diff = pres.h[1] ** 2 - pres.f[1] ** 3
+    diff = pres.ring.var("h_1") ** 2 - pres.ring.var("f_1") ** 3
     assert rho_embed(pres, diff) == {}
 
 

@@ -1,8 +1,9 @@
-"""No dead imports, private helpers or slots in the package: every name a
-module imports at its top level, and every private function or class it
-defines there, is read somewhere in that module, and every __slots__ name
-of a package class is read somewhere in the repository's code.  Every
-package name the benchmark hooks by getattr exists."""
+"""No dead imports, private helpers, slots or attributes in the package:
+every name a module imports at its top level, and every private function or
+class it defines there, is read somewhere in that module, every __slots__
+name of a package class is read somewhere in the repository's code, and
+every attribute a package class stores on self is read somewhere in the
+package.  Every package name the benchmark hooks by getattr exists."""
 
 import ast
 import importlib.util
@@ -11,9 +12,15 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "curvealg"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 READERS = [p for d in ("src", "tests", "demos", "perfbench")
            for p in sorted((SRC.parent.parent / d).rglob("*.py"))]
+
+
+def _read_attributes(texts):
+    return {n.attr for text in texts for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
 def _read_names(tree):
@@ -48,8 +55,7 @@ def unused_private_helpers(source):
 def unread_slots(source, readers):
     """(class, name) for each __slots__ name of a class in source that no
     attribute load in source or in readers reads."""
-    read = {n.attr for text in (source, *readers) for n in ast.walk(ast.parse(text))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read = _read_attributes((source, *readers))
     out = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
@@ -60,6 +66,16 @@ def unread_slots(source, readers):
                 out += [(cls.name, name) for name in ast.literal_eval(node.value)
                         if name not in read]
     return out
+
+
+def unloaded_self_attributes(source, readers):
+    """(class, name) for each attribute that a class in source stores on
+    self and that no attribute load in source or in readers reads, sorted."""
+    read = _read_attributes((source, *readers))
+    return sorted({(cls.name, n.attr) for cls in ast.walk(ast.parse(source))
+                   if isinstance(cls, ast.ClassDef) for n in ast.walk(cls)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                   and getattr(n.value, "id", None) == "self" and n.attr not in read})
 
 
 def test_modules_found():
@@ -111,6 +127,25 @@ def test_unread_slot_is_reported():
               "def size(w):\n    return w.depth\n")
     assert unread_slots(source, ["print(window.codim)"]) == \
         [("Window", "filled")]
+
+
+def test_no_unloaded_self_attributes():
+    # the readers are the package alone: an attribute that only the tests
+    # read is built for them
+    package = [p.read_text() for p in PACKAGE]
+    assert [attr for path in MODULES
+            for attr in unloaded_self_attributes(path.read_text(), package)] == []
+
+
+def test_unloaded_self_attribute_is_reported():
+    source = ("class Presentation:\n"
+              "    def __init__(self, ring):\n"
+              "        self.ring = ring\n        self.hs, self.f = {}, {}\n"
+              "        self.h = {}\n        self.h = None\n"
+              "    def names(self):\n        return self.ring.names\n"
+              "def gens(pres):\n    pres.hs = {}\n    return pres.names()\n")
+    assert unloaded_self_attributes(source, ["print(pres.f)"]) == \
+        [("Presentation", "h"), ("Presentation", "hs")]
 
 
 def test_benchmark_hooks_resolve():

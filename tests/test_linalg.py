@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
 from curvealg import linalg
-from curvealg.linalg import (Echelon, ONE, Subspace, accum, kernel_basis,
+from curvealg.linalg import (Echelon, ONE, accum, kernel_basis,
                              rank_of_columns, rat, rat_str, solve, vec_addmul)
 
 
@@ -82,10 +82,10 @@ def rref(rows, ncols):
     return work[:next_row], pivots
 
 
-def image_basis(columns, nrows):
+def image_basis(columns):
     """Basis of the column span: the original columns at rref pivot indices."""
     _, pivots = rref(transpose(columns), len(columns))
-    return Subspace(nrows, [columns[j] for j in pivots])
+    return [columns[j] for j in pivots]
 
 
 def kernel_basis_reference(columns):
@@ -102,7 +102,7 @@ def kernel_basis_reference(columns):
             if c:
                 v[pj] = -c
         basis.append(v)
-    return Subspace(len(columns), basis)
+    return basis
 
 
 def solve_reference(columns, b):
@@ -120,18 +120,18 @@ def solve_reference(columns, b):
     return x
 
 
-def canonical_complement(sub):
-    """Span of the standard basis vectors at the non-pivot columns of
-    rref(basis-as-rows): the reference for the pivot-rule complements that
-    ainfinity.complement_data reads off the complex's Echelon of delta.
+def canonical_complement(basis, ambient_dim):
+    """Basis of the span of the standard basis vectors at the non-pivot
+    columns of rref(basis-as-rows), basis independent in Q^ambient_dim: the
+    reference for the pivot-rule complements that ainfinity.complement_data
+    reads off the complex's Echelon of delta.
 
-    Depends only on the subspace, not on its presented basis, and satisfies
-    sub + complement = ambient with zero intersection.
+    Depends only on the span of basis, not on basis itself, and satisfies
+    span + complement = ambient with zero intersection.
     """
-    _, pivots = rref(sub.basis, sub.ambient_dim)
+    _, pivots = rref(basis, ambient_dim)
     pivset = set(pivots)
-    basis = [{j: ONE} for j in range(sub.ambient_dim) if j not in pivset]
-    return Subspace(sub.ambient_dim, basis)
+    return [{j: ONE} for j in range(ambient_dim) if j not in pivset]
 
 
 def test_rref_identity():
@@ -169,27 +169,26 @@ def test_rref_idempotent():
 def test_kernel_examples():
     k = kernel_basis(M([[1, 1]]))
     # deterministic presentation: the free coordinate is set to 1
-    assert k.dim == 1 and k.basis[0] == {0: -ONE, 1: ONE}
-    assert k.contains({0: ONE, 1: -ONE})  # spans (1, -1)
-    assert kernel_basis(identity(4)).dim == 0
-    assert kernel_basis(M([[1, 2, 3], [2, 4, 6]])).dim == 2
+    assert len(k) == 1 and k[0] == {0: -ONE, 1: ONE}
+    assert Echelon(k).contains({0: ONE, 1: -ONE})  # spans (1, -1)
+    assert len(kernel_basis(identity(4))) == 0
+    assert len(kernel_basis(M([[1, 2, 3], [2, 4, 6]]))) == 2
 
 
 def test_image_examples():
-    assert image_basis([{}, {}, {}], 3).dim == 0
-    full = image_basis(identity(3), 3)
-    assert full.dim == 3
-    im = image_basis(M([[1, 1], [1, 1]]), 2)
-    assert im.dim == 1 and im.basis[0] == {0: ONE, 1: ONE}
+    assert len(image_basis([{}, {}, {}])) == 0
+    full = image_basis(identity(3))
+    assert len(full) == 3
+    im = image_basis(M([[1, 1], [1, 1]]))
+    assert len(im) == 1 and im[0] == {0: ONE, 1: ONE}
 
 
 def test_complement_examples():
-    s = Subspace(3, [{0: ONE}, {1: ONE}])
-    c = canonical_complement(s)
-    assert c.basis == [{2: ONE}]
-    assert canonical_complement(Subspace(2, [])).dim == 2
-    c2 = canonical_complement(Subspace(2, [{0: ONE, 1: ONE}]))
-    assert c2.basis == [{1: ONE}]  # pivot at column 0
+    c = canonical_complement([{0: ONE}, {1: ONE}], 3)
+    assert c == [{2: ONE}]
+    assert len(canonical_complement([], 2)) == 2
+    c2 = canonical_complement([{0: ONE, 1: ONE}], 2)
+    assert c2 == [{1: ONE}]  # pivot at column 0
 
 
 def test_solve_examples():
@@ -209,8 +208,8 @@ def test_rank_nullity_random():
                  for _ in range(ccount)] for _ in range(rcount)]
         cols = M(rows)
         rk = rank_of_columns(cols)
-        assert rk + kernel_basis(cols).dim == ccount
-        assert image_basis(cols, rcount).dim == rk
+        assert rk + len(kernel_basis(cols)) == ccount
+        assert len(image_basis(cols)) == rk
         assert rk == len(rref(sparse(rows), ccount)[1])
 
 
@@ -226,28 +225,27 @@ def test_complement_direct_sum_and_invariance():
             v = {j: c for j, c in v.items() if c}
             if rank_of_columns([dict(x) for x in vectors] + [dict(v)]) > len(vectors):
                 vectors.append(v)
-        s = Subspace(ambient, vectors)
-        c = canonical_complement(s)
-        assert s.dim + c.dim == ambient
-        joint = [dict(v) for v in s.basis] + [dict(v) for v in c.basis]
+        c = canonical_complement(vectors, ambient)
+        assert len(vectors) + len(c) == ambient
+        joint = [dict(v) for v in vectors] + [dict(v) for v in c]
         assert rank_of_columns(joint) == ambient
         # invariance under a random invertible recombination of the basis
-        if s.dim:
+        if vectors:
             recomb = []
-            for i in range(s.dim):
-                v = dict(s.basis[i])
-                for k in range(s.dim):
+            for i in range(len(vectors)):
+                v = dict(vectors[i])
+                for k in range(len(vectors)):
                     if k != i and rng.random() < 0.5:
-                        for j, x in s.basis[k].items():
+                        for j, x in vectors[k].items():
                             cur = v.get(j, rat(0)) + rat(rng.randint(1, 2)) * x
                             if cur:
                                 v[j] = cur
                             else:
                                 v.pop(j, None)
                 recomb.append(v)
-            if rank_of_columns([dict(v) for v in recomb]) == s.dim:
-                c2 = canonical_complement(Subspace(ambient, recomb))
-                assert c2.basis == c.basis
+            if rank_of_columns([dict(v) for v in recomb]) == len(vectors):
+                c2 = canonical_complement(recomb, ambient)
+                assert c2 == c
 
 
 def test_serialization_roundtrip():
@@ -642,21 +640,6 @@ def test_echelon_add_and_contains_match_rank(base, mixes, probes):
         assert ech.contains(v) == (rank_of_columns(cols + [v]) == len(ech))
 
 
-def test_subspace_contains_and_equality():
-    a = {0: rat(1), 1: rat(2)}
-    b = {1: rat(1, 3), 2: rat(-1)}
-    u = Subspace(3, [a, b])
-    mixed = Subspace(3, [combination([a, b], [rat(2), rat(5)]),
-                         combination([a, b], [rat(-1, 2), rat(1)])])
-    assert u == mixed and mixed == u
-    assert u.contains(combination([a, b], [rat(7, 5), rat(-3)]))
-    assert u.contains({})
-    assert not u.contains({0: ONE})
-    assert u != Subspace(3, [a, {2: ONE}])
-    assert u != Subspace(3, [a])
-    assert u != Subspace(4, [a, b])
-
-
 # -- Echelon against the rref references --------------------------------------------
 
 
@@ -779,17 +762,17 @@ def test_kernel_basis_reduces_each_column_once(monkeypatch):
     cols = M([[1, 2, 0, 3, 1], [2, 4, 1, 6, 0], [0, 0, 1, 0, -2]])
     ker = kernel_basis(cols)
     assert reduced == cols
-    assert [list(v.items()) for v in ker.basis] == \
-        [list(v.items()) for v in kernel_basis_reference(cols).basis]
-    assert ker.dim == 3
+    assert [list(v.items()) for v in ker] == \
+        [list(v.items()) for v in kernel_basis_reference(cols)]
+    assert len(ker) == 3
 
 
 @given(_vector_lists(), _columns, _coeffs)
 @example([], {0: ONE}, [ONE])
 @example([{}, {}, {}], {0: ONE}, [ONE])
 def test_kernel_basis_and_solve_match_rref_references(vectors, b, coeffs):
-    assert [list(v.items()) for v in kernel_basis(vectors).basis] == \
-        [list(v.items()) for v in kernel_basis_reference(vectors).basis]
+    assert [list(v.items()) for v in kernel_basis(vectors)] == \
+        [list(v.items()) for v in kernel_basis_reference(vectors)]
     # a consistent right-hand side, one that may not be, and one that is
     # not: no column reaches row NROWS
     ech = Echelon(vectors)

@@ -45,8 +45,9 @@ def test_normal_form_special_curve_paper_value():
     # f_1 h_{S,2} = a h_1 with a = 2
     d = SpecialCurveData(2, [1], {(1, 2): 2})
     pres = special_curve_algebra(d)
-    nf = pres.system.normal_form(pres.f[1] * pres.hs[2], 12)
-    assert nf == pres.h[1].scale(2)
+    f1, h1, hs2 = (pres.ring.var(x) for x in ("f_1", "h_1", "hS_2"))
+    nf = pres.system.normal_form(f1 * hs2, 12)
+    assert nf == h1.scale(2)
 
 
 def test_normal_form_idempotent_on_output():
@@ -73,10 +74,11 @@ def test_closure_special_curve_and_perturbation():
     assert pres.system.closure_check(12).passed
     # replacing h1 h_{S,2} = 2 f1^2 by 3 f1^2 breaks confluence
     bad_rels = []
-    target = pres.h[1] * pres.hs[2] - (pres.f[1] ** 2).scale(2)
+    f1, h1, hs2 = (pres.ring.var(x) for x in ("f_1", "h_1", "hS_2"))
+    target = h1 * hs2 - (f1 ** 2).scale(2)
     for r in pres.system.relations:
         if r == target:
-            bad_rels.append(pres.h[1] * pres.hs[2] - (pres.f[1] ** 2).scale(3))
+            bad_rels.append(h1 * hs2 - (f1 ** 2).scale(3))
         else:
             bad_rels.append(r)
     rep = RelationSystem(pres.ring, bad_rels).closure_check(12)
@@ -125,11 +127,22 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _tails_reference(rs):
+    """Each relation r of rs as (lead, lead coefficient, lead_c*x^lead - r),
+    the tail computed by MultiPoly arithmetic."""
+    out = []
+    for r in rs.relations:
+        lead_e, lead_c = r.lead()
+        out.append((lead_e, lead_c, rs.ring.monomial(lead_e, lead_c) - r))
+    return out
+
+
 def _normal_form_reference(rs, p, degree_bound):
     """Step-by-step reduction: rewrite the order-largest reducible term by
     the first rule whose lead divides it, checking the bound on every
-    intermediate polynomial."""
+    intermediate polynomial.  The rules are read off rs.relations."""
     ring = rs.ring
+    rules = _tails_reference(rs)
     p = p.copy()
     while True:
         if p and p.wdeg() > degree_bound:
@@ -137,13 +150,13 @@ def _normal_form_reference(rs, p, degree_bound):
                 "term of degree %d exceeds bound %d" % (p.wdeg(), degree_bound))
         e = None
         for t in p.terms:
-            if any(_divides(lead_e, t) for lead_e, _, _ in rs.rules):
+            if any(_divides(lead_e, t) for lead_e, _, _ in rules):
                 if e is None or ring.order_key(t) > ring.order_key(e):
                     e = t
         if e is None:
             return p
         c = p.terms[e]
-        for lead_e, lead_c, tail in rs.rules:
+        for lead_e, lead_c, tail in rules:
             if _divides(lead_e, e):
                 shift = tuple(a - b for a, b in zip(e, lead_e))
                 p = p - ring.monomial(e, c)
@@ -203,28 +216,23 @@ def test_irreducible_monomials_match_lead_divisibility():
     for rs in systems:
         for e in rs.ring.monomials_up_to(8):
             assert rs.is_irreducible(e) == (
-                not any(_divides(lead_e, e) for lead_e, _, _ in rs.rules)), e
+                not any(_divides(lead_e, e) for lead_e, _, _ in _tails_reference(rs))), e
 
 
 def _rules_reference(rs):
-    """Each rule as (lead, lead coefficient, terms of lead_c*x^lead - r) and
-    its scaled tail, the tail computed by MultiPoly arithmetic."""
-    rules, scaled = [], []
-    for r in rs.relations:
-        lead_e, lead_c = r.lead()
-        tail = rs.ring.monomial(lead_e, lead_c) - r
-        rules.append((lead_e, lead_c, list(tail.terms.items())))
-        scaled.append(([(i, k) for i, k in enumerate(lead_e) if k],
-                       [(tuple(a - b for a, b in zip(t, lead_e)), as_int(c / lead_c))
-                        for t, c in tail.terms.items()]))
-    return rules, scaled
+    """Each rule as (lead, lead coefficient, lead support, scaled tail), from
+    the tails of _tails_reference."""
+    return [(lead_e, lead_c, [(i, k) for i, k in enumerate(lead_e) if k],
+             [(tuple(a - b for a, b in zip(t, lead_e)), as_int(c / lead_c))
+              for t, c in tail.terms.items()])
+            for lead_e, lead_c, tail in _tails_reference(rs)]
 
 
 def test_rules_match_the_arithmetic_reference():
-    # the tails, their term order and the scaled tails equal those of
-    # lead_c*x^lead - r on curve presentations (a has zero entries among
-    # them), chart systems and a system read from JSON whose leads are not
-    # written first
+    # the leads, their supports, the scaled tails and their term order
+    # equal those of lead_c*x^lead - r on curve presentations (a has zero
+    # entries among them), chart systems and a system read from JSON whose
+    # leads are not written first
     rng = random.Random(20)
     curves = [_curve_data(n, list(S), rng) for n in range(1, 5) for size in range(n + 1)
               for S in itertools.combinations(range(1, n + 1), size)]
@@ -236,9 +244,7 @@ def test_rules_match_the_arithmetic_reference():
         "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 2}],
         "relations": ["1/2*x - 3*x^2*y + y^3/3", "7 - 2*x^3 + x*y", "-y^2"]}))
     for rs in systems:
-        rules, scaled = _rules_reference(rs)
-        assert [(e, c, list(t.terms.items())) for e, c, t in rs.rules] == rules
-        assert rs._scaled_tails == scaled
+        assert rs.rules == _rules_reference(rs)
 
 
 def test_monomials_up_to_is_every_monomial_in_lexicographic_order():
@@ -255,8 +261,9 @@ def test_normal_form_matches_reference_on_non_confluent_system():
     # for a monomial divisible by two leads changes the normal form
     d = SpecialCurveData(2, [1], {(1, 2): 2})
     pres = special_curve_algebra(d)
-    target = pres.h[1] * pres.hs[2] - (pres.f[1] ** 2).scale(2)
-    bad_rels = [pres.h[1] * pres.hs[2] - (pres.f[1] ** 2).scale(3) if r == target else r
+    f1, h1, hs2 = (pres.ring.var(x) for x in ("f_1", "h_1", "hS_2"))
+    target = h1 * hs2 - (f1 ** 2).scale(2)
+    bad_rels = [h1 * hs2 - (f1 ** 2).scale(3) if r == target else r
                 for r in pres.system.relations]
     rs = RelationSystem(pres.ring, bad_rels)
     monos = [rs.ring.monomial(e) for e in rs.ring.monomials_up_to(10)]
