@@ -24,8 +24,12 @@ on it with any coefficients; the gauge action's feed step calls it too.
 The unnormalized complex serves as the cross-check oracle for cohomology
 dimensions.  It shares tuple enumeration, bases and ranks with the reduced
 complex, and differs in its element set (idempotents included) and in its
-independently written textbook differential (classic unsuspended signs).
-Both read products from the algebra's neighbour lists and fix each sign
+differential, the textbook one with classic unsuspended signs.  The terms
+of that differential which insert an idempotent cancel in pairs, gap by
+gap, save one (e, e) term per idempotent slot, so they are summed in that
+closed form rather than built; the tests pin every column to the textbook
+differential as first written (unnormalized_delta_reference).  Both read
+products from the algebra's neighbour lists and fix each sign
 once per table entry and bidegree, not once per matrix entry.  The lists
 hold the int constants of E.int_table, so delta_columns(s, t) is always
 the integer matrix D*delta (D = E.denominator), which has the rank of
@@ -283,7 +287,9 @@ class HochschildComplex:
         its code, the hom basis its values range over).  The keys are the
         composable s-tuples of elements() whose degree sum d allows a value
         of degree t + d in {0, 1}, with the values running from the first
-        source to the last target; at arity 0 they are the vertices.
+        source to the last target; at arity 0 they are all the vertices.
+        From arity 1 on, a key whose hom basis is empty carries no basis
+        element and is not yielded.
 
         A depth-first walk on an explicit stack: each path carries its key,
         code and degree sum, and grows only while degrees 0 and 1 can still
@@ -317,8 +323,9 @@ class HochschildComplex:
             kids = last.get((u, v, d))
             if kids is None:
                 kids = last[(u, v, d)] = [
-                    (x, hom(src[x] if u is None else u, tgt[x], t + d + deg[x]))
-                    for x in after.get(v, ()) if -t <= d + deg[x] <= 1 - t]
+                    (x, ws) for x in after.get(v, ()) if -t <= d + deg[x] <= 1 - t
+                    for ws in [hom(src[x] if u is None else u, tgt[x], t + d + deg[x])]
+                    if ws]
             for x, ws in kids:
                 yield T + (x,), c * B + x, ws
 
@@ -329,9 +336,11 @@ class HochschildComplex:
         self._basis[(s, t)] = [(key, w) for key, _, ws in walk for w in ws]
 
     def tuple_keys(self, s, t):
-        """Composable argument keys whose total degree allows a value of
-        degree 0 or 1 at internal degree t (the vertices at arity 0),
-        built on first use."""
+        """Composable argument keys whose total degree d allows a value of
+        degree t + d in {0, 1}, from arity 1 on only those with a nonzero
+        value space from the first source to the last target, so that they
+        are the keys of basis(s, t) in its order; at arity 0 every vertex.
+        Built on first use."""
         if (s, t) not in self._tuples:
             self._keep(s, t)
         return self._tuples[(s, t)]
@@ -461,11 +470,13 @@ class HochschildComplex:
                     accum(col, at + r, c)
                 parity = sus + 1
                 for a in range(s):
-                    # the a head digits move up one place; the tail and w stay
-                    head, low = divmod(code, power[s - a + 1])
-                    at = head * power[s - a + 2] + low % power[s - a]
-                    for r, cf in slots[a][parity % 2].get(T[a], ()):
-                        accum(col, at + r, cf)
+                    terms = slots[a][parity % 2].get(T[a])
+                    if terms:
+                        # the a head digits move up one place; the tail and w stay
+                        head, low = divmod(code, power[s - a + 1])
+                        at = head * power[s - a + 2] + low % power[s - a]
+                        for r, cf in terms:
+                            accum(col, at + r, cf)
                     parity += deg[T[a]] - 1
                 cols.append(col)
         return cols
@@ -623,11 +634,26 @@ class UnnormalizedComplex(HochschildComplex):
     composable tuples of arbitrary basis elements (idempotents included).
 
     It shares tuple enumeration, bases and ranks with HochschildComplex and
-    differs in its element set and in its differential, written
-    independently in the textbook form: (delta f)(a_1,...,a_{s+1}) =
+    differs in its element set and in its differential, the textbook form
+    (delta f)(a_1,...,a_{s+1}) =
         (-1)^{deg(a_1) * t} a_1 f(a_2, ...)
       + sum_i (-1)^i f(..., a_i a_{i+1}, ...)
       + (-1)^{s+1} f(...) a_{s+1}.
+
+    Its unit terms, those that put an idempotent e into a key T of arity
+    s, are summed in closed form.  Gap g = 0..s of T (before T[g]) has one
+    idempotent e, which enters twice with the constant D, both times at
+    the row of T with e put in at g: from the left (e.w at g = 0, else
+    T[g-1] = T[g-1] e at slot g-1) with sign (-1)^g, and from the right
+    (T[g] = e T[g] at slot g, else w.e at g = s) with sign (-1)^{g+1}.
+    Each gap's pair cancels, except that an idempotent T[a] = e has the
+    one factorization e = e e, which is both the right term of gap a and
+    the left term of gap a+1.  So the unit terms of a column sum to
+    (-1)^a D at T[:a] + (e, e) + T[a+1:] for each idempotent T[a].  This
+    is the identity axiom applied gap by gap, not the normalization
+    theorem, so the oracle stays independent of the reduced complex.  The
+    tests pin every column, key for key and in order, to the textbook
+    differential as first written (unnormalized_delta_reference).
     Cohomology dimensions agree with the reduced complex; that agreement is
     an acceptance criterion, not an assumption.
     """
@@ -637,22 +663,32 @@ class UnnormalizedComplex(HochschildComplex):
 
     def delta_columns(self, s, t, skip=()):
         """As HochschildComplex.delta_columns: the int columns of D*delta
-        on row codes, skip included."""
+        on row codes, skip included.  Only the products by radical
+        elements, the contractions into radical pairs and the (e, e) term
+        of each idempotent slot are built, in the textbook order; the unit
+        terms that cancel are not (see the class docstring)."""
         E = self.E
+        rad = E.radical_set
         B = E.dim
         power = [B ** k for k in range(s + 3)]
         # signs fixed once per table entry: (-1)^{deg(a_1) t} on a_1 . f,
-        # (-1)^{s+1} on f . a_{s+1}, (-1)^{a+1} on the a-th contraction;
-        # rows less the part read from T
+        # (-1)^{s+1} on f . a_{s+1}, (-1)^{a+1} on the a-th contraction and
+        # (-1)^a on its (e, e) term; rows less the part read from T
         left = [[(x * power[s + 1] + wp, -c if E.deg[x] * t % 2 else c)
-                 for x, prod in E.left_products[w] for wp, c in prod.items()]
+                 for x, prod in E.left_products[w] if x in rad
+                 for wp, c in prod.items()]
                 for w in range(E.dim)]
         right = [[(x * B + wp, c if s % 2 else -c)
-                  for x, prod in E.right_products[w] for wp, c in prod.items()]
+                  for x, prod in E.right_products[w] if x in rad
+                  for wp, c in prod.items()]
                  for w in range(E.dim)]
-        slots = [{z: [((x * B + y) * power[s - a], cf if a % 2 else -cf)
-                      for x, y, cf in xs]
-                  for z, xs in self.factorizations().items()}
+        # the factorizations into radical pairs, or at an idempotent e its
+        # one factorization (e, e)
+        pairs = {z: [(x * B + y, cf if z in rad else -cf) for x, y, cf in xs
+                     if x in rad and y in rad or z not in rad]
+                 for z, xs in self.factorizations().items()}
+        slots = [{z: [(xy * power[s - a], cf if a % 2 else -cf) for xy, cf in xs]
+                  for z, xs in pairs.items() if xs}
                  for a in range(s)]
         cols = []
         for key, ck, ws in self._walk(s, t):
@@ -668,10 +704,12 @@ class UnnormalizedComplex(HochschildComplex):
                     accum(col, at + r, c)
                 # contractions
                 for a in range(s):
-                    head, low = divmod(code, power[s - a + 1])
-                    at = head * power[s - a + 2] + low % power[s - a]
-                    for r, cf in slots[a].get(T[a], ()):
-                        accum(col, at + r, cf)
+                    terms = slots[a].get(T[a])
+                    if terms:
+                        head, low = divmod(code, power[s - a + 1])
+                        at = head * power[s - a + 2] + low % power[s - a]
+                        for r, cf in terms:
+                            accum(col, at + r, cf)
                 # f(a_1 ... a_s) . a_{s+1}
                 at = ct * B * B
                 for r, c in right[w]:

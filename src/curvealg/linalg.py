@@ -21,10 +21,10 @@ rank_of_columns, which the Hochschild and Laurent-window ranks run on,
 keeps no coordinates: it is the standard column reduction of persistent
 homology (Zomorodian and Carlsson, "Computing persistent homology",
 Discrete Comput. Geom. 2005) on the least row.  An integer column (the
-Hochschild ranks pass E.denominator * delta) is read as it is, a
-rational one is scaled to coprime integers, and a column is reduced
-against a pivot column by integer combination followed by division by
-its content.  These are rank-preserving column operations, so the rank
+Hochschild ranks pass E.denominator * delta), told apart by the type of
+its sum, is read as it is, a rational one is scaled to coprime integers,
+and a column is reduced against a pivot column by integer combination
+followed by division by its content.  These are rank-preserving column operations, so the rank
 is exact without any rational division.  It can also report its pivot
 rows, onto which the span projects bijectively; the Hochschild ranks use
 them to clear columns of the next differential.
@@ -253,9 +253,11 @@ def rank_of_columns(columns, pivots=None):
 def _integer_column(col):
     """The column's nonzero entries as Python ints: the column itself when
     they already are, else a new dict of the column times the lcm of its
-    denominators over the gcd of the resulting integers."""
+    denominators over the gcd of the resulting integers.  A sum of ints
+    is an int and any Fraction term makes the sum a Fraction, so the type
+    of the sum tells an int column apart without a scan of the types."""
     values = col.values()
-    if {*map(type, values)} == {int} and all(values):
+    if type(sum(values)) is int and all(values):
         return col
     den = lcm(*[c.denominator for c in values])
     ints = {i: c.numerator * (den // c.denominator) for i, c in col.items() if c}

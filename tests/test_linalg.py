@@ -504,6 +504,31 @@ def test_rank_ignores_stored_zeros():
             assert assert_pivot_rows_project_injectively(form) == rows
 
 
+def test_integer_column_tells_int_columns_by_the_type_of_their_sum():
+    # an int column, even one whose sum cancels to 0, is read as it is; one
+    # Fraction, integral or not, makes the sum a Fraction and the column is
+    # scaled to coprime ints, as is an int column with a stored zero
+    kept = [{0: 3, 4: -6, 9: 12}, {1: 5, 2: -5}, {0: 2 ** 90, 3: -(2 ** 90) - 1}]
+    for col in kept:
+        assert linalg._integer_column(col) is col
+    scaled = [({0: 3, 4: Fraction(1, 2), 9: -2}, {0: 6, 4: 1, 9: -4}),
+              ({0: Fraction(4), 1: Fraction(-6)}, {0: 2, 1: -3}),
+              ({0: 2, 1: Fraction(4)}, {0: 1, 1: 2}),
+              ({0: Fraction(1, 2), 1: Fraction(1, 2)}, {0: 1, 1: 1}),
+              ({0: 4, 1: 0, 2: -6}, {0: 2, 2: -3})]
+    for col, want in scaled:
+        got = linalg._integer_column(col)
+        assert got is not col and list(got.items()) == list(want.items())
+        assert all(type(c) is int for c in got.values())
+    # three of the five lie in rows 0 and 1; every rank is that of rref
+    assert assert_rank_matches_rref([col for col, _ in scaled]) == 4
+    assert assert_rank_matches_rref([{0: 2, 1: Fraction(4)}, {0: Fraction(1, 2), 1: 1},
+                                     {0: -3, 1: -6}]) == 1
+    assert assert_rank_matches_rref([{0: Fraction(4), 1: Fraction(-6)}, {0: -2, 1: 3},
+                                     {0: 1, 1: 1}]) == 2
+    assert assert_rank_matches_rref(kept + [{1: Fraction(1, 3), 2: Fraction(-1, 3)}]) == 3
+
+
 def test_pivot_rows_of_no_columns_or_zero_columns_are_empty():
     for cols in ([], [{}, {}]):
         rows = set()
