@@ -17,13 +17,16 @@ gauge_act(f, gauge_act(g, m)) = gauge_act(compose(f, g), m) holds exactly.
 
 Every term is pushed from stored nonzero entries, not looked up on each
 tuple: b2 pairs the F-block entries whose values multiply to nonzero, the
-F-block sum (_add_block_sums) expands each key slot by slot, and each
+F-block sum (_add_block_sums) expands each key only at the slots that take
+a block longer than one element (a block of one element is the element
+itself, as F_1 = id), placing the extra length depth-first, and each
 inner entry of the morphism equation goes into every gauge key that holds
 its radical value, through hochschild._insert, the insertion that
 compose and so the structure residual push through too.  A push also
 reaches keys outside the normalized basis, so an arity keeps only its
 tuple_keys, in order (hochschild._on_tuples).  One F-block sum
-serves gauge_act, gauge_compose and gauge_inverse; the inverse is
+serves gauge_act, gauge_compose and gauge_inverse, each of which indexes
+its gauge's F-blocks once (_index) for all arities; the inverse is
 compose's arity step solved for its unknown h_r.  gauge_act solves the
 morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
 minus the F o D' terms whose inner m' has lower arity, so it needs neither
@@ -180,46 +183,65 @@ def _unscaled(E, s, t, values, S):
 def _index(F, radset):
     """(blocks, pre) over the F-blocks that stand for an element z in a
     split, (z,) for radical z and the keys U of each F_j: blocks[j][z]
-    lists (U, c) over the entries c z of F_j(U), and pre[z][j] those with
-    radical z (the normalized extension drops idempotent parts)."""
+    lists (U, c) over the entries c z of F_j(U), and pre[z][j], j >= 2,
+    those with radical z (the normalized extension drops idempotent
+    parts).  Built once per operation, or per normalize step, and read at
+    every arity."""
     blocks = {1: {z: [((z,), 1)] for z in radset}}
-    pre = {z: {1: lst} for z, lst in blocks[1].items()}
+    pre = {}
     for j, fj in F.items():
         bj = blocks[j] = {}
         for U, vec in fj.items():
             for z, c in vec.items():
                 bj.setdefault(z, []).append((U, c))
                 if z in radset:
-                    pre[z].setdefault(j, []).append((U, c))
+                    pre.setdefault(z, {}).setdefault(j, []).append((U, c))
     return blocks, pre
 
 
 def _add_block_sums(acc, family, pre, r, top):
     """acc[T] += family[p](F-blocks of T) over the splits of r-tuples T
-    into p blocks of at most top elements: each key K of family[p] is
-    expanded slot by slot, slot z becoming a block of pre[z] of a size
-    that leaves the later slots room to fill r exactly."""
+    into p blocks of at most top elements.  A block of one element is the
+    element itself with coefficient 1 (F_1 = id), so a key K of family[p]
+    is expanded only at the slots that take a longer block, from pre: the
+    r - p extra elements are placed depth-first over the slots, each
+    taking at most top - 1 of them, and T is built from the slices of K
+    between those slots."""
+    room = top - 1
     for p, fp in family.items():
-        for K, val in fp.items() if p <= r <= p * top else ():
-            if p == r:  # r blocks of one element: T = K
+        if not p <= r <= p * top:
+            continue
+        if p == r:  # r blocks of one element: T = K
+            for K, val in fp.items():
                 vec_addmul(acc.setdefault(K, {}), 1, val)
-                continue
-            heads = [((), 1)]
-            for a, z in enumerate(K):
-                lo, hi = r - (p - a - 1) * top, r - (p - a - 1)
-                sizes = pre.get(z, {})
-                heads = [(T + U, c * cu) for T, c in heads
-                         for j in range(max(lo - len(T), 1), hi - len(T) + 1)
-                         for U, cu in sizes.get(j, ())]
-            for T, c in heads:
-                vec_addmul(acc.setdefault(T, {}), c, val)
+            continue
+        for K, val in fp.items():
+            # (first slot still free, extra elements left, T up to it, coefficient)
+            stack = [(0, r - p, (), 1)]
+            while stack:
+                i, left, head, c = stack.pop()
+                # slot a takes a long block only while the slots from a
+                # on, at most room extra each, can still take all left
+                for a in range(i, p - (left - 1) // room):
+                    sizes = pre.get(K[a])
+                    if sizes is None:
+                        continue
+                    lead = head + K[i:a]
+                    for j in range(max(2, left + 1 - (p - a - 1) * room), min(top, left + 1) + 1):
+                        rest = left + 1 - j
+                        for U, cu in sizes.get(j, ()):
+                            if rest:
+                                stack.append((a + 1, rest, lead + U, c * cu))
+                            else:
+                                vec_addmul(acc.setdefault(lead + U + K[a + 1:], {}), c * cu, val)
 
 
-def _compose_values(E, F, family, r):
+def _compose_values(E, F, pre, family, r):
     """F_r + sum_{p >= 2} family[p](F-blocks) on each tuple of arity r: the
-    arity-r component of G o F for the gauge G with components family."""
+    arity-r component of G o F for the gauge G with components family;
+    pre is that of _index(F)."""
     acc = {T: dict(vec) for T, vec in F.get(r, {}).items()}
-    _add_block_sums(acc, family, _index(F, E.radical_set)[1], r, max(F, default=1))
+    _add_block_sums(acc, family, pre, r, max(F, default=1))
     return _on_tuples(E, acc, r, 1 - r)
 
 
@@ -237,8 +259,9 @@ def gauge_compose(f, g):
              for r, c in g.comps.items() if r < low}
     L = _scale(E, f, g)
     F, G = f.scaled(L), g.scaled(L)
+    pre = _index(F, E.radical_set)[1]
     for r in range(max(low, 2), N):
-        comps[r] = _unscaled(E, r, 1 - r, _compose_values(E, F, G, r),
+        comps[r] = _unscaled(E, r, 1 - r, _compose_values(E, F, pre, G, r),
                              L ** (2 * r - 2))
     return GaugeTransform(E, N, comps)
 
@@ -250,23 +273,25 @@ def gauge_inverse(f):
     E, N = f.E, f.N
     L = _scale(E, f)
     F = f.scaled(L)
+    pre = _index(F, E.radical_set)[1]
     inv, comps = {}, {}
     for r in range(2, N):
         h = {T: {z: -c for z, c in vec.items()}
-             for T, vec in _compose_values(E, F, inv, r).items()}
+             for T, vec in _compose_values(E, F, pre, inv, r).items()}
         if h:
             inv[r] = h
             comps[r] = _unscaled(E, r, 1 - r, h, L ** (2 * r - 2))
     return GaugeTransform(E, N, comps)
 
 
-def _act_arity(E, F, M, lower, r, ratio):
+def _act_arity(E, F, index, M, lower, r, ratio):
     """L^(2r-3) m'_r, the arity r of gauge_act's recurrence on ints, from
-    the gauge F and structure M at scale L and the scaled m'_s, s < r, that
-    `lower` holds; ratio = L / E.denominator brings E.int_table to scale L.
-    Each term is pushed from stored nonzero entries."""
+    the gauge F, its _index, and structure M at scale L and the scaled
+    m'_s, s < r, that `lower` holds; ratio = L / E.denominator brings
+    E.int_table to scale L.  Each term is pushed from stored nonzero
+    entries."""
     radset, deg, products = E.radical_set, E.deg, E.right_products
-    blocks, pre = _index(F, radset)
+    blocks, pre = index
     acc = {}
     # b2(x, y) = (-1)^{|x|} x y on two F-blocks, x y != 0
     for j in range(1, r):
@@ -315,8 +340,9 @@ def gauge_act(f, m):
     L = _scale(E, f, m)
     F, M = f.scaled(L), m.scaled(L)
     lower = {r: {T: M[r][T] for T in c.values} for r, c in comps.items()}
+    index = _index(F, E.radical_set)
     for r in range(low + 1, N + 1):
-        values = _act_arity(E, F, M, lower, r, L // E.denominator)
+        values = _act_arity(E, F, index, M, lower, r, L // E.denominator)
         if values:
             lower[r] = values
             comps[r] = _unscaled(E, r, 2 - r, values, L ** (2 * r - 3))
@@ -359,11 +385,13 @@ def complement_data(E, k):
     """Splitting of the arity-k cochain space as K_{2-k} + im(delta) with
     delta = delta^1: C^{k-1} -> C^k: the complex's Echelon of delta.
 
-    Its `rows` map each pivot index q of the RREF basis of im(delta) to
-    the ints (r, x, d), and `row(q)` gives (R_q, X_q) = (r/d, x/d) with
-    R_q = delta(X_q); `split(v)` returns (kappa, x) with
-    v = kappa + delta(x).  K_{2-k}, the pivot-rule complement of im(delta),
-    is spanned by the standard vectors off `rows` and holds kappa."""
+    Its `rows` map each pivot index q of im(delta), the least index of a
+    nonzero vector of the image, to the ints (r, x, d) of a triangular
+    basis row, r = delta(x) and d = r[q]; `row(q)` gives the RREF row
+    (R_q, X_q) with R_q = delta(X_q), and `split(v)` returns (kappa, x)
+    with v = kappa + delta(x).  K_{2-k}, the pivot-rule complement of
+    im(delta), is spanned by the standard vectors off `rows` and holds
+    kappa."""
     return reduced_complex(E).echelon(k - 1, 2 - k)
 
 
@@ -404,7 +432,8 @@ def normalize(m):
     nf = AnStructure(E, N)
     for k in range(3, N + 1):
         L = _scale(E, witness, m, nf)
-        values = _act_arity(E, witness.scaled(L, k - 1), m.scaled(L, k),
+        F = witness.scaled(L, k - 1)
+        values = _act_arity(E, F, _index(F, E.radical_set), m.scaled(L, k),
                             nf.scaled(L), k, L // E.denominator)
         if not values:
             continue
@@ -420,7 +449,8 @@ def normalize(m):
             D = E.denominator
             step = cx.vector_to_cochain(k - 1, 2 - k, {p: -c for p, c in x.items()})
             change = vec_addmul({p: D * c for p, c in kappa.items()}, -D * S, mk)
-            if _act_arity(E, {k - 1: step.values}, {}, {}, k, 1) \
+            F = {k - 1: step.values}
+            if _act_arity(E, F, _index(F, E.radical_set), {}, {}, k, 1) \
                     != cx.vector_to_cochain(k, 2 - k, change).values:
                 raise AssertionError("gauge step did not land on the complement")
             witness = gauge_compose(GaugeTransform(E, N, {k - 1: step.scale(unscale)}),

@@ -287,9 +287,9 @@ class HochschildComplex:
         its code, the hom basis its values range over).  The keys are the
         composable s-tuples of elements() whose degree sum d allows a value
         of degree t + d in {0, 1}, with the values running from the first
-        source to the last target; at arity 0 they are all the vertices.
-        From arity 1 on, a key whose hom basis is empty carries no basis
-        element and is not yielded.
+        source to the last target; at arity 0 they are the vertices, each
+        valued in its own hom space of degree t.  A key whose hom basis is
+        empty carries no basis element and is not yielded.
 
         A depth-first walk on an explicit stack: each path carries its key,
         code and degree sum, and grows only while degrees 0 and 1 can still
@@ -301,7 +301,9 @@ class HochschildComplex:
         hom = E.hom_basis
         if s == 0:
             for v in range(E.n + 1):
-                yield v, v, hom(v, v, t)
+                ws = hom(v, v, t)
+                if ws:
+                    yield v, v, ws
             return
         deg, src, tgt, B = E.deg, E.src, E.tgt, E.dim
         after = self._after
@@ -337,10 +339,10 @@ class HochschildComplex:
 
     def tuple_keys(self, s, t):
         """Composable argument keys whose total degree d allows a value of
-        degree t + d in {0, 1}, from arity 1 on only those with a nonzero
-        value space from the first source to the last target, so that they
-        are the keys of basis(s, t) in its order; at arity 0 every vertex.
-        Built on first use."""
+        degree t + d in {0, 1} and a nonzero value space from the first
+        source to the last target (at arity 0, the vertices v with
+        e_v E_t e_v nonzero), so that they are the keys of basis(s, t) in
+        its order.  Built on first use."""
         if (s, t) not in self._tuples:
             self._keep(s, t)
         return self._tuples[(s, t)]
@@ -484,8 +486,10 @@ class HochschildComplex:
     def echelon(self, s, t):
         """The Echelon of delta: C^s -> C^{s+1} at internal degree t, its
         columns added in basis order, built once per (s, t).  Its rows are
-        the RREF basis of im delta, each with its coordinates on C^s, so
-        split and solve against im delta need no further elimination.
+        a triangular basis of im delta, one per pivot and each with its
+        coordinates on C^s; its pivots, splits and row(q) are those of the
+        RREF basis, so split and solve against im delta need no further
+        elimination.
         Row codes become (s+1, t) basis positions first; codes sort as
         positions do, so the pivots are those of the coded columns.  The
         int columns of D*delta (D = E.denominator) go in; X is scaled by D."""

@@ -9,13 +9,18 @@ sum in the package goes through it or vec_addmul.
 
 Both eliminations run fraction-free on Python ints (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968).  Echelon is the one exact elimination: it keeps the reduced
-row echelon basis of a span together with each row's coordinates on the
-added vectors, and kernel_basis, solve, the loop classes of quiver and
-the curve-basis checks all read it.  The Hochschild complex keeps one
-per cell of delta (HochschildComplex.echelon), which the pivot-rule
-complements and the extension solves of ainfinity share.  The textbook
-reduced row echelon form is kept in the tests, as the reference.
+Comp. 1968).  Echelon is the one exact elimination: it keeps a
+triangular basis of a span, one row per pivot (the least index of the
+row) that no later vector rewrites, together with each row's
+coordinates on the added vectors.  A split clears the pivots a vector
+meets in increasing order, and row(q) back-substitutes on request to
+the reduced row echelon row; the pivots, splits and rows are those of
+the reduced row echelon basis, whatever the order of the vectors.
+kernel_basis, solve, the loop classes of quiver and the curve-basis
+checks all read it.  The Hochschild complex keeps one per cell of delta
+(HochschildComplex.echelon), which the pivot-rule complements and the
+extension solves of ainfinity share.  The textbook reduced row echelon
+form is kept in the tests, as the reference.
 
 rank_of_columns, which the Hochschild and Laurent-window ranks run on,
 keeps no coordinates: it is the standard column reduction of persistent
@@ -33,6 +38,7 @@ them to clear columns of the next differential.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -94,19 +100,26 @@ def vec_addmul(u, c, v):
 
 
 class Echelon:
-    """The reduced row echelon basis of the span of the sparse vectors added
-    so far, with the coordinates of each row on those vectors.
+    """A triangular basis of the span of the sparse vectors added so far,
+    with the coordinates of each row on those vectors.
 
-    The row R_q has entry 1 at q, which is the least index of its support,
-    and is zero at every other pivot; X_q holds its coordinates on the
-    added vectors, numbered in the order they were added, so
-    R_q = sum_j X_q[j] v_j.  The rows are the RREF basis of the span
-    whatever order the vectors came in, and X_q is supported on the
-    vectors that enlarged the span of those before them.  `rows` maps q
-    to ints (r, x, d), d = r[q] > 0, with R_q = r/d, X_q = x/d and gcd 1;
-    row(q) gives (R_q, X_q).  A vector is scaled to ints once, the rows it
-    meets are combined over the lcm of their d, and every value that
-    leaves is a Fraction.
+    The stored row at pivot q is the vector that raised the span, reduced
+    against the rows before it: its least index is q, it is zero at every
+    pivot known when it came, and no later vector rewrites it.  So a row is
+    supported at or above its pivot, and clearing a vector's pivot entries
+    in increasing order (reduce) meets each pivot once.  `rows` maps q to
+    ints (r, x, d), d = r[q] > 0 and gcd 1, with r = sum_j x_j v_j over the
+    added vectors, numbered in the order they were added; x is supported on
+    the vectors that enlarged the span of those before them.  row(q)
+    back-substitutes on request and gives the reduced row echelon row
+    (R_q, X_q): R_q has entry 1 at q and is zero at every other pivot, and
+    R_q = sum_j X_q[j] v_j.  Whatever order the vectors came in, the pivots
+    are the least indices of the span's nonzero vectors, and a split's
+    kappa (the one vector of v + span that is zero at every pivot) and x
+    (the one coordinate vector on the vectors that grew the span) are those
+    of the reduced row echelon basis.  A vector is scaled to ints once, is
+    scaled again only when a row's d does not divide its entry at the
+    pivot, and every value that leaves is a Fraction.
     """
 
     __slots__ = ("rows", "added")
@@ -121,25 +134,52 @@ class Echelon:
         return len(self.rows)
 
     def row(self, q):
-        """(R_q, X_q) as Fractions."""
+        """(R_q, X_q) as Fractions, the reduced row echelon row at pivot q
+        and its coordinates: the stored row with its entries at the later
+        pivots cleared, least first, as reduce clears a vector."""
         r, x, d = self.rows[q]
-        return ({i: Fraction(c, d) for i, c in r.items()},
-                {j: Fraction(c, d) for j, c in x.items()})
+        # k + y.v stays 0 (y.v is -r at the start); R_q = k/S, X_q = -y/S
+        k, y, S = self._clear(dict(r), {j: -c for j, c in x.items()}, d,
+                              [p for p in r if p != q and p in self.rows])
+        return ({i: Fraction(c, S) for i, c in k.items()},
+                {j: Fraction(-c, S) for j, c in y.items()})
 
     def reduce(self, v):
-        """Ints (k, y, S) with split(v) = (k/S, y/S); v may hold ints."""
-        rows = self.rows
-        S = lcm(*[c.denominator for c in v.values()]) \
-            * lcm(*[rows[q][2] for q in v if q in rows])
+        """Ints (k, y, S) with split(v) = (k/S, y/S); v may hold ints.  v is
+        scaled to ints once and its pivot entries are cleared in increasing
+        order, from a heap of the pivots it meets (_clear)."""
+        S = lcm(*[c.denominator for c in v.values()])
         k = {i: c.numerator * (S // c.denominator) for i, c in v.items()}
-        y = {}
-        for q in v:
-            if q in rows:
-                # no other row meets q, so k[q] is still S v_q
-                r, x, d = rows[q]
-                c = k[q] // d
-                vec_addmul(k, -c, r)
-                vec_addmul(y, c, x)
+        return self._clear(k, {}, S, [q for q in k if q in self.rows])
+
+    def _clear(self, k, y, S, heap):
+        """Clear k's entries at the pivots, least first, from the heap of
+        those it holds: k becomes a k - b r and y becomes a y + b x for the
+        row (r, x, d) at the pivot, with b/a = k_q/d in lowest terms, and
+        S becomes a S.  So k + y.v over S keeps its value.  A row is zero
+        below its pivot, so it adds entries only at later indices, and the
+        new pivots among them join the heap."""
+        rows = self.rows
+        heapify(heap)
+        while heap:
+            q = heappop(heap)
+            b = k.get(q)
+            if b is None:  # queued twice and cleared, or cancelled
+                continue
+            r, x, d = rows[q]
+            g = gcd(b, d)
+            a, b = d // g, b // g
+            if a != 1:
+                S *= a
+                for i in k:
+                    k[i] *= a
+                for j in y:
+                    y[j] *= a
+            for i in r:
+                if i not in k and i in rows:
+                    heappush(heap, i)
+            vec_addmul(k, -b, r)
+            vec_addmul(y, b, x)
         return k, y, S
 
     def split(self, v):
@@ -158,22 +198,16 @@ class Echelon:
         return self._adjoin(*self.reduce(v))
 
     def _adjoin(self, r, x, S):
-        """add, given reduce(v) = (r, x, S)."""
+        """add, given reduce(v) = (r, x, S): store r, which is zero at
+        every pivot, as the row at its least index q.  No stored row
+        changes."""
         j = self.added
         self.added += 1
         if not r:
             return False
-        # R = r/r[q] and X = (S e_j - x)/r[q]
+        # r = S v_j - sum x_p v_p
         q = min(r)
-        r, x, d = _primitive(r, {p: -c for p, c in x.items()} | {j: S}, q)
-        for p, (rp, xp, dp) in self.rows.items():
-            c = rp.get(q)
-            if c:
-                # R_p - (c/dp) R, over dp*d
-                self.rows[p] = _primitive(
-                    vec_addmul({i: a * d for i, a in rp.items()}, -c, r),
-                    vec_addmul({i: a * d for i, a in xp.items()}, -c, x), p)
-        self.rows[q] = (r, x, d)
+        self.rows[q] = _primitive(r, {p: -c for p, c in x.items()} | {j: S}, q)
         return True
 
     def scale_coordinates(self, k):

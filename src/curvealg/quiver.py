@@ -15,9 +15,9 @@ kept as Fractions and, scaled by the lcm D of their denominators, as ints
 (int_table); the neighbour lists that delta reads hold the ints.
 
 The loop classes at O are the classes of e_i in Q^n / W at the columns
-that are not pivots of the reduced row echelon basis of W (the
-canonical-complement pivot rule, read off linalg.Echelon), which makes the
-basis deterministic.
+that are not pivots of W, the least indices of its nonzero vectors, as
+in its reduced row echelon basis (the canonical-complement pivot rule,
+read off linalg.Echelon), which makes the basis deterministic.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .linalg import Echelon, ONE, rat, rat_str, vec_addmul
 class SubspaceW:
     """An (n-g)-dimensional subspace of Q^n, given by full-rank rows.
     `rows` holds them as dense rational tuples; `echelon` is their
-    Echelon, whose `rows` are the reduced row echelon basis of W, one per
-    pivot column."""
+    Echelon, which has one row per pivot column of W, and whose row(j)
+    is the reduced row echelon row at pivot j."""
 
     __slots__ = ("n", "g", "rows", "echelon")
 

@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from curvealg import ainfinity
-from curvealg.linalg import ONE, accum, kernel_basis, rank_of_columns, rat
+from curvealg.linalg import ONE, accum, kernel_basis, rank_of_columns, rat, vec_addmul
 from curvealg.poly import MultiPoly
 from curvealg.quiver import SubspaceW, build_ew
-from curvealg.hochschild import (Cochain, HochschildComplex, _sign,
+from curvealg.hochschild import (Cochain, HochschildComplex, _on_tuples, _sign,
                                  differential_apply, reduced_complex)
 from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 defect, emit_moduli_equations, equivalent,
@@ -382,8 +382,8 @@ def _with_junk_keys(E, base, rng, window=True):
     tuple_keys(s, t -+ 2)).  Neither lies in the normalized basis, where a
     normalized cochain is zero, so a path that builds terms from every
     stored entry reaches them and must drop what it builds there.  At
-    arity 0 those keys are the vertices, whose values become one random
-    radical element, in general outside e_v E e_v."""
+    arity 0 those keys are all the vertices, whose values become one
+    random radical element, in general outside e_v E e_v."""
     cx = reduced_complex(E)
     out = {}
     for k, c in base.items():
@@ -395,7 +395,7 @@ def _with_junk_keys(E, base, rng, window=True):
             if any(E.tgt[a] != E.src[b] for a, b in zip(key, key[1:])):
                 keys.append(key)
         for t in (c.t - 2, c.t + 2) if window else ():
-            found = cx.tuple_keys(c.s, t)
+            found = cx.tuple_keys(c.s, t) if c.s else list(range(E.n + 1))
             keys += rng.sample(found, min(10, len(found)))
         for key in keys:
             values[key] = {rng.choice(E.radical): rat(rng.randint(1, 3), rng.choice([1, 2]))}
@@ -493,6 +493,77 @@ def test_compose_matches_the_pull_reference_on_polynomial_values(monkeypatch):
             assert all(isinstance(c, MultiPoly) for vec in got.values.values()
                        for c in vec.values())
     assert nonzero >= 10
+
+
+def _block_sums_reference(acc, family, pre, r, top):
+    """The F-block sum as first pushed: each key K of family[p] is expanded
+    slot by slot, slot z becoming a block of pre[z] of a size that leaves
+    the later slots room to fill r exactly (pre from _slot_blocks)."""
+    for p, fp in family.items():
+        for K, val in fp.items() if p <= r <= p * top else ():
+            if p == r:  # r blocks of one element: T = K
+                vec_addmul(acc.setdefault(K, {}), 1, val)
+                continue
+            heads = [((), 1)]
+            for a, z in enumerate(K):
+                lo, hi = r - (p - a - 1) * top, r - (p - a - 1)
+                sizes = pre.get(z, {})
+                heads = [(T + U, c * cu) for T, c in heads
+                         for j in range(max(lo - len(T), 1), hi - len(T) + 1)
+                         for U, cu in sizes.get(j, ())]
+            for T, c in heads:
+                vec_addmul(acc.setdefault(T, {}), c, val)
+
+
+def _slot_blocks(F, radset):
+    """pre as the slot-by-slot reference reads it: pre[z][j] lists (U, c)
+    over the entries c z of F_j(U) for radical z, and pre[z][1] is the
+    block (z,) of one element with coefficient 1."""
+    pre = {z: {1: [((z,), 1)]} for z in radset}
+    for j, fj in F.items():
+        for U, vec in fj.items():
+            for z, c in vec.items():
+                if z in radset:
+                    pre[z].setdefault(j, []).append((U, c))
+    return pre
+
+
+@pytest.mark.parametrize("E", [E11(), E21(), E21_nonintegral(), build_ew(SubspaceW.zero(2))],
+                         ids=["E11", "E21", "E21-nonintegral", "E22"])
+def test_block_sums_match_the_slot_by_slot_reference(E):
+    # a block of one element is the element itself (F_1 = id), so the
+    # expansion places only the r - p extra elements, at the slots that
+    # take a longer block.  On the tuple keys it sums what the slot-by-slot
+    # reference sums, for r <= 7 and every top = max(F) of the gauge cut at
+    # its arities, on gauge and structure families with and without junk
+    # keys, on a gauge with an f_2 and on one without (where every
+    # placement that needs a block of two is dead), and at r = p.
+    rng = random.Random(37)
+    N, density = (7, 0.3) if E.n == 1 else (6, 0.1)
+    f = random_gauge(E, N, rng, density)
+    gauges = [f, GaugeTransform(E, N, {k: c for k, c in f.comps.items() if k > 2})]
+    families = [(random_gauge(E, N, rng, density), 1),
+                (random_structure(E, N, rng, density), 2)]
+    sums = {"long": 0, "r = p": 0}
+    for junk in (False, True):
+        for g in gauges:
+            whole = {k: c.values for k, c in
+                     (_with_junk_keys(E, g.comps, rng) if junk else g.comps).items()}
+            for fam, shift in families:
+                family = {k: c.values for k, c in
+                          (_with_junk_keys(E, fam.comps, rng) if junk else fam.comps).items()}
+                for top in [1, *sorted(whole)]:
+                    F = {j: fj for j, fj in whole.items() if j <= top}
+                    pre, slots = ainfinity._index(F, E.radical_set)[1], _slot_blocks(F, E.radical_set)
+                    for r in range(1, 8):
+                        got, want = {}, {}
+                        ainfinity._add_block_sums(got, family, pre, r, top)
+                        _block_sums_reference(want, family, slots, r, top)
+                        kept = _on_tuples(E, got, r, shift - r)
+                        assert kept == _on_tuples(E, want, r, shift - r), (junk, top, r)
+                        if kept:
+                            sums["r = p" if r in family and top == 1 else "long"] += 1
+    assert sums["long"] > 100 and sums["r = p"] > 20, sums
 
 
 def test_gauge_mismatch_rejected():
@@ -838,6 +909,36 @@ def test_second_extension_assembles_no_delta(monkeypatch):
     assert calls == []
     assert (second.solvable, second.candidate, second.obstruction) == \
         (first.solvable, first.candidate, first.obstruction)
+
+
+def test_deep_delta_echelon_has_the_rank_pivots_and_exact_splits():
+    # (2,2) at W = 0, echelon(7, -5), rank 3 420: its pivots are the pivot
+    # rows of the least-row rank reduction of the same position columns
+    # (both the least indices of the image's nonzero vectors), and seeded
+    # splits write v = kappa + sum_j x_j delta(e_j), kappa zero at every
+    # pivot; a v in the image has kappa = 0
+    E = build_ew(SubspaceW.zero(2))
+    cx = reduced_complex(E)
+    s, t = 7, -5
+    ech = cx.echelon(s, t)
+    cols = cx.positions(cx.delta_columns(s, t), s + 1, t)  # D * delta
+    pivots = set()
+    assert rank_of_columns(cols, pivots) == len(ech) == 3420
+    assert pivots == set(ech.rows)
+    rng = random.Random(31)
+    dim, D = cx.dim(s + 1, t), E.denominator
+    probes = [{i: rat(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+               for i in rng.sample(range(dim), 60)} for _ in range(5)]
+    image = {i: c / D for i, c in apply(cols, {j: rat(rng.randint(1, 4)) for j in
+                                               rng.sample(range(len(cols)), 30)}).items()}
+    for v in probes + [image]:
+        kappa, x = ech.split(v)
+        assert not set(kappa) & pivots
+        whole = {i: c / D for i, c in apply(cols, x).items()}
+        for i, c in kappa.items():
+            accum(whole, i, c)
+        assert whole == v
+        assert bool(kappa) == (v is not image)
 
 
 def test_delta_echelon_and_its_splits_do_no_fraction_arithmetic(monkeypatch):

@@ -110,10 +110,13 @@ def test_dim_counts_the_basis_on_every_cell():
 
 
 def _walk_reference(cx, s, t):
-    """The (s, t) keys of cx from arity 1 on, lexicographic, each with its
-    hom basis, empty ones included: the composable s-tuples of elements()
-    whose degree sum d has t + d in {0, 1}."""
+    """The (s, t) keys of cx, lexicographic, each with its hom basis, empty
+    ones included: the vertices at arity 0, and from arity 1 on the
+    composable s-tuples of elements() whose degree sum d has t + d in
+    {0, 1}."""
     E = cx.E
+    if s == 0:
+        return [(v, E.hom_basis(v, v, t)) for v in range(E.n + 1)]
     els = sorted(cx.elements())
     out = []
 
@@ -141,7 +144,7 @@ def test_walk_yields_only_keys_with_values():
         for cls in (HochschildComplex, UnnormalizedComplex):
             cx = cls(E)
             dropped = 0
-            for s in range(1, 9):
+            for s in range(9):
                 for t in range(-6, 2):
                     assert all(ws for _, _, ws in cx._walk(s, t)), (cls.__name__, s, t)
                     full = _walk_reference(cx, s, t)

@@ -775,6 +775,57 @@ def test_echelon_with_tuple_keys():
     assert sorted(ech.rows) == [(0, 2), (0, 5), (1, 0), (1, 3)]
 
 
+def assert_adds_keep_stored_rows(vectors):
+    """Echelon(vectors), checked after every add: the add stores at most
+    one new row and leaves every earlier rows[q] the same object with the
+    same entries."""
+    ech = Echelon()
+    for v in vectors:
+        before = dict(ech.rows)
+        copies = copy.deepcopy(before)
+        grew = ech.add(v)
+        assert len(ech.rows) == len(before) + grew
+        for q, stored in before.items():
+            assert ech.rows[q] is stored and stored == copies[q]
+    return ech
+
+
+@given(_vector_lists())
+def test_no_add_replaces_or_mutates_a_stored_row(vectors):
+    assert_adds_keep_stored_rows(vectors)
+
+
+def test_no_add_rewrites_a_stored_row_of_vandermonde_vectors():
+    # every later vector meets every earlier row, and its new pivot is
+    # held by the rows before it
+    primes = [5, 7, 11, 13, 17]
+    nodes = [rat(2 ** 80 + 3 ** k, p) for k, p in enumerate(primes)]
+    vander = [{i: x ** i for i in range(5)} for x in nodes]
+    for vectors in (vander, vander[::-1]):
+        ech = assert_adds_keep_stored_rows(vectors)
+        assert len(ech) == 5
+        assert any(len(r) > 1 for r, _, _ in ech.rows.values())
+
+
+def test_echelon_on_a_chain_that_cascades_through_every_row():
+    # v_k = e_k + c_k e_{k+1} with c_k = -(k+2)/(k+1): added in increasing
+    # pivot order the stored rows are the chain itself, so splitting e_0
+    # clears every pivot in turn; added in reverse pivot order, each add
+    # clears every row before it.  Both match the rref references, and
+    # e_0 has a coordinate on every vector.
+    n = 40
+    chain = [{k: ONE, k + 1: rat(-(k + 2), k + 1)} for k in range(n)]
+    probes = [{0: ONE}, {0: rat(3, 7), n: ONE}, {n: ONE}, {n - 1: rat(-2)}]
+    for vectors in (chain, chain[::-1]):
+        ech = assert_echelon_matches_rref(vectors, probes)
+        assert len(ech) == n and ech.contains({0: ONE, n: rat(-(n + 1))})
+        kappa, x = ech.split({0: ONE})
+        assert list(kappa) == [n] and len(x) == n
+    triangular = Echelon(chain)
+    assert [r for r, _, _ in triangular.rows.values()] == \
+        [{k: k + 1, k + 1: -(k + 2)} for k in range(n)]
+
+
 def test_kernel_basis_reduces_each_column_once(monkeypatch):
     reduced = []
     reduce = Echelon.reduce
