@@ -91,10 +91,6 @@ class _Components:
             if not c.is_zero():
                 self.comps[k] = c
 
-    def component(self, k):
-        got = self.comps.get(k)
-        return got if got is not None else Cochain(self.E, k, self.SHIFT - k)
-
     def scaled(self, L, top=None):
         """The values of c_k times L^(2k-1-SHIFT), as ints, for k <= top:
         with L from _scale, the weight argument of the module docstring."""
@@ -151,9 +147,6 @@ class GaugeTransform(_Components):
     @classmethod
     def identity(cls, E, N):
         return cls(E, N)
-
-    def is_identity(self):
-        return not self.comps
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +386,6 @@ def complement_data(E, k):
     im(delta), is spanned by the standard vectors off `rows` and holds
     kappa."""
     return reduced_complex(E).echelon(k - 1, 2 - k)
-
-
-def in_complement(m):
-    """True iff every component of m lies in its canonical complement, that
-    is, has no support on the pivot indices of im(delta)."""
-    cx = reduced_complex(m.E)
-    for k, c in m.comps.items():
-        rows = complement_data(m.E, k).rows
-        if any(i in rows for i in cx.cochain_to_vector(c)):
-            return False
-    return True
 
 
 def normalize(m):

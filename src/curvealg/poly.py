@@ -9,11 +9,11 @@ zero as well so that degree bounds only see the main generators.
 
 RelationSystem interprets each relation as the rewrite rule
 lead -> (lead - relation/leadcoeff) under that order, and provides bounded
-normal forms, an S-polynomial closure check, and counting of irreducible
-monomials.  Reduction rewrites a monomial by the first rule whose lead
-divides it, so the normal form is a linear map determined by its values on
-monomials; each system memoizes those values, with the highest degree met
-while computing each one, so that degree bounds are still enforced.
+normal forms and an S-polynomial closure check.  Reduction rewrites a
+monomial by the first rule whose lead divides it, so the normal form is a
+linear map determined by its values on monomials; each system memoizes those
+values, with the highest degree met while computing each one, so that degree
+bounds are still enforced.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class PolyRing:
     def one(self):
         return self.const(1)
 
-    def var(self, name, power=1):
+    def var(self, name):
         e = [0] * self.nvars()
-        e[self.index[name]] = power
+        e[self.index[name]] = 1
         return MultiPoly(self, {tuple(e): ONE})
 
     def monomial(self, exps, coeff=ONE):
@@ -114,9 +114,6 @@ class MultiPoly:
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c}
-
-    def copy(self):
-        return MultiPoly(self.ring, dict(self.terms))
 
     def __bool__(self):
         return bool(self.terms)
@@ -188,10 +185,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(self.ring.wdeg(e) for e in self.terms)
-
-    def is_homogeneous(self):
-        degs = {self.ring.wdeg(e) for e in self.terms}
-        return len(degs) <= 1
 
     def lead(self):
         """(exponent tuple, coefficient) of the order-leading term."""
@@ -349,14 +342,6 @@ class RelationSystem:
 
     def is_irreducible(self, exps):
         return self._first_rule(exps) is None
-
-    def irreducible_monomials(self, degree_bound):
-        return [e for e in self.ring.monomials_up_to(degree_bound)
-                if self.is_irreducible(e)]
-
-    def basis_count(self, degree_bound):
-        """Number of irreducible monomials of weighted degree <= bound."""
-        return len(self.irreducible_monomials(degree_bound))
 
     def to_json(self):
         return {

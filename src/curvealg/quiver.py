@@ -59,10 +59,6 @@ class SubspaceW:
     def zero(cls, n):
         return cls(n, [])
 
-    @classmethod
-    def full(cls, n):
-        return cls(n, [[int(i == j) for j in range(n)] for i in range(n)])
-
     def to_json(self):
         return {"n": self.n, "rows": [[rat_str(c) for c in row] for row in self.rows]}
 
@@ -237,16 +233,6 @@ class AlgebraMap:
                 if lhs != rhs:
                     return False
         return True
-
-    def compose(self, second):
-        """second after self (source of second = target of self)."""
-        images = [second.apply(img) for img in self.images]
-        return AlgebraMap(self.source, second.target, images)
-
-    def is_identity(self):
-        return (self.source is self.target or
-                self.source.labels == self.target.labels) and \
-            all(img == {k: ONE} for k, img in enumerate(self.images))
 
 
 def gm_rescale(e: EWAlgebra, lam) -> AlgebraMap:

@@ -35,7 +35,7 @@ def random_w(n, g, rng):
     if g == n:
         return SubspaceW.zero(n)
     if g == 0:
-        return SubspaceW.full(n)
+        return SubspaceW(n, [[int(i == j) for j in range(n)] for i in range(n)])
     while True:
         rows = [[rat(rng.randint(-3, 3), rng.choice([1, 1, 2]))
                  for _ in range(n)] for _ in range(n - g)]
@@ -100,7 +100,8 @@ def test_criterion_02_tangent_dimensions_beyond_n_2():
     counts of the small Anick-type complex suggest HH^2_t = 0 for t <= -7,
     and the cells at t = -7 are checked to be zero, but nothing here
     proves that no class returns further down."""
-    cases = [(SubspaceW.full(2), 1), (SubspaceW.full(3), 3),
+    cases = [(SubspaceW(2, [[1, 0], [0, 1]]), 1),
+             (SubspaceW(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3),
              (SubspaceW(3, [[1, 0, 2], [0, 1, 3]]), 6),
              (SubspaceW(3, [[1, 2, 3]]), 9)]
     for w, want in cases:
@@ -118,9 +119,9 @@ def test_criterion_03_reduced_vs_unreduced():
     """Equal HH dims from the reduced and unnormalized complexes,
     i <= 3, t in [-6, 0], (n,g) up to (2,2)."""
     cases = [
-        ("10", SubspaceW.full(1)),
+        ("10", SubspaceW(1, [[1]])),
         ("11", SubspaceW.zero(1)),
-        ("20", SubspaceW.full(2)),
+        ("20", SubspaceW(2, [[1, 0], [0, 1]])),
         ("21", SubspaceW(2, [[1, 1]])),
         ("22", SubspaceW.zero(2)),
     ]

@@ -45,7 +45,7 @@ def test_random_chart_closure():
 def test_chart_basis_is_the_claimed_one():
     rng = random.Random(2)
     rs = u1_relations(random_chart(rng))
-    irr = set(rs.irreducible_monomials(8))
+    irr = set(filter(rs.is_irreducible, rs.ring.monomials_up_to(8)))
     claimed = {e for e in rs.ring.monomials_up_to(8)
                if rs.is_claimed_basis_monomial(e)}
     assert irr == claimed

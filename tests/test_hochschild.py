@@ -198,8 +198,8 @@ def _decode(E, s, code):
 def test_codes_sort_as_basis_and_decode():
     # delta names its rows by code, and clearing reads pivots by code, so
     # within a cell codes must order the basis exactly as positions do
-    for w in (SubspaceW.zero(1), SubspaceW(2, [["1/2", "-2/3"]]), SubspaceW.full(2),
-              SubspaceW.zero(2)):
+    for w in (SubspaceW.zero(1), SubspaceW(2, [["1/2", "-2/3"]]),
+              SubspaceW(2, [[1, 0], [0, 1]]), SubspaceW.zero(2)):
         E = build_ew(w)
         for cx in (HochschildComplex(E), UnnormalizedComplex(E)):
             checked = 0
@@ -367,13 +367,13 @@ def test_vanishing_scan_grid_cases():
     # n >= 2 when g = 0) and indeed carries a single HH^1 class in degree -1;
     # confirmed against the absolute complex in
     # test_reduced_matches_absolute_complex_small
-    table = vanishing_scan(build_ew(SubspaceW.full(1)), 3, -6)
+    table = vanishing_scan(build_ew(SubspaceW(1, [[1]])), 3, -6)
     nonzero = {(i, t): cell[3] for (i, t), cell in table.cells.items()
                if t < 0 and cell[3]}
     assert nonzero == {(1, -1): 1}
     # two lines through a point: HH^0/HH^1 vanish below zero, one modulus
     # of weight 2 (the curve x1 x2 = t)
-    table20 = vanishing_scan(build_ew(SubspaceW.full(2)), 2, -6)
+    table20 = vanishing_scan(build_ew(SubspaceW(2, [[1, 0], [0, 1]])), 2, -6)
     assert all(table20.hh(i, t) == 0 for i in (0, 1) for t in range(-6, 0))
     assert {t: table20.hh(2, t) for t in range(-6, 0) if table20.hh(2, t)} == {-2: 1}
     # (2,1): HH^2 negative part totals 3
@@ -463,7 +463,7 @@ def absolute_hh(E, i, t):
 
 
 def test_reduced_matches_absolute_complex_small():
-    for E in (build_ew(SubspaceW.zero(1)), build_ew(SubspaceW.full(1))):
+    for E in (build_ew(SubspaceW.zero(1)), build_ew(SubspaceW(1, [[1]]))):
         cx = reduced_complex(E)
         for i in range(0, 3):
             for t in range(-2, 1):
@@ -775,8 +775,9 @@ def test_delta_columns_match_reference_exactly():
                             (6, -2), (6, -1), (6, 0), (6, 1), (7, -1), (7, 0), (7, 1)]
     # g = 1, then g = 0 (no loop classes w_s) and g = n (no relation among
     # them); the oracle also on (1, 1) and on a (3, 1) algebra
-    for w in (SubspaceW(2, [["1/2", "-2/3"]]), SubspaceW.full(2), SubspaceW.zero(2),
-              SubspaceW.zero(1), SubspaceW(3, [[1, 0, 0], [0, 1, 0]])):
+    for w in (SubspaceW(2, [["1/2", "-2/3"]]), SubspaceW(2, [[1, 0], [0, 1]]),
+              SubspaceW.zero(2), SubspaceW.zero(1),
+              SubspaceW(3, [[1, 0, 0], [0, 1, 0]])):
         E = build_ew(w)
         checks = [(unnormalized_complex(E), unnormalized_delta_reference, oracle_cases)]
         if E.n == 2:
@@ -842,7 +843,7 @@ def test_oracle_builds_few_terms_beyond_its_nonzeros(monkeypatch):
 
 
 CLEARING_ALGEBRAS = (SubspaceW.zero(1), SubspaceW(2, [["1/2", "-2/3"]]),
-                     SubspaceW.full(2), SubspaceW.zero(2))
+                     SubspaceW(2, [[1, 0], [0, 1]]), SubspaceW.zero(2))
 
 
 def test_cleared_ranks_match_full_delta_in_any_call_order():

@@ -1,9 +1,11 @@
-"""No dead imports, private helpers, slots or attributes in the package:
-every name a module imports at its top level, and every private function or
-class it defines there, is read somewhere in that module, every __slots__
-name of a package class is read somewhere in the repository's code, and
-every attribute a package class stores on self is read somewhere in the
-package.  Every package name the benchmark hooks by getattr exists."""
+"""No dead imports, private helpers, slots, attributes or public names in
+the package: every name a module imports at its top level, and every
+private function or class it defines there, is read somewhere in that
+module, every __slots__ name of a package class is read somewhere in the
+repository's code, every attribute a package class stores on self is read
+somewhere in the package, and every public function, class and method is
+read somewhere outside the tests.  Every package name the benchmark hooks
+by getattr exists."""
 
 import ast
 import importlib.util
@@ -16,6 +18,18 @@ PACKAGE = sorted(SRC.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 READERS = [p for d in ("src", "tests", "demos", "perfbench")
            for p in sorted((SRC.parent.parent / d).rglob("*.py"))]
+# the code that is not a test: the package, the demos and the benchmark
+NON_TEST_READERS = [p for p in READERS if p.parent.name != "tests"
+                    and not p.name.startswith("test_")]
+
+
+def _spans():
+    """perfbench/spans.py, loaded from its file."""
+    path = SRC.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def _read_attributes(texts):
@@ -76,6 +90,28 @@ def unloaded_self_attributes(source, readers):
                    if isinstance(cls, ast.ClassDef) for n in ast.walk(cls)
                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
                    and getattr(n.value, "id", None) == "self" and n.attr not in read})
+
+
+def unread_public_names(source, readers, hooked=()):
+    """Each public module-level function or class of source, and each public
+    method of a class there as "Class.method", whose name no name or
+    attribute load in source or in readers reads and that is not one of the
+    attribute names in hooked."""
+    trees = [ast.parse(text) for text in (source, *readers)]
+    read = set(hooked).union(*(
+        {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+         if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+        for tree in trees))
+    out = []
+    for node in trees[0].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                not node.name.startswith("_") and node.name not in read:
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += ["%s.%s" % (node.name, f.name) for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not f.name.startswith("_") and f.name not in read]
+    return out
 
 
 def test_modules_found():
@@ -148,14 +184,36 @@ def test_unloaded_self_attribute_is_reported():
         [("Presentation", "h"), ("Presentation", "hs")]
 
 
+def test_no_unread_public_names():
+    # a public name that only the tests read is built for them; the
+    # benchmark's getattr hooks count as reads
+    readers = [p.read_text() for p in NON_TEST_READERS]
+    assert any(p.parent.name == "demos" for p in NON_TEST_READERS)
+    hooked = [attr for _, _, attr in _spans().TARGETS]
+    assert [name for path in MODULES
+            for name in unread_public_names(path.read_text(), readers, hooked)] == []
+
+
+def test_unread_public_name_is_reported():
+    source = ("def main():\n    return Chart.identity().scaled(2)\n"
+              "def helper():\n    pass\n"
+              "def hooked():\n    pass\n"
+              "def _private():\n    pass\n"
+              "class Chart:\n"
+              "    @classmethod\n    def identity(cls):\n        return cls()\n"
+              "    def scaled(self, c):\n        return self\n"
+              "    def inverse(self):\n        return self\n"
+              "    def _cache(self):\n        pass\n"
+              "class _Base:\n    def copy(self):\n        pass\n")
+    assert unread_public_names(source, ["main()"], ["hooked"]) == \
+        ["helper", "Chart.inverse", "_Base.copy"]
+
+
 def test_benchmark_hooks_resolve():
     # perfbench/spans.py wraps these (owner, attribute) pairs by getattr;
     # a rename or deletion in the package must fail here, not only in a
     # traced benchmark run
-    path = SRC.parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     assert spans.TARGETS
     for span, owner, attr in spans.TARGETS:
         assert callable(getattr(owner, attr, None)), (span, owner, attr)

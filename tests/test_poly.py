@@ -6,7 +6,8 @@ import random
 import pytest
 
 from curvealg.linalg import as_int, rat
-from curvealg.poly import BoundExceededError, PolyRing, RelationSystem, parse_poly
+from curvealg.poly import (BoundExceededError, MultiPoly, PolyRing, RelationSystem,
+                           parse_poly)
 from curvealg.curves import SpecialCurveData, special_curve_algebra
 from curvealg import genus_one
 
@@ -143,7 +144,7 @@ def _normal_form_reference(rs, p, degree_bound):
     intermediate polynomial.  The rules are read off rs.relations."""
     ring = rs.ring
     rules = _tails_reference(rs)
-    p = p.copy()
+    p = MultiPoly(ring, p.terms)
     while True:
         if p and p.wdeg() > degree_bound:
             raise BoundExceededError(
@@ -301,21 +302,21 @@ def test_basis_count_cuspidal():
     # irreducible monomials by hand: 1, f, h, f^2, fh, f^3 up to degree 6,
     # plus f^2 h at degree 7
     _, rs = cusp_system()
-    assert rs.basis_count(6) == 6
-    assert rs.basis_count(7) == 7
+    assert sum(map(rs.is_irreducible, rs.ring.monomials_up_to(6))) == 6
+    assert sum(map(rs.is_irreducible, rs.ring.monomials_up_to(7))) == 7
 
 
 def test_basis_count_polynomial_ring():
     ring = PolyRing(["x"], [1])
     rs = RelationSystem(ring, [ring.var("x") ** 9])  # inert up to the bound
-    assert rs.basis_count(3) == 4
+    assert sum(map(rs.is_irreducible, ring.monomials_up_to(3))) == 4
 
 
 def test_basis_count_matches_claimed_basis():
     d = SpecialCurveData(2, [1], {(1, 2): rat(5, 3)})
     pres = special_curve_algebra(d)
     for bound in (3, 6, 12):
-        irr = set(pres.system.irreducible_monomials(bound))
+        irr = set(filter(pres.system.is_irreducible, pres.ring.monomials_up_to(bound)))
         claimed = set(pres.claimed_basis_monomials(bound))
         assert irr == claimed
 
