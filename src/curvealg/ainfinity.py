@@ -30,9 +30,9 @@ its gauge's F-blocks once (_index) for all arities; the inverse is
 compose's arity step solved for its unknown h_r.  gauge_act solves the
 morphism equation arity by arity: the new m'_r on a tuple T is D o F on T
 minus the F o D' terms whose inner m' has lower arity, so it needs neither
-the inverse gauge nor any product over outer blocks.  Arities below the
-lowest gauge component are copied, in gauge_act and gauge_compose
-alike, and keep only their tuple_keys too.
+the inverse gauge nor any product over outer blocks.  Each operation runs
+one loop over all its arities; below the lowest gauge component every
+F-block has one element, and the step gives the input's component there.
 
 The gauge layer computes on Python ints.  Give f_k weight k-1, m_q and
 m'_q weight q-2 and a table constant weight 0, and let L be the lcm of
@@ -241,21 +241,16 @@ def _compose_values(E, F, pre, family, r):
 def gauge_compose(f, g):
     """Product of gauge transforms: the components of the coalgebra morphism
     G o F, so that gauge_act(f, gauge_act(g, m)) = gauge_act(compose, m).
-
-    Below the lowest component of f the only block composition is all ones,
-    so those arities are copied from g, on their tuple_keys."""
+    One loop runs every arity: below the lowest component of f the only
+    block composition is all ones, and the step gives g_r there."""
     if f.E is not g.E or f.N != g.N:
         raise ValueError("mismatched gauges")
     E, N = f.E, f.N
-    low = min(f.comps, default=N)
-    comps = {r: Cochain(E, r, 1 - r, _on_tuples(E, c.values, r, 1 - r))
-             for r, c in g.comps.items() if r < low}
     L = _scale(E, f, g)
     F, G = f.scaled(L), g.scaled(L)
     pre = _index(F, E.radical_set)[1]
-    for r in range(max(low, 2), N):
-        comps[r] = _unscaled(E, r, 1 - r, _compose_values(E, F, pre, G, r),
-                             L ** (2 * r - 2))
+    comps = {r: _unscaled(E, r, 1 - r, _compose_values(E, F, pre, G, r),
+                          L ** (2 * r - 2)) for r in range(2, N)}
     return GaugeTransform(E, N, comps)
 
 
@@ -321,20 +316,17 @@ def gauge_act(f, m):
     and the F-block sum of m for q > 2.  m'_{j-i} is b2 or an arity already
     computed, and f_k is fed only the radical components of m'_{j-i}.  No
     flatness is needed, and neither the inverse gauge nor any product over
-    outer blocks.  Arities up to the lowest gauge component are unchanged
-    on their tuple_keys: there every F-block has size 1 and no f_k term
-    fits."""
+    outer blocks.  One loop runs every arity: up to the lowest gauge
+    component every F-block has size 1 and no f_k term fits, so the step
+    gives m_r there."""
     if f.E is not m.E or f.N != m.N:
         raise ValueError("gauge and structure must share algebra and order")
     E, N = m.E, m.N
-    low = min(f.comps, default=N)
-    comps = {r: Cochain(E, r, 2 - r, _on_tuples(E, c.values, r, 2 - r))
-             for r, c in m.comps.items() if r <= low}
     L = _scale(E, f, m)
     F, M = f.scaled(L), m.scaled(L)
-    lower = {r: {T: M[r][T] for T in c.values} for r, c in comps.items()}
     index = _index(F, E.radical_set)
-    for r in range(low + 1, N + 1):
+    lower, comps = {}, {}
+    for r in range(3, N + 1):
         values = _act_arity(E, F, index, M, lower, r, L // E.denominator)
         if values:
             lower[r] = values

@@ -19,7 +19,7 @@ from functools import partial
 from . import __version__
 from .linalg import ONE, rat, rat_str
 from .quiver import SubspaceW, build_ew
-from .hochschild import reduced_complex, vanishing_scan
+from .hochschild import vanishing_scan
 from . import ainfinity as ainf
 from .curves import (SpecialCurveData, special_curve_algebra, verify_basis,
                      component_type, grassmannian_point, krichever_window,
@@ -195,8 +195,7 @@ def cmd_ainf_extend(args):
 def cmd_ainf_equations(args):
     E = build_ew(_subspace(args))
     eqs = ainf.emit_moduli_equations(E, args.order)
-    cx = reduced_complex(E)
-    want = sum(cx.hh_dim(2, 2 - k) for k in range(3, args.order + 1))
+    want = ainf.tangent_dims(E, args.order)["hh2_total"]
     corank = eqs.corank_at_zero()
     payload = eqs.to_json()
     payload["corank_at_zero"] = corank

@@ -92,13 +92,6 @@ class SpecialCurveData:
         return {"n": self.n, "S": list(self.S),
                 "a": [[rat_str(self.a_entry(i, j)) for j in comp] for i in self.S]}
 
-    @classmethod
-    def from_json(cls, obj):
-        """Inverse of to_json; a missing "a" is the zero matrix."""
-        if "a" not in obj:
-            return cls(obj["n"], obj["S"])
-        return cls.from_rows(obj["n"], obj["S"], obj["a"])
-
     def __repr__(self):
         return "SpecialCurveData(n=%d, S=%s)" % (self.n, list(self.S))
 

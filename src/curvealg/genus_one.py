@@ -71,17 +71,8 @@ def _chart_relations(gens, chart):
 def u1_relations(chart) -> RelationSystem:
     """Relation system of the universal affine curve over one chart point."""
     ring = PolyRing(GEN_NAMES, GEN_WEIGHTS, GEN_ORDER_W)
-
-    def claimed(exps):
-        nz = [k for k, v in enumerate(exps) if v]
-        if len(nz) > 1:
-            return exps[0] == 0 and exps[2] <= 1
-        return exps[2] <= 1 if exps[2] else True
-
     rels = _chart_relations([ring.var(n) for n in GEN_NAMES], chart)
-    return RelationSystem(ring, rels,
-                          claimed_basis="h12^m, f1^m, f1^m h1",
-                          is_claimed_basis_monomial=claimed)
+    return RelationSystem(ring, rels, claimed_basis="h12^m, f1^m, f1^m h1")
 
 
 class TransitionCertificate:
@@ -195,27 +186,24 @@ class HilbertSpec:
         self.n_max = n_max
 
 
-def _is_nonneg_integer(x):
-    return x >= 0 and x.denominator == 1
+def _degrees(spec):
+    """{n: n(u + v - 1)} over the n <= n_max at which nu, nv and that
+    degree are all nonnegative integers; A(u, v)_n is zero at the others."""
+    u, v = spec.u, spec.v
+    degs = {}
+    for n in range(spec.n_max + 1):
+        d = n * (u + v - 1)
+        if all(x >= 0 and x.denominator == 1 for x in (n * u, n * v, d)):
+            degs[n] = int(d)
+    return degs
 
 
 def hilbert_A(spec):
     """dim A(u, v)_n for n = 0..n_max: the number of monomials
     t1^{nu} t2^{nv} x^k y^l z^m with nu, nv nonnegative integers and
     2k + 3l + 4m = n(u + v - 1)."""
-    u, v = spec.u, spec.v
-    out = []
-    for n in range(spec.n_max + 1):
-        nu, nv = n * u, n * v
-        if not (_is_nonneg_integer(nu) and _is_nonneg_integer(nv)):
-            out.append(0)
-            continue
-        target = n * (u + v - 1)
-        if not _is_nonneg_integer(target):
-            out.append(0)
-            continue
-        out.append(_count_234(int(target)))
-    return out
+    degs = _degrees(spec)
+    return [_count_234(degs[n]) if n in degs else 0 for n in range(spec.n_max + 1)]
 
 
 def _count_234(d):
@@ -276,15 +264,8 @@ def weighted_proj_compare(spec):
             "degenerate: u+v = 1, A is a polynomial ring in one variable and "
             "the quotient reduces to a point", False)
     lhs = hilbert_A(spec)
-    dmax = 0
-    degs = {}
-    for n in range(spec.n_max + 1):
-        nu, nv = n * u, n * v
-        if _is_nonneg_integer(nu) and _is_nonneg_integer(nv):
-            d = n * (u + v - 1)
-            degs[n] = int(d)
-            dmax = max(dmax, int(d))
-    dp = _ring_234_dims(dmax)
+    degs = _degrees(spec)
+    dp = _ring_234_dims(max(degs.values(), default=0))
     step = None
     mismatches = []
     dims = []

@@ -180,12 +180,6 @@ class MultiPoly:
             k >>= 1
         return out
 
-    def wdeg(self):
-        """Weighted degree (grading weights); -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self.ring.wdeg(e) for e in self.terms)
-
     def lead(self):
         """(exponent tuple, coefficient) of the order-leading term."""
         if not self.terms:
@@ -195,9 +189,6 @@ class MultiPoly:
 
     def constant(self):
         return self.terms.get((0,) * self.ring.nvars(), ZERO)
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
 
     def __str__(self):
         if not self.terms:

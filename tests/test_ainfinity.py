@@ -251,7 +251,8 @@ def _random_cochains(E, arities, rng, deg_shift):
     (build_ew(SubspaceW.zero(2)), (5,))], ids=["E11", "E21-nonintegral", "E22"])
 def test_gauge_action_matches_reference_path(E, orders):
     # supports with gaps and a lowest component above 2 trip the
-    # support-filtered compositions and the copy of the arities below it;
+    # support-filtered compositions and the one-element F-blocks of the
+    # arities below it;
     # the non-flat m has components at arities those gauges skip.  (2,2)
     # at W = 0 has two loops, so longer preimage lists; its reference at
     # order 6 takes several times as long as at 5
@@ -412,11 +413,12 @@ def test_junk_keys_never_reach_the_output(E):
     # so those give the references of the clean inputs.  A gauge key
     # outside its window can be an F-block of a tuple in the window and is
     # read, so the action's gauge carries non-composable junk only.  f has
-    # an f_2, so it copies no arity; f_high has none and copies the
-    # arities up to its lowest component, which keep only their
-    # tuple_keys as well.  normalize's step gauges have only an f_{k-1},
-    # so each step copies the witness arities below k-1, which compose
-    # built on their tuple_keys.
+    # an f_2; f_high has none, and f_4 has only an f_4.  Up to a gauge's
+    # lowest component every F-block has one element, and the action's
+    # and compose's steps give m_r and g_r there, which must drop their
+    # junk keys as well.  normalize's step gauges have only an f_{k-1},
+    # so compose with each runs the witness arities below k-1 through
+    # that same step.
     rng = random.Random(23)
     N = 6
     cx = reduced_complex(E)
@@ -445,6 +447,14 @@ def test_junk_keys_never_reach_the_output(E):
     for m in (flat, bent):
         moved = gauge_act(f_high, AnStructure(E, N, _with_junk_keys(E, m.comps, rng)))
         assert moved == _gauge_act_reference(f0_high, m)
+        outputs.append(moved)
+    f0_4 = GaugeTransform(E, N, {4: f0.comps[4]})
+    f_4 = GaugeTransform(E, N, _with_junk_keys(E, f0_4.comps, rng, window=False))
+    outputs.append(gauge_compose(f_4, g))
+    assert outputs[-1] == _gauge_compose_reference(f_4, g)
+    for m in (flat, bent):
+        moved = gauge_act(f_4, AnStructure(E, N, _with_junk_keys(E, m.comps, rng)))
+        assert moved == _gauge_act_reference(f0_4, m)
         outputs.append(moved)
     for fam in outputs:
         for c in fam.comps.values():

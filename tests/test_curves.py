@@ -718,12 +718,12 @@ def test_json_serialization():
     d = SpecialCurveData(3, [1, 3], {(1, 2): rat(1, 2), (3, 2): -2})
     j = d.to_json()
     assert j == {"n": 3, "S": [1, 3], "a": [["1/2"], ["-2"]]}
-    d2 = SpecialCurveData.from_json(j)
+    d2 = SpecialCurveData.from_rows(j["n"], j["S"], j["a"])
     assert d2.n == d.n and d2.S == d.S and d2.a == d.a
-    # a missing matrix is zero for every S; a mis-shaped one is refused
+    # no matrix is zero for every S; a mis-shaped one is refused
     for S in ([], [1], [1, 2, 3]):
-        d3 = SpecialCurveData.from_json({"n": 3, "S": S})
+        d3 = SpecialCurveData(3, S)
         assert d3.S == tuple(S) and d3.a == {}
     for a in ([], [["1"]], [["1", "2"], ["3", "4"], ["5", "6"]]):
         with pytest.raises(ValueError, match="1 x 2"):
-            SpecialCurveData.from_json({"n": 3, "S": [2], "a": a})
+            SpecialCurveData.from_rows(3, [2], a)

@@ -43,12 +43,19 @@ def test_random_chart_closure():
 
 
 def test_chart_basis_is_the_claimed_one():
+    # the claimed basis h12^m, f1^m, f1^m h1 that the system's
+    # claimed_basis text names, on exponents (h12, f1, h1)
+    def claimed(exps):
+        nz = [k for k, v in enumerate(exps) if v]
+        if len(nz) > 1:
+            return exps[0] == 0 and exps[2] <= 1
+        return exps[2] <= 1 if exps[2] else True
+
     rng = random.Random(2)
     rs = u1_relations(random_chart(rng))
+    assert rs.claimed_basis == "h12^m, f1^m, f1^m h1"
     irr = set(filter(rs.is_irreducible, rs.ring.monomials_up_to(8)))
-    claimed = {e for e in rs.ring.monomials_up_to(8)
-               if rs.is_claimed_basis_monomial(e)}
-    assert irr == claimed
+    assert irr == set(filter(claimed, rs.ring.monomials_up_to(8)))
 
 
 # -- transitions ----------------------------------------------------------------

@@ -94,23 +94,52 @@ def unloaded_self_attributes(source, readers):
 
 def unread_public_names(source, readers, hooked=()):
     """Each public module-level function or class of source, and each public
-    method of a class there as "Class.method", whose name no name or
-    attribute load in source or in readers reads and that is not one of the
-    attribute names in hooked."""
+    method of a class there as "Class.method", that no load in source or in
+    readers reads and that is not one of the attribute names in hooked.  A
+    function or class is read by a name or attribute load of its name; a
+    method only by an attribute load, since a bare name is a local or
+    another definition; a classmethod or staticmethod only by one from its
+    class's name or a subclass's, or from cls inside one of those classes."""
     trees = [ast.parse(text) for text in (source, *readers)]
-    read = set(hooked).union(*(
-        {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-         if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
-        for tree in trees))
-    out = []
+    loads = [n for tree in trees for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+    names = {n.id for n in loads if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in loads if isinstance(n, ast.Attribute)}
+    # (owner, attribute) for each load owner.attribute or x.owner.attribute
+    qualified = {(getattr(n.value, "id", None) or getattr(n.value, "attr", None), n.attr)
+                 for n in loads if isinstance(n, ast.Attribute)}
+    classes = [node for node in trees[0].body if isinstance(node, ast.ClassDef)]
+    from_cls = {c.name: {n.attr for n in ast.walk(c) if isinstance(n, ast.Attribute)
+                         and isinstance(n.ctx, ast.Load) and getattr(n.value, "id", None) == "cls"}
+                for c in classes}
+
+    def family(name):
+        """name and the names of its subclasses in source."""
+        out, grown = set(), {name}
+        while grown - out:
+            out |= grown
+            grown = out | {c.name for c in classes
+                           if any(getattr(b, "id", None) in out for b in c.bases)}
+        return out
+
+    def read(cls, f):
+        if f.name in hooked:
+            return True
+        if not any(getattr(d, "id", None) in ("classmethod", "staticmethod")
+                   for d in f.decorator_list):
+            return f.name in attrs
+        return any((owner, f.name) in qualified or f.name in from_cls[owner]
+                   for owner in family(cls.name))
+
+    out, top_read = [], names | attrs | set(hooked)
     for node in trees[0].body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                not node.name.startswith("_") and node.name not in read:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") \
+                and node.name not in top_read:
             out.append(node.name)
         if isinstance(node, ast.ClassDef):
             out += ["%s.%s" % (node.name, f.name) for f in node.body
                     if isinstance(f, ast.FunctionDef)
-                    and not f.name.startswith("_") and f.name not in read]
+                    and not f.name.startswith("_") and not read(node, f)]
     return out
 
 
@@ -207,6 +236,32 @@ def test_unread_public_name_is_reported():
               "class _Base:\n    def copy(self):\n        pass\n")
     assert unread_public_names(source, ["main()"], ["hooked"]) == \
         ["helper", "Chart.inverse", "_Base.copy"]
+
+
+def test_method_read_only_by_a_bare_name_is_reported():
+    # a local variable that shares a method's name does not read it
+    source = ("class Poly:\n"
+              "    def coeff(self, e):\n        return 0\n"
+              "    def lead(self):\n        return 1\n"
+              "def helper():\n    pass\n"
+              "def main(p, coeff):\n    return coeff + p.lead() + helper()\n")
+    assert unread_public_names(source, ["main(Poly(), 1)"]) == ["Poly.coeff"]
+
+
+def test_classmethod_read_only_from_another_class_is_reported():
+    # a classmethod or staticmethod is read from its own class, a subclass
+    # or cls inside one of them, not from another class of the same name
+    source = ("class Data:\n"
+              "    @classmethod\n    def from_json(cls, obj):\n        return cls.from_rows(obj)\n"
+              "    @classmethod\n    def from_rows(cls, rows):\n        return cls()\n"
+              "    @staticmethod\n    def zero():\n        return 0\n"
+              "    @classmethod\n    def empty(cls):\n        return cls()\n"
+              "class Sub(Data):\n    pass\n"
+              "class Other:\n"
+              "    @classmethod\n    def from_json(cls, obj):\n        return cls()\n"
+              "def main(obj):\n"
+              "    return Other.from_json(obj), Sub.zero(), mod.Data.empty()\n")
+    assert unread_public_names(source, ["main({})"]) == ["Data.from_json"]
 
 
 def test_benchmark_hooks_resolve():

@@ -25,7 +25,8 @@ def test_poly_arithmetic():
     assert p * ring.one() == p
     assert (x + y) * (x - y) == x * x - y * y
     ring23 = PolyRing(["f", "h"], [2, 3])
-    assert (ring23.var("f") * ring23.var("h")).wdeg() == 5
+    fh = ring23.var("f") * ring23.var("h")
+    assert [ring23.wdeg(e) for e in fh.terms] == [5]
 
 
 def test_variable_mismatch():
@@ -146,9 +147,9 @@ def _normal_form_reference(rs, p, degree_bound):
     rules = _tails_reference(rs)
     p = MultiPoly(ring, p.terms)
     while True:
-        if p and p.wdeg() > degree_bound:
+        if p and (top := max(map(ring.wdeg, p.terms))) > degree_bound:
             raise BoundExceededError(
-                "term of degree %d exceeds bound %d" % (p.wdeg(), degree_bound))
+                "term of degree %d exceeds bound %d" % (top, degree_bound))
         e = None
         for t in p.terms:
             if any(_divides(lead_e, t) for lead_e, _, _ in rules):
@@ -342,8 +343,8 @@ def test_closure_implies_basis_support():
 def test_parser_and_json_roundtrip():
     ring = PolyRing(["f", "h"], [2, 3])
     p = parse_poly(ring, "h^2 - f^3 + 1/2*f - 7")
-    assert p.coeff((0, 2)) == 1 and p.coeff((3, 0)) == -1
-    assert p.coeff((1, 0)) == rat(1, 2) and p.constant() == -7
+    assert p.terms.get((0, 2), 0) == 1 and p.terms.get((3, 0), 0) == -1
+    assert p.terms.get((1, 0), 0) == rat(1, 2) and p.constant() == -7
     rs = RelationSystem(ring, [p])
     rs2 = RelationSystem.from_json(rs.to_json())
     assert rs2.relations[0] == parse_poly(rs2.ring, str(p))
