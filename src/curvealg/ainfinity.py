@@ -22,7 +22,7 @@ a block longer than one element (a block of one element is the element
 itself, as F_1 = id), placing the extra length depth-first, and each
 inner entry of the morphism equation goes into every gauge key that holds
 its radical value, through hochschild._insert, the insertion that
-compose and so the structure residual push through too.  A push also
+the brace sum of the structure residual pushes through too.  A push also
 reaches keys outside the normalized basis, so an arity keeps only its
 tuple_keys, in order (hochschild._on_tuples).  One F-block sum
 serves gauge_act, gauge_compose and gauge_inverse, each of which indexes
@@ -62,9 +62,8 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import rank_of_columns, rat, solve, vec_addmul
-from .hochschild import (Cochain, _b2, _insert, _on_tuples,
-                         compose as cochain_compose, differential_apply,
-                         reduced_complex)
+from .hochschild import (Cochain, _b2, _brace_sum, _insert, _on_tuples,
+                         differential_apply, reduced_complex)
 from .poly import PolyRing
 
 
@@ -341,14 +340,10 @@ def gauge_act(f, m):
 def _residual(m, r):
     """The arity-r residual of the structure equations: the sum of all
     insertions m_i o m_j with i + j = r + 1, m_2 = b2 included."""
-    total = Cochain(m.E, r, 3 - r)
-    for i in range(2, r):
-        j = r + 1 - i
-        mi = Cochain.mul2(m.E) if i == 2 else m.comps.get(i)
-        mj = Cochain.mul2(m.E) if j == 2 else m.comps.get(j)
-        if mi is not None and mj is not None:
-            total = total.add(cochain_compose(mi, mj))
-    return total
+    comps = {2: Cochain.mul2(m.E), **m.comps}
+    return _brace_sum(m.E, r, 3 - r, [(1, comps[i], comps[r + 1 - i])
+                                      for i in range(2, r)
+                                      if i in comps and r + 1 - i in comps])
 
 
 def defect(m):

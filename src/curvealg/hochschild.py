@@ -17,9 +17,12 @@ associativity, the differential is [b2, .], and all higher identities
 The brace insertion is written once, in _insert, as a push: each stored
 entry of the inner cochain goes into every key of the outer one that
 holds one of its radical components, with the Koszul sign of the slot's
-prefix, and only the output's tuple_keys stay (_on_tuples).  compose,
-and so gerstenhaber, differential_apply and the structure residual, run
-on it with any coefficients; the gauge action's feed step calls it too.
+prefix, and only the output's tuple_keys stay (_on_tuples).  A sum of
+insertions c (f o g) is written once too, in _brace_sum: every term goes
+into one accumulator, whose tuple_keys are kept once, with values in any
+ring.  gerstenhaber, and so differential_apply, passes it two terms, the
+structure residual every pair m_i o m_j; the gauge action's feed step
+calls _insert itself.
 
 The unnormalized complex serves as the cross-check oracle for cohomology
 dimensions.  It shares tuple enumeration, bases and ranks with the reduced
@@ -83,7 +86,7 @@ class Cochain:
     @classmethod
     def mul2(cls, E):
         """The suspended multiplication b2 (not a normalized cochain: it
-        acts on idempotents too, and compose reads it from E.table)."""
+        acts on idempotents too, and _brace_sum reads it from E.table)."""
         return cls(E, 2, 0, None, is_mul=True)
 
     def susdeg(self):
@@ -91,15 +94,6 @@ class Cochain:
 
     def is_zero(self):
         return not self.is_mul and not self.values
-
-    def add(self, other):
-        assert (self.s, self.t) == (other.s, other.t)
-        values = {k: dict(v) for k, v in self.values.items()}
-        for key, vec in other.values.items():
-            acc = values.setdefault(key, {})
-            for k, c in vec.items():
-                accum(acc, k, c)
-        return Cochain(self.E, self.s, self.t, values, self.is_mul)
 
     def scale(self, c):
         if not c:
@@ -213,33 +207,31 @@ def _on_tuples(E, acc, s, t):
     return {T: acc[T] for T in reduced_complex(E).tuple_keys(s, t) if acc.get(T)}
 
 
-def compose(f, g):
-    """Brace insertion sum f o g with Koszul signs in suspended degrees,
-    pushed by _insert from the stored entries of g into the keys of f.
+def _brace_sum(E, s, t, terms):
+    """The arity-s, degree-t cochain sum of c (f o g) over terms (c, f, g):
+    brace insertions with Koszul signs in suspended degrees, each pushed by
+    _insert from the stored entries of g into the keys of f, all into one
+    accumulator, whose tuple_keys are kept once.
 
     Inserting into a normalized cochain projects the inserted value to the
     radical; inserting into b2 keeps the full value (that is what makes
     [b2, .] the differential of the normalized complex).  b2 enters as its
     nonzero products: every pair of E.table as the outer cochain, and the
-    radical pairs as the inner one.
+    radical pairs as the inner one.  An arity-0 f has no slot: f o g = 0.
     """
-    E = f.E
-    r = f.s + g.s - 1
-    t = f.t + g.t
-    if f.s == 0 or r < 0:
-        return Cochain(E, max(r, 0), t)
     acc = {}
-    _insert(E, acc, _b2(E, E.table, E.radical_set) if g.is_mul else g.values,
-            _b2(E, E.table, range(E.dim)) if f.is_mul else f.values,
-            g.susdeg() % 2, into=range(E.dim) if f.is_mul else None)
-    return Cochain(E, r, t, _on_tuples(E, acc, r, t))
+    for c, f, g in terms:
+        if f.s:
+            _insert(E, acc, _b2(E, E.table, E.radical_set) if g.is_mul else g.values,
+                    _b2(E, E.table, range(E.dim)) if f.is_mul else f.values,
+                    g.susdeg() % 2, c, into=range(E.dim) if f.is_mul else None)
+    return Cochain(E, s, t, _on_tuples(E, acc, s, t))
 
 
 def gerstenhaber(f, g):
     """[f, g] = f o g - (-1)^{|f||g|} g o f in suspended degrees."""
-    fg = compose(f, g)
-    gf = compose(g, f)
-    return fg.add(gf.scale(-_sign(f.susdeg() * g.susdeg())))
+    return _brace_sum(f.E, max(f.s + g.s - 1, 0), f.t + g.t,
+                      [(1, f, g), (-_sign(f.susdeg() * g.susdeg()), g, f)])
 
 
 def differential_apply(phi):

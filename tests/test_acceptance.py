@@ -20,6 +20,7 @@ from curvealg.curves import (SpecialCurveData, branch_model, glue,
                              krichever_window, verify_basis)
 from curvealg.genus_one import (HilbertSpec, U1Chart, hilbert_A, transition,
                                 transition_symbolic, weighted_proj_compare)
+from test_hochschild import cochain_sum
 from test_linalg import apply
 
 _algebras = {}
@@ -307,8 +308,8 @@ def test_criterion_10_infrastructure_identities():
         c = rand_cochain(E, sc, tc)
         lhs = gerstenhaber(gerstenhaber(a, b), c)
         sign = -1 if (a.susdeg() * b.susdeg()) % 2 == 0 else 1
-        rhs = gerstenhaber(a, gerstenhaber(b, c)).add(
-            gerstenhaber(b, gerstenhaber(a, c)).scale(sign))
+        rhs = cochain_sum(gerstenhaber(a, gerstenhaber(b, c)),
+                          gerstenhaber(b, gerstenhaber(a, c)).scale(sign))
         assert lhs == rhs
         jacobi += 1
     residuals = 0

@@ -8,19 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from curvealg import ainfinity
+from curvealg import ainfinity, hochschild
 from curvealg.linalg import ONE, accum, kernel_basis, rank_of_columns, rat, vec_addmul
 from curvealg.poly import MultiPoly
 from curvealg.quiver import SubspaceW, build_ew
 from curvealg.hochschild import (Cochain, HochschildComplex, _on_tuples, _sign,
-                                 differential_apply, reduced_complex)
+                                 differential_apply, gerstenhaber, reduced_complex)
 from curvealg.ainfinity import (AnStructure, GaugeTransform, complement_data,
                                 defect, emit_moduli_equations, equivalent,
                                 extend_step, extension_residual, gauge_act,
                                 gauge_compose, gauge_inverse, is_flat,
                                 normalize, random_gauge, random_structure,
                                 tangent_dims)
-from test_hochschild import (assert_same_composition, eval_b2, eval_multilinear,
+from test_hochschild import (assert_same_cochain, assert_same_composition,
+                             cochain_sum, compose, eval_b2, eval_multilinear,
                              fraction_delta, random_cochain)
 from test_linalg import (apply, assert_primitive_rows, canonical_complement, rref,
                          solve_reference, transpose)
@@ -59,6 +60,75 @@ def test_residual_of_bare_m3_is_its_differential():
     res = defect(m)
     assert res[3].is_zero()
     assert res[4] == differential_apply(m3)
+
+
+def _residual_reference(m, r):
+    """The arity-r residual as first summed: one composition m_i o m_j per
+    pair i + j = r + 1 (m_2 = b2), added pair by pair, its keys then listed
+    in tuple_keys order."""
+    E, t = m.E, 3 - r
+    comps = {2: Cochain.mul2(E), **m.comps}
+    total = Cochain(E, r, t)
+    for i in range(2, r):
+        if i in comps and r + 1 - i in comps:
+            total = cochain_sum(total, compose(comps[i], comps[r + 1 - i]))
+    return Cochain(E, r, t, {T: total.values[T] for T in reduced_complex(E).tuple_keys(r, t)
+                             if T in total.values})
+
+
+def _moduli_structure(monkeypatch, E, N):
+    """The structure of unknowns whose defect emit_moduli_equations(E, N)
+    reads: its values are polynomials in the coordinates u."""
+    seen = []
+    real_defect = ainfinity.defect
+    monkeypatch.setattr(ainfinity, "defect", lambda m: seen.append(m) or real_defect(m))
+    emit_moduli_equations(E, N)
+    (m,) = seen
+    return m
+
+
+def test_residual_matches_the_pair_by_pair_reference(monkeypatch):
+    # flat, bent (one component times 3/2), with junk keys, and with
+    # polynomial values; defect and extension_residual against the pairs
+    # summed one by one, key for key in order, value types included
+    rng = random.Random(37)
+    N = 5
+    structures = []
+    for E in (E11(), E21_nonintegral()):
+        flat = random_structure(E, N, rng)
+        assert set(flat.comps) == {3, 4, 5}
+        bent = AnStructure(E, N, {**flat.comps, 4: flat.comps[4].scale(rat(3, 2))})
+        structures += [flat, bent, AnStructure(E, N, _with_junk_keys(E, bent.comps, rng))]
+    structures.append(_moduli_structure(monkeypatch, E11(), 5))
+    nonzero = 0
+    for m in structures:
+        got = {**defect(m), m.N + 2: extension_residual(m)}
+        for r, res in got.items():
+            assert_same_cochain(res, _residual_reference(m, r), (m, r))
+            nonzero += not res.is_zero()
+    assert nonzero >= 10
+    assert not is_flat(structures[1]) and not is_flat(structures[-1])
+    assert all(isinstance(c, MultiPoly) for res in defect(structures[-1]).values()
+               for vec in res.values.values() for c in vec.values())
+
+
+def test_residual_and_bracket_keep_tuple_keys_once_per_output(monkeypatch):
+    # every pair of an arity goes into one accumulator, so defect filters
+    # each arity once, and a bracket its two insertions once
+    rng = random.Random(5)
+    E, N = E21(), 6
+    m = random_structure(E, N, rng)
+    assert set(m.comps) == set(range(3, N + 1))
+    arities = []
+    real = hochschild._on_tuples
+    monkeypatch.setattr(hochschild, "_on_tuples",
+                        lambda E, acc, s, t: arities.append(s) or real(E, acc, s, t))
+    res = defect(m)
+    assert all(c.is_zero() for c in res.values())
+    assert sorted(arities) == sorted(set(arities)) and set(arities) <= set(range(3, N + 2))
+    arities.clear()
+    assert not gerstenhaber(m.comps[3], m.comps[4]).is_zero()
+    assert arities == [6]
 
 
 def test_gauge_orbit_of_trivial_is_flat():
@@ -477,22 +547,25 @@ def test_compose_matches_the_pull_reference_on_junk_keys(E):
     assert any(E.src[z] != v or E.tgt[z] != v
                for v, vec in shapes[(0, 0)].values.items() for z in vec)
     cochains = [Cochain.mul2(E)] + list(shapes.values())
-    nonzero = 0
-    for f in cochains:
-        for g in cochains:
-            nonzero += not assert_same_composition(f, g).is_zero()
-    assert nonzero > 100
+    composed = {(a, b): assert_same_composition(f, g)
+                for a, f in enumerate(cochains) for b, g in enumerate(cochains)}
+    assert sum(not c.is_zero() for c in composed.values()) > 100
+    # the bracket pushes both insertions into one accumulator; here they
+    # are summed in the test, b2 included
+    for (a, b), fg in composed.items():
+        f, g = cochains[a], cochains[b]
+        want = cochain_sum(fg, composed[b, a].scale(-_sign(f.susdeg() * g.susdeg())))
+        got = gerstenhaber(f, g)
+        assert got == want, (f, g)
+        keys = iter(reduced_complex(E).tuple_keys(got.s, got.t))
+        assert all(T in keys for T in got.values), (f, g)
 
 
 def test_compose_matches_the_pull_reference_on_polynomial_values(monkeypatch):
     # the unknown structure of emit_moduli_equations, whose values are
     # polynomials in the coordinates u on the complements
     E, N = E11(), 5
-    seen = []
-    real_defect = ainfinity.defect
-    monkeypatch.setattr(ainfinity, "defect", lambda m: seen.append(m) or real_defect(m))
-    emit_moduli_equations(E, N)
-    (m,) = seen
+    m = _moduli_structure(monkeypatch, E, N)
     comps = {2: Cochain.mul2(E), **m.comps}
     assert set(comps) == set(range(2, N + 1))
     nonzero = 0

@@ -11,7 +11,7 @@ from curvealg import hochschild, linalg
 from curvealg.linalg import ONE, accum, rank_of_columns, rat, vec_addmul
 from curvealg.quiver import SubspaceW, build_ew
 from curvealg.hochschild import (Cochain, HochschildComplex, UnnormalizedComplex,
-                                 _sign, compose, differential_apply, gerstenhaber,
+                                 _brace_sum, _sign, differential_apply, gerstenhaber,
                                  reduced_complex, unnormalized_complex,
                                  vanishing_scan)
 from test_linalg import apply
@@ -41,6 +41,20 @@ def random_cochain(E, s, t, rng, density=0.6):
             if c:
                 values.setdefault(key, {})[w] = c
     return Cochain(E, s, t, values)
+
+
+def compose(f, g):
+    """The brace insertion sum f o g: the package's brace sum of one term."""
+    return _brace_sum(f.E, max(f.s + g.s - 1, 0), f.t + g.t, [(1, f, g)])
+
+
+def cochain_sum(x, y):
+    """x + y for two cochains of one (s, t), summed entry by entry."""
+    assert (x.s, x.t) == (y.s, y.t)
+    values = {key: dict(vec) for key, vec in x.values.items()}
+    for key, vec in y.values.items():
+        vec_addmul(values.setdefault(key, {}), 1, vec)
+    return Cochain(x.E, x.s, x.t, values)
 
 
 # -- bases ---------------------------------------------------------------------
@@ -290,7 +304,6 @@ def test_mul_bracket_with_itself_vanishes():
 def test_self_bracket_parity():
     # [f, f] = 2 f o f for odd suspended degree and 0 for even: the sign
     # convention consistency check
-    from curvealg.hochschild import compose
     rng = random.Random(23)
     E = E11()
     odd = random_cochain(E, 2, 0, rng)  # suspended degree 1
@@ -314,9 +327,9 @@ def test_graded_jacobi():
         b = random_cochain(E, sb, tb, rng)
         c = random_cochain(E, sc, tc, rng)
         lhs = gerstenhaber(gerstenhaber(a, b), c)
-        rhs = gerstenhaber(a, gerstenhaber(b, c)).add(
-            gerstenhaber(b, gerstenhaber(a, c)).scale(
-                -1 if (a.susdeg() * b.susdeg()) % 2 == 0 else 1))
+        rhs = cochain_sum(gerstenhaber(a, gerstenhaber(b, c)),
+                          gerstenhaber(b, gerstenhaber(a, c)).scale(
+                              -1 if (a.susdeg() * b.susdeg()) % 2 == 0 else 1))
         assert lhs == rhs
 
 
@@ -723,13 +736,19 @@ def _compose_reference(f, g):
 def assert_same_composition(f, g):
     """compose(f, g) equals the pull reference: the same keys in the same
     (tuple_keys) order, the same values and the same value types."""
-    got, want = compose(f, g), _compose_reference(f, g)
+    got = compose(f, g)
+    assert_same_cochain(got, _compose_reference(f, g), (f, g))
+    return got
+
+
+def assert_same_cochain(got, want, what):
+    """got equals want: the same (s, t), keys in the same order, values
+    and value types."""
     assert (got.s, got.t) == (want.s, want.t)
-    assert list(got.values) == list(want.values), (f, g)
-    assert got == want, (f, g)
+    assert list(got.values) == list(want.values), what
+    assert got == want, what
     assert all(type(c) is type(want.values[key][z])
                for key, vec in got.values.items() for z, c in vec.items())
-    return got
 
 
 @pytest.mark.parametrize("w", [SubspaceW.zero(1), SubspaceW(2, [["1/2", "-2/3"]]),
